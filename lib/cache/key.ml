@@ -42,7 +42,11 @@ let add_tech buf (t : Dp_tech.Tech.t) =
 
 let fingerprint k =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "dpsyn-key/1\n";
+  (* The version changes whenever a fix changes what the same request
+     builds, so a durable store never serves a result of the old code.
+     /2: range analysis saturates instead of wrapping past 2^62, which
+     changes Conventional node widths on requests that overflowed. *)
+  Buffer.add_string buf "dpsyn-key/2\n";
   Buffer.add_string buf ("expr " ^ Ast.to_string k.expr ^ "\n");
   Buffer.add_string buf (Printf.sprintf "width %d\n" k.width);
   Buffer.add_string buf ("strategy " ^ Dp_flow.Strategy.name k.strategy ^ "\n");

@@ -1,6 +1,11 @@
 (** Interval analysis of expression values, used to infer the natural output
     width of a datapath (the smallest W such that the result is represented
-    exactly — in two's complement when the value can go negative). *)
+    exactly — in two's complement when the value can go negative).
+
+    Bounds saturate rather than wrap: [hi = max_int] means the value has
+    no upper bound and [lo = min_int] no lower bound, and the operations
+    keep it so.  The true value of any assignment lies inside the range
+    however wide the operands. *)
 
 type t = private { lo : int; hi : int }
 
@@ -22,10 +27,12 @@ val pow : t -> int -> t
 val of_expr : Env.t -> Ast.t -> t
 
 (** Minimum representation width of the range: plain binary when
-    non-negative, two's complement otherwise.  Always >= 1. *)
+    non-negative, two's complement otherwise.  Between 1 and 63. *)
 val width : t -> int
 
-(** [width (of_expr env e)]. *)
+(** [width (of_expr env e)], capped at 62: the widest output the flow
+    evaluates ({!Eval.mask}).  A range that needs more bits is computed
+    modulo 2^62. *)
 val natural_width : Env.t -> Ast.t -> int
 
 val pp : t Fmt.t

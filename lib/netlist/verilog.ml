@@ -47,11 +47,33 @@ let c42_module =
   \  assign c = (t & x3) | (t & ci) | (x3 & ci);\n\
    endmodule\n"
 
-let net_ref netlist net =
+(* Pin names of the submodule instances, by input pin and output port. *)
+let fa_inputs = [| "a"; "b"; "c" |]
+let ha_inputs = [| "a"; "b" |]
+let sum_carry = [| "s"; "co" |]
+let c42_inputs = [| "x0"; "x1"; "x2"; "x3"; "ci" |]
+let c42_outputs = [| "s"; "c"; "co" |]
+let counter_inputs = [| "x0"; "x1"; "x2"; "x3"; "x4"; "x5"; "x6" |]
+let counter_outputs = [| "s0"; "s1"; "s2" |]
+
+(* Decimal digits of a non-negative [n], appended without the string
+   [string_of_int] would allocate: on large netlists that allocation
+   costs more than all the other appends together. *)
+let rec add_nat buffer n =
+  if n >= 10 then add_nat buffer (n / 10);
+  Buffer.add_char buffer (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_net_ref buffer netlist net =
   match Netlist.driver netlist net with
-  | Netlist.From_input { var; bit } -> Printf.sprintf "%s[%d]" var bit
-  | Netlist.From_const b -> if b then "const1" else "const0"
-  | Netlist.From_cell _ -> Printf.sprintf "n%d" net
+  | Netlist.From_input { var; bit } ->
+    Buffer.add_string buffer var;
+    Buffer.add_char buffer '[';
+    add_nat buffer bit;
+    Buffer.add_char buffer ']'
+  | Netlist.From_const b -> Buffer.add_string buffer (if b then "const1" else "const0")
+  | Netlist.From_cell _ ->
+    Buffer.add_char buffer 'n';
+    add_nat buffer net
 
 let gate_primitive (kind : Dp_tech.Cell_kind.t) =
   match kind with
@@ -64,109 +86,143 @@ let gate_primitive (kind : Dp_tech.Cell_kind.t) =
   | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73 ->
     invalid_arg "Verilog.gate_primitive: FA/HA/counters are submodules"
 
-let uses_const netlist b =
-  let found = ref false in
-  Netlist.iter_cells
-    (fun _ (c : Netlist.cell) ->
-      Array.iter
-        (fun input -> if Netlist.is_const netlist input b then found := true)
-        c.inputs)
-    netlist;
-  (* constants can also be wired straight to outputs *)
-  List.iter
-    (fun (_, nets) ->
-      Array.iter
-        (fun net -> if Netlist.is_const netlist net b then found := true)
-        nets)
-    (Netlist.outputs netlist);
-  !found
+(* Which constant polarities some cell input or output bit reads, in one
+   scan.  A constant net nothing reads gets no wire. *)
+let consts_used netlist =
+  let used0 = ref false and used1 = ref false in
+  let note net =
+    match Netlist.driver netlist net with
+    | Netlist.From_const b -> if b then used1 := true else used0 := true
+    | Netlist.From_input _ | Netlist.From_cell _ -> ()
+  in
+  Netlist.iter_cells (fun _ (c : Netlist.cell) -> Array.iter note c.inputs) netlist;
+  List.iter (fun (_, nets) -> Array.iter note nets) (Netlist.outputs netlist);
+  (!used0, !used1)
 
 let emit ?(module_name = "datapath") netlist =
   let buffer = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer (s ^ "\n")) fmt in
+  (* Every line is appended as its literal pieces ([str], [chr]) with the
+     integers ([num]) and pin references ([ref_]) between them. *)
+  let str s = Buffer.add_string buffer s in
+  let chr c = Buffer.add_char buffer c in
+  let num n = add_nat buffer n in
+  let ref_ net = add_net_ref buffer netlist net in
   let ins = Netlist.inputs netlist in
   let outs = Netlist.outputs netlist in
-  let port_names = List.map fst ins @ List.map fst outs in
-  line "module %s (%s);" module_name (String.concat ", " port_names);
-  List.iter
-    (fun (name, nets) -> line "  input [%d:0] %s;" (Array.length nets - 1) name)
-    ins;
-  List.iter
-    (fun (name, nets) -> line "  output [%d:0] %s;" (Array.length nets - 1) name)
-    outs;
-  if uses_const netlist false then begin
-    line "  wire const0;";
-    line "  assign const0 = 1'b0;"
-  end;
-  if uses_const netlist true then begin
-    line "  wire const1;";
-    line "  assign const1 = 1'b1;"
-  end;
+  str "module ";
+  str module_name;
+  str " (";
+  List.iteri
+    (fun i (name, _) ->
+      if i > 0 then str ", ";
+      str name)
+    (ins @ outs);
+  str ");\n";
+  let port dir (name, nets) =
+    str dir;
+    (* once per bus, and [-1] for an empty one *)
+    str (string_of_int (Array.length nets - 1));
+    str ":0] ";
+    str name;
+    str ";\n"
+  in
+  List.iter (port "  input [") ins;
+  List.iter (port "  output [") outs;
+  let const0, const1 = consts_used netlist in
+  if const0 then str "  wire const0;\n  assign const0 = 1'b0;\n";
+  if const1 then str "  wire const1;\n  assign const1 = 1'b1;\n";
   (* one wire declaration per cell-driven net *)
   Netlist.iter_cells
     (fun id _ ->
       Array.iter
-        (fun net -> line "  wire n%d;" net)
+        (fun net ->
+          str "  wire n";
+          num net;
+          str ";\n")
         (Netlist.cell_output_nets netlist id))
     netlist;
   let used_fa = ref false and used_ha = ref false in
   let used_c42 = ref false and used_c53 = ref false in
   let used_c63 = ref false and used_c73 = ref false in
-  let counter_instance id name in_refs (outputs : int array) =
-    let ins =
-      List.mapi (fun pin r -> Printf.sprintf ".x%d(%s)" pin r) in_refs
-    in
-    line "  %s u%d (%s, .s0(n%d), .s1(n%d), .s2(n%d));" name id
-      (String.concat ", " ins) outputs.(0) outputs.(1) outputs.(2)
+  (* [head] is the line up to the instance number, e.g. ["  DP_FA u"] *)
+  let instance head id in_names (i : int array) out_names (o : int array) =
+    str head;
+    num id;
+    str " (";
+    for k = 0 to Array.length i - 1 do
+      if k > 0 then str ", ";
+      chr '.';
+      str in_names.(k);
+      chr '(';
+      ref_ i.(k);
+      chr ')'
+    done;
+    for k = 0 to Array.length o - 1 do
+      str ", .";
+      str out_names.(k);
+      str "(n";
+      num o.(k);
+      chr ')'
+    done;
+    str ");\n"
   in
   Netlist.iter_cells
     (fun id (c : Netlist.cell) ->
-      let outputs = Netlist.cell_output_nets netlist id in
-      let in_refs = Array.to_list (Array.map (net_ref netlist) c.inputs) in
+      let o = Netlist.cell_output_nets netlist id in
+      let i = c.inputs in
       match c.kind with
       | Dp_tech.Cell_kind.Fa ->
         used_fa := true;
-        line "  DP_FA u%d (.a(%s), .b(%s), .c(%s), .s(n%d), .co(n%d));" id
-          (List.nth in_refs 0) (List.nth in_refs 1) (List.nth in_refs 2)
-          outputs.(0) outputs.(1)
+        instance "  DP_FA u" id fa_inputs i sum_carry o
       | Dp_tech.Cell_kind.Ha ->
         used_ha := true;
-        line "  DP_HA u%d (.a(%s), .b(%s), .s(n%d), .co(n%d));" id
-          (List.nth in_refs 0) (List.nth in_refs 1) outputs.(0) outputs.(1)
+        instance "  DP_HA u" id ha_inputs i sum_carry o
       | Dp_tech.Cell_kind.C53 ->
         used_c53 := true;
-        counter_instance id "DP_C53" in_refs outputs
+        instance "  DP_C53 u" id counter_inputs i counter_outputs o
       | Dp_tech.Cell_kind.C63 ->
         used_c63 := true;
-        counter_instance id "DP_C63" in_refs outputs
+        instance "  DP_C63 u" id counter_inputs i counter_outputs o
       | Dp_tech.Cell_kind.C73 ->
         used_c73 := true;
-        counter_instance id "DP_C73" in_refs outputs
+        instance "  DP_C73 u" id counter_inputs i counter_outputs o
       | Dp_tech.Cell_kind.C42 ->
         used_c42 := true;
-        line
-          "  DP_C42 u%d (.x0(%s), .x1(%s), .x2(%s), .x3(%s), .ci(%s), \
-           .s(n%d), .c(n%d), .co(n%d));"
-          id (List.nth in_refs 0) (List.nth in_refs 1) (List.nth in_refs 2)
-          (List.nth in_refs 3) (List.nth in_refs 4) outputs.(0) outputs.(1)
-          outputs.(2)
+        instance "  DP_C42 u" id c42_inputs i c42_outputs o
       | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
       | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
       | Dp_tech.Cell_kind.Buf ->
-        line "  %s u%d (n%d, %s);" (gate_primitive c.kind) id outputs.(0)
-          (String.concat ", " in_refs))
+        str "  ";
+        str (gate_primitive c.kind);
+        str " u";
+        num id;
+        str " (n";
+        num o.(0);
+        str ", ";
+        for k = 0 to Array.length i - 1 do
+          if k > 0 then str ", ";
+          ref_ i.(k)
+        done;
+        str ");\n")
     netlist;
   List.iter
     (fun (name, nets) ->
       Array.iteri
-        (fun bit net -> line "  assign %s[%d] = %s;" name bit (net_ref netlist net))
+        (fun bit net ->
+          str "  assign ";
+          str name;
+          chr '[';
+          num bit;
+          str "] = ";
+          ref_ net;
+          str ";\n")
         nets)
     outs;
-  line "endmodule";
-  if !used_fa then Buffer.add_string buffer fa_module;
-  if !used_ha then Buffer.add_string buffer ha_module;
-  if !used_c42 then Buffer.add_string buffer c42_module;
-  if !used_c53 then Buffer.add_string buffer c53_module;
-  if !used_c63 then Buffer.add_string buffer c63_module;
-  if !used_c73 then Buffer.add_string buffer c73_module;
+  str "endmodule\n";
+  if !used_fa then str fa_module;
+  if !used_ha then str ha_module;
+  if !used_c42 then str c42_module;
+  if !used_c53 then str c53_module;
+  if !used_c63 then str c63_module;
+  if !used_c73 then str c73_module;
   Buffer.contents buffer

@@ -499,6 +499,10 @@ let run_sharded config =
   let report = drive config pool (fresh_tally ()) in
   Mutex.protect fault_lock (fun () -> stop_faults := true);
   Option.iter Thread.join fault_thread;
+  (* A kill that landed in the run's last moments may still be waiting
+     out its restart backoff or the breaker cooldown: let the pool bring
+     every shard back, within a bound, before its restarts are counted. *)
+  ignore (Shard_pool.wait_all_up ~timeout_s:10.0 shard_pool : bool);
   let restarts, health_kills = Shard_pool.counters shard_pool in
   let hedges_fired, hedge_wins, diverges = Router.hedge_counters router in
   (* Graceful teardown: the router acknowledges nothing further, then

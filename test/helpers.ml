@@ -91,6 +91,12 @@ let enumerate_power ~ws ~wc qs =
   in
   go qs 0.0 []
 
+(* Whether [needle] occurs in [haystack]. *)
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 (* Assignment helper for simulation tests. *)
 let assign_of alist name =
   match List.assoc_opt name alist with

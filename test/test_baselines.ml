@@ -143,6 +143,26 @@ let test_conventional_sub = conventional_equiv "x - y" [ ("x", 5); ("y", 5) ] 6
 let test_conventional_mul = conventional_equiv "x*y" [ ("x", 5); ("y", 5) ] 10
 let test_conventional_neg = conventional_equiv "-x + y*z" [ ("x", 4); ("y", 4); ("z", 4) ] 9
 
+(* A node whose range passes 2^62 ((2^32 + 977) * hi here) must be built
+   at the full output width; a wrapped range once sized it at 42 bits. *)
+let test_conventional_secp_fold () =
+  let d = Dp_designs.Crypto.secp_fold in
+  List.iter
+    (fun adder ->
+      let r =
+        Dp_flow.Synth.run ~adder Dp_flow.Strategy.Conventional d.env d.expr
+          ~width:d.width
+      in
+      match
+        Dp_sim.Equiv.check_random ~trials:300 r.netlist d.expr ~output:"out"
+          ~width:d.width
+      with
+      | Ok () -> ()
+      | Error m ->
+        Alcotest.failf "%s: %a" (Dp_adders.Adder.name adder)
+          Dp_sim.Equiv.pp_mismatch m)
+    Dp_adders.Adder.all
+
 let test_conventional_poly =
   conventional_equiv "x^2 + 2*x*y + y^2 + 2*x + 2*y + 1" [ ("x", 4); ("y", 4) ] 10
 
@@ -221,4 +241,5 @@ let suite =
     case "conventional: unbalanced config" test_conventional_unbalanced;
     case "conventional: resource sharing" test_conventional_resource_sharing;
     case "conventional: balancing helps skewed arrivals" test_conventional_balancing_helps_skew;
+    case "conventional: Crypto-SecpFold under every adder" test_conventional_secp_fold;
   ]

@@ -4,6 +4,7 @@ let () =
       ("tech", Test_tech.suite);
       ("expr", Test_expr.suite);
       ("netlist", Test_netlist.suite);
+      ("verilog", Test_verilog.suite);
       ("matrix", Test_matrix.suite);
       ("core", Test_core.suite);
       ("counters", Test_counters.suite);

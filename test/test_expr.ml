@@ -191,6 +191,33 @@ let test_range_const_zero () =
   checki "width of -1" 1 (Range.width (Range.const (-1)));
   checki "width of -2" 2 (Range.width (Range.const (-2)))
 
+(* Bounds saturate instead of wrapping, and stay saturated through later
+   operations. *)
+let test_range_saturates () =
+  let env = Env.of_widths [ ("hi", 32); ("x", 8) ] in
+  let range src = Range.of_expr env (Parse.expr src) in
+  let r = range "4294968273*hi" in
+  checki "lo" 0 (r : Range.t).lo;
+  checki "hi saturates" max_int r.hi;
+  checki "stays unbounded above" max_int (range "4294968273*hi - 1099511627776*x").hi;
+  checki "negation is unbounded below" min_int (range "x - 4294968273*hi").lo;
+  let r = range "(x - 4294968273*hi) * (x - 4294968273*hi)" in
+  checki "square of an unbounded range" max_int (r : Range.t).hi;
+  checki "times zero is exact" 0 (range "(4294968273*hi) * 0").hi
+
+(* Widths of ranges past 2^61 terminate; the natural width caps at 62. *)
+let test_range_wide_widths () =
+  checki "[0, max_int]" 62 (Range.width (Range.make 0 max_int));
+  checki "[0, 2^61]" 62 (Range.width (Range.make 0 (1 lsl 61)));
+  checki "[min_int, 0]" 63 (Range.width (Range.make min_int 0));
+  let natural src w =
+    Range.natural_width (Env.of_widths [ ("x", w) ]) (Parse.expr src)
+  in
+  checki "2^32*x, x:20" 52 (natural "4294967296*x" 20);
+  checki "2^32*x, x:30" 62 (natural "4294967296*x" 30);
+  checki "2^32*x, x:32 caps" 62 (natural "4294967296*x" 32);
+  checki "negative past 2^62 caps" 62 (natural "0 - 4294967296*x*x" 32)
+
 (* ------------------------------------------------------------------ *)
 (* Sop *)
 
@@ -313,4 +340,6 @@ let suite =
     case "csd: beats binary on 255" test_csd_beats_binary;
     case "csd: never more digits than binary" test_csd_never_worse;
     case "csd: binary value reconstruction" test_binary_values;
+    case "range: bounds saturate" test_range_saturates;
+    case "range: widths past 2^61" test_range_wide_widths;
   ]

@@ -205,11 +205,6 @@ let test_kind_counts () =
 (* ------------------------------------------------------------------ *)
 (* Verilog / Dot emitters *)
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_verilog_structure () =
   let n = small_tree () in
   let v = Verilog.emit ~module_name:"tree" n in

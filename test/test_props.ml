@@ -105,6 +105,15 @@ let prop_sop_eval =
       let assign v = match v with "a" -> 5 | "b" -> 2 | _ -> 7 in
       Sop.eval assign (Sop.of_expr e) = Eval.eval assign e)
 
+(* Whether the exact (bignum) value of [e] under [alist] lies in [r],
+   reading [hi = max_int] / [lo = min_int] as no bound.  The value is not
+   taken from [Eval], whose native ints wrap past 2^62. *)
+let in_range (r : Range.t) e alist =
+  let module B = Dp_fuzz.Bigval in
+  let v = B.eval (fun x -> B.of_int (assign_of alist x)) e in
+  (r.lo = min_int || B.compare (B.of_int r.lo) v <= 0)
+  && (r.hi = max_int || B.compare v (B.of_int r.hi) <= 0)
+
 (* Range analysis is sound: the value of any assignment lies in the range *)
 let prop_range_sound =
   mk_prop "range analysis is sound" gen_expr (fun e ->
@@ -116,10 +125,51 @@ let prop_range_sound =
         let alist =
           List.map (fun (v, w) -> (v, Random.State.int rng (1 lsl w))) vars_pool
         in
-        let value = Eval.eval (assign_of alist) e in
-        if value < (r : Range.t).lo || value > r.hi then ok := false
+        if not (in_range r e alist) then ok := false
       done;
       !ok)
+
+(* ... also with wide operands and big constants, whose ranges leave the
+   int range *)
+let wide_vars = [ ("p", 62); ("q", 40); ("r", 24) ]
+
+let gen_wide_expr =
+  let open QCheck2.Gen in
+  sized_size (int_range 1 12)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               map (fun (v, _) -> Ast.Var v) (oneofl wide_vars);
+               map Ast.const (int_range (-(1 lsl 40)) (1 lsl 40));
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           let sub = self (n / 2) in
+           oneof
+             [
+               leaf;
+               map2 (fun a b -> Ast.Add (a, b)) sub sub;
+               map2 (fun a b -> Ast.Sub (a, b)) sub sub;
+               map2 (fun a b -> Ast.Mul (a, b)) sub sub;
+               map (fun a -> Ast.Neg a) sub;
+             ])
+
+let prop_range_sound_wide =
+  mk_prop "range analysis is sound past the int range" gen_wide_expr (fun e ->
+      let r = Range.of_expr (Env.of_widths wide_vars) e in
+      let rng = Random.State.make [| Hashtbl.hash (Ast.to_string e) |] in
+      List.for_all
+        (fun trial ->
+          let value w =
+            match trial mod 3 with
+            | 0 -> 0
+            | 1 -> Eval.mask w
+            | _ -> Random.State.full_int rng (Eval.mask w)
+          in
+          in_range r e (List.map (fun (v, w) -> (v, value w)) wide_vars))
+        (List.init 30 Fun.id))
 
 (* CSD recoding *)
 let prop_csd =
@@ -210,4 +260,5 @@ let suite =
     prop_adders;
     prop_fa_prob_algebra;
     prop_annotations_consistent;
+    prop_range_sound_wide;
   ]

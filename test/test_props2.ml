@@ -27,9 +27,28 @@ let gen_expr =
             map (fun a -> Ast.Neg a) sub;
           ])
 
+(* [Sop.of_expr e], or [None] once any intermediate sum of products passes
+   [max_terms] terms.  A deep product of sums expands exponentially, so
+   expanding the whole expression before checking its size can run for
+   minutes.  Bounded, every multiplication costs at most [max_terms]^2
+   term products. *)
+let bounded_sop ~max_terms e =
+  let bounded sop = if Sop.term_count sop > max_terms then raise Exit else sop in
+  let rec expand = function
+    | Ast.Var x -> Sop.add_term (Sop.Mono.var x) 1 Sop.zero
+    | Ast.Const c -> Sop.add_term Sop.Mono.one c Sop.zero
+    | Ast.Add (a, b) -> bounded (Sop.merge (expand a) (expand b))
+    | Ast.Sub (a, b) -> bounded (Sop.merge (expand a) (Sop.scale (-1) (expand b)))
+    | Ast.Mul (a, b) -> bounded (Sop.mul (expand a) (expand b))
+    | Ast.Neg a -> Sop.scale (-1) (expand a)
+    | Ast.Pow (a, n) -> bounded (Sop.pow (expand a) n)
+  in
+  match expand e with sop -> Some sop | exception Exit -> None
+
 let tractable e =
-  match Sop.of_expr e with
-  | sop -> Sop.term_count sop <= 30 && Sop.max_degree sop <= 5
+  match bounded_sop ~max_terms:256 e with
+  | Some sop -> Sop.term_count sop <= 30 && Sop.max_degree sop <= 5
+  | None -> false
   | exception _ -> false
 
 let mk_prop ?(count = 50) name gen prop =

@@ -56,11 +56,6 @@ let test_equiv_random_deterministic () =
   checkb "same outcome under same seed" true (a = b);
   checkb "passes" true (a = Ok ())
 
-let contains ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_testbench_structure () =
   let d = Dp_designs.Catalog.x2 in
   let r = Dp_flow.Synth.run Dp_flow.Strategy.Fa_aot d.env d.expr ~width:d.width in
