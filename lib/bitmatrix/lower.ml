@@ -52,16 +52,17 @@ let lower ?(config = default_config) netlist env expr ~width =
   Env.check_covers expr env;
   let inputs = declare_inputs netlist env expr in
   let bit v i = (List.assoc v inputs).(i) in
-  let sop = Sop.of_expr expr in
-  (* Checkpoint of the SOP expansion itself: the tuple enumeration below
-     can visit exponentially many partial products before the first cell
-     exists, so cell-level polling alone would come too late. *)
+  (* Checkpoint of the expansion itself: distributing products over sums
+     and the tuple enumeration below can each visit exponentially many
+     terms before the first cell exists, so cell-level polling alone
+     would come too late. *)
   let gov = Netlist.gov netlist in
   let checkpoint () =
     match gov with
     | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Lower g
     | None -> ()
   in
+  let sop = Sop.of_expr ~checkpoint expr in
   let table = ref Support_map.empty in
   let add_support supp m =
     checkpoint ();

@@ -35,24 +35,31 @@ let merge a b = Mono_map.fold add_term b a
 let scale k sop =
   if k = 0 then zero else Mono_map.map (fun c -> k * c) sop
 
-let mul a b =
+let mul ?(checkpoint = ignore) a b =
   Mono_map.fold
     (fun ma ca acc ->
       Mono_map.fold
-        (fun mb cb acc -> add_term (Mono.mul ma mb) (ca * cb) acc)
+        (fun mb cb acc ->
+          checkpoint ();
+          add_term (Mono.mul ma mb) (ca * cb) acc)
         b acc)
     a zero
 
-let rec pow a n = if n = 0 then add_term Mono.one 1 zero else mul a (pow a (n - 1))
+let rec pow ?checkpoint a n =
+  if n = 0 then add_term Mono.one 1 zero
+  else mul ?checkpoint a (pow ?checkpoint a (n - 1))
 
-let rec of_expr = function
-  | Ast.Var x -> add_term (Mono.var x) 1 zero
-  | Ast.Const c -> add_term Mono.one c zero
-  | Ast.Add (a, b) -> merge (of_expr a) (of_expr b)
-  | Ast.Sub (a, b) -> merge (of_expr a) (scale (-1) (of_expr b))
-  | Ast.Mul (a, b) -> mul (of_expr a) (of_expr b)
-  | Ast.Neg a -> scale (-1) (of_expr a)
-  | Ast.Pow (a, n) -> pow (of_expr a) n
+let of_expr ?checkpoint e =
+  let rec go = function
+    | Ast.Var x -> add_term (Mono.var x) 1 zero
+    | Ast.Const c -> add_term Mono.one c zero
+    | Ast.Add (a, b) -> merge (go a) (go b)
+    | Ast.Sub (a, b) -> merge (go a) (scale (-1) (go b))
+    | Ast.Mul (a, b) -> mul ?checkpoint (go a) (go b)
+    | Ast.Neg a -> scale (-1) (go a)
+    | Ast.Pow (a, n) -> pow ?checkpoint (go a) n
+  in
+  go e
 
 let terms sop = Mono_map.bindings sop
 let constant sop = Option.value (Mono_map.find_opt Mono.one sop) ~default:0

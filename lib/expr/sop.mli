@@ -29,12 +29,17 @@ val add_term : Mono.t -> int -> t -> t
 
 val merge : t -> t -> t
 val scale : int -> t -> t
-val mul : t -> t -> t
-val pow : t -> int -> t
+
+(** [checkpoint] is called once per term product, so a caller can bound
+    an expansion that grows out of hand (by raising from it). *)
+val mul : ?checkpoint:(unit -> unit) -> t -> t -> t
+
+val pow : ?checkpoint:(unit -> unit) -> t -> int -> t
 
 (** Full normalization.  Distribution can grow the term count
-    exponentially in nesting depth; all the paper's designs are small. *)
-val of_expr : Ast.t -> t
+    exponentially in nesting depth; all the paper's designs are small.
+    [checkpoint] is passed to every {!mul} and {!pow}. *)
+val of_expr : ?checkpoint:(unit -> unit) -> Ast.t -> t
 
 (** Terms in increasing monomial order; coefficients are never 0. *)
 val terms : t -> (Mono.t * int) list

@@ -14,25 +14,33 @@ type result = {
 
 let output_name = "out"
 
-let allocate_matrix (strategy : Strategy.t) netlist matrix =
+(* Reduce a lowered matrix under [strategy] to the final adder's two
+   operand rows. *)
+let reduce_matrix (strategy : Strategy.t) netlist ~width matrix =
+  let allocate (f : Netlist.t -> Dp_bitmatrix.Matrix.t -> unit) =
+    f netlist matrix;
+    Dp_bitmatrix.Matrix.operand_rows matrix
+  in
   match strategy with
-  | Fa_aot -> Dp_core.Fa_aot.allocate netlist matrix
+  | Fa_aot -> allocate Dp_core.Fa_aot.allocate
   | Fa_aot_combined ->
-    Dp_core.Fa_aot.allocate ~tie_break:Dp_core.Sc_t.Prefer_high_q netlist matrix
+    allocate (Dp_core.Fa_aot.allocate ~tie_break:Dp_core.Sc_t.Prefer_high_q)
   | Fa_aot_fa3 ->
-    Dp_core.Fa_aot.allocate ~three_policy:Dp_core.Sc_t.Fa_finish netlist matrix
-  | Fa_alp -> Dp_core.Fa_alp.allocate netlist matrix
+    allocate (Dp_core.Fa_aot.allocate ~three_policy:Dp_core.Sc_t.Fa_finish)
+  | Fa_alp -> allocate Dp_core.Fa_alp.allocate
   | Fa_alp_combined ->
-    Dp_core.Fa_alp.allocate ~tie_break:Dp_core.Sc_lp.Prefer_early netlist matrix
-  | Fa_random seed -> Dp_core.Fa_random.allocate ~seed netlist matrix
-  | Wallace -> Dp_core.Wallace.allocate netlist matrix
-  | Dadda -> Dp_core.Dadda.allocate netlist matrix
-  | Column_isolation -> Dp_core.Column_isolation.allocate netlist matrix
-  | Sc_t_gpc -> Dp_core.Gpc.allocate_t netlist matrix
-  | Sc_lp_gpc -> Dp_core.Gpc.allocate_lp netlist matrix
-  | Dadda_gpc -> Dp_core.Gpc.allocate_dadda netlist matrix
-  | Conventional | Csa_opt ->
-    invalid_arg "Synth.allocate_matrix: not a matrix strategy"
+    allocate (Dp_core.Fa_alp.allocate ~tie_break:Dp_core.Sc_lp.Prefer_early)
+  | Fa_random seed -> allocate (Dp_core.Fa_random.allocate ~seed)
+  | Wallace -> allocate Dp_core.Wallace.allocate
+  | Dadda -> allocate Dp_core.Dadda.allocate
+  | Column_isolation -> allocate Dp_core.Column_isolation.allocate
+  | Sc_t_gpc -> allocate Dp_core.Gpc.allocate_t
+  | Sc_lp_gpc -> allocate Dp_core.Gpc.allocate_lp
+  | Dadda_gpc -> allocate Dp_core.Gpc.allocate_dadda
+  | Csa_opt ->
+    Dp_baselines.Csa_opt.allocate netlist ~width
+      (Dp_baselines.Rows.of_matrix ~width matrix)
+  | Conventional -> invalid_arg "Synth.reduce_matrix: not a matrix strategy"
 
 let finish ?reduced_max_arrival strategy netlist ~width out_nets =
   Netlist.set_output netlist output_name out_nets;
@@ -60,6 +68,26 @@ let rows_max_arrival netlist (row_a, row_b) =
          | Some net -> Float.max acc (Netlist.arrival netlist net))
        0.0 row_a)
     row_b
+
+(* Synthesize one output into [netlist]: the strategy's word-level or
+   bit-level structure plus its final adder.  Returns the output bus
+   and, for a matrix strategy, the latest arrival among the final
+   adder's operand bits. *)
+let synth_output ~adder ~lower_config (strategy : Strategy.t) netlist env
+    expr ~width =
+  match strategy with
+  | Conventional ->
+    let config = { Dp_baselines.Conventional.default_config with adder } in
+    (Dp_baselines.Conventional.synthesize ~config netlist env expr ~width, None)
+  | Csa_opt | Fa_aot | Fa_aot_combined | Fa_aot_fa3 | Fa_alp | Fa_alp_combined
+  | Fa_random _ | Wallace | Dadda | Column_isolation | Sc_t_gpc | Sc_lp_gpc
+  | Dadda_gpc ->
+    let matrix =
+      Dp_bitmatrix.Lower.lower ~config:lower_config netlist env expr ~width
+    in
+    let final_rows = reduce_matrix strategy netlist ~width matrix in
+    let arrival = rows_max_arrival netlist final_rows in
+    (Dp_adders.Adder.build_rows adder netlist ~width final_rows, Some arrival)
 
 (* Post-synthesis integrity gate: structural lint plus the CPA-boundary
    width consistency of every declared output bus. *)
@@ -91,33 +119,10 @@ let build ?(tech = Dp_tech.Tech.lcb_like) ?(adder = Dp_adders.Adder.Cla)
     match width with Some w -> w | None -> Range.natural_width env expr
   in
   let netlist = Netlist.create ~tech in
-  match (strategy : Strategy.t) with
-  | Conventional ->
-    let config = { Dp_baselines.Conventional.default_config with adder } in
-    let out =
-      Dp_baselines.Conventional.synthesize ~config netlist env expr ~width
-    in
-    finish strategy netlist ~width out
-  | Csa_opt ->
-    let matrix =
-      Dp_bitmatrix.Lower.lower ~config:lower_config netlist env expr ~width
-    in
-    let rows = Dp_baselines.Rows.of_matrix ~width matrix in
-    let final_rows = Dp_baselines.Csa_opt.allocate netlist ~width rows in
-    let reduced_max_arrival = rows_max_arrival netlist final_rows in
-    let out = Dp_adders.Adder.build_rows adder netlist ~width final_rows in
-    finish ~reduced_max_arrival strategy netlist ~width out
-  | Fa_aot | Fa_aot_combined | Fa_aot_fa3 | Fa_alp | Fa_alp_combined
-  | Fa_random _ | Wallace | Dadda | Column_isolation | Sc_t_gpc | Sc_lp_gpc
-  | Dadda_gpc ->
-    let matrix =
-      Dp_bitmatrix.Lower.lower ~config:lower_config netlist env expr ~width
-    in
-    allocate_matrix strategy netlist matrix;
-    let final_rows = Dp_bitmatrix.Matrix.operand_rows matrix in
-    let reduced_max_arrival = rows_max_arrival netlist final_rows in
-    let out = Dp_adders.Adder.build_rows adder netlist ~width final_rows in
-    finish ~reduced_max_arrival strategy netlist ~width out
+  let out, reduced_max_arrival =
+    synth_output ~adder ~lower_config strategy netlist env expr ~width
+  in
+  finish ?reduced_max_arrival strategy netlist ~width out
 
 let run ?tech ?adder ?lower_config ?width
     ?(check_level = Dp_verify.Lint.Off) strategy env expr =
@@ -175,30 +180,9 @@ let run_multi ?(tech = Dp_tech.Tech.lcb_like) ?(adder = Dp_adders.Adder.Cla)
   let netlist = Netlist.create ~tech in
   List.iter
     (fun p ->
-      let out =
-        match (strategy : Strategy.t) with
-        | Conventional ->
-          let config = { Dp_baselines.Conventional.default_config with adder } in
-          Dp_baselines.Conventional.synthesize ~config netlist env p.expr
-            ~width:p.width
-        | Csa_opt ->
-          let matrix =
-            Dp_bitmatrix.Lower.lower ~config:lower_config netlist env p.expr
-              ~width:p.width
-          in
-          let rows = Dp_baselines.Rows.of_matrix ~width:p.width matrix in
-          let final_rows = Dp_baselines.Csa_opt.allocate netlist ~width:p.width rows in
-          Dp_adders.Adder.build_rows adder netlist ~width:p.width final_rows
-        | Fa_aot | Fa_aot_combined | Fa_aot_fa3 | Fa_alp | Fa_alp_combined
-        | Fa_random _ | Wallace | Dadda | Column_isolation | Sc_t_gpc
-        | Sc_lp_gpc | Dadda_gpc ->
-          let matrix =
-            Dp_bitmatrix.Lower.lower ~config:lower_config netlist env p.expr
-              ~width:p.width
-          in
-          allocate_matrix strategy netlist matrix;
-          Dp_adders.Adder.build_rows adder netlist ~width:p.width
-            (Dp_bitmatrix.Matrix.operand_rows matrix)
+      let out, _ =
+        synth_output ~adder ~lower_config strategy netlist env p.expr
+          ~width:p.width
       in
       Netlist.set_output netlist p.name out)
     ports;

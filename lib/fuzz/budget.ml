@@ -69,148 +69,21 @@ let check_cells b netlist =
     if cells <= b.max_cells then Ok ()
     else
       Error
-        (Dp_diag.Diag.errorf ~code:"DP-BUDGET002" ~subsystem:"budget"
+        (Dp_diag.Diag.errorf ~code:"DP-CANCEL003" ~subsystem:"budget"
            ~context:
              [ ("cells", string_of_int cells);
                ("max_cells", string_of_int b.max_cells) ]
            "netlist has %d cells, over the budget of %d" cells b.max_cells)
 
-(* A budget tightened so its wall-clock allowance also fits an absolute
-   deadline: the request must finish by [deadline], so the effective
-   timeout is the smaller of the configured budget and the time left.  A
-   deadline already passed clamps to an (arbitrary, tiny) positive value
-   rather than 0.0, which would *disable* the timer — callers should
-   fail such requests fast instead of starting them, but a race between
-   the check and the clamp must still time out, not run forever. *)
-let clamp_deadline b ~now ~deadline =
-  match deadline with
-  | None -> b
-  | Some d ->
-    let remaining = Float.max (d -. now) 1e-3 in
-    let timeout_s =
-      if b.timeout_s <= 0.0 then remaining else Float.min b.timeout_s remaining
-    in
-    { b with timeout_s }
-
-(* Reentrant wall-clock budgets over the single process-wide ITIMER_REAL.
-
-   Every active [with_timeout] pushes a {e frame} (absolute deadline plus
-   owning thread) onto a shared stack; the timer is always armed for the
-   {e earliest} live deadline, so an inner budget can neither delay nor
-   clobber an outer one.  The SIGALRM handler raises [Timed_out fid] only
-   for a frame owned by the thread that happens to execute the handler;
-   a deadline owned by another thread is flagged ([fired]) and the timer
-   re-armed at a short interval until the owning thread — busy in
-   synthesis, hence the likeliest to be interrupted — runs the handler
-   itself or notices the flag on exit.  Each [with_timeout] catches only
-   its own frame id, so a nested (outer) expiry unwinds {e through} the
-   inner budget and is converted at the right level. *)
-
-exception Timed_out of int
-
-type frame = {
-  fid : int;
-  deadline : float;  (** absolute, Unix.gettimeofday clock *)
-  tid : int;  (** Thread.id of the owner *)
-  mutable fired : bool;
-}
-
-(* Innermost-first stack of live frames.  Updated by whole-list swaps
-   under [lock]; the signal handler only reads the list (one atomic
-   pointer load) and mutates [fired] flags, so it never takes the lock. *)
-let frames : frame list ref = ref []
-let lock = Mutex.create ()
-let next_fid = ref 0
-
-(* Timer value and SIGALRM behavior found before the first frame was
-   pushed, restored when the last one pops. *)
-let saved : (Unix.interval_timer_status * Sys.signal_behavior) option ref =
-  ref None
-
-let set_timer seconds =
-  ignore
-    (Unix.setitimer Unix.ITIMER_REAL
-       { Unix.it_value = seconds; it_interval = 0.0 })
-
-(* Arm for the earliest live deadline (never 0, which would disable). *)
-let arm () =
-  match !frames with
-  | [] -> set_timer 0.0
-  | fs ->
-    let now = Unix.gettimeofday () in
-    let earliest =
-      List.fold_left (fun acc f -> Float.min acc f.deadline) infinity fs
-    in
-    set_timer (Float.max (earliest -. now) 1e-4)
-
-let on_alarm _ =
-  let now = Unix.gettimeofday () in
-  let expired = List.filter (fun f -> f.deadline <= now) !frames in
-  List.iter (fun f -> f.fired <- true) expired;
-  let self = Thread.id (Thread.self ()) in
-  match List.find_opt (fun f -> f.tid = self) expired with
-  | Some f -> raise (Timed_out f.fid)
-  | None ->
-    (* Early wake-up, or the expired frame belongs to another thread:
-       re-arm — quickly in the foreign case, so the signal soon lands in
-       the owning thread. *)
-    if expired = [] then arm () else set_timer 5e-4
-
-let enter timeout_s =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) @@ fun () ->
-  if !frames = [] then begin
-    let h = Sys.signal Sys.sigalrm (Sys.Signal_handle on_alarm) in
-    let t = Unix.getitimer Unix.ITIMER_REAL in
-    saved := Some (t, h)
-  end;
-  incr next_fid;
-  let f =
-    {
-      fid = !next_fid;
-      deadline = Unix.gettimeofday () +. timeout_s;
-      tid = Thread.id (Thread.self ());
-      fired = false;
-    }
+let governor ?deadline ?max_heap_words b =
+  let timeout = if b.timeout_s > 0.0 then Some b.timeout_s else None in
+  let deadline_s =
+    match deadline with
+    | None -> timeout
+    | Some d ->
+      let left = d -. Unix.gettimeofday () in
+      Some (match timeout with Some t -> Float.min t left | None -> left)
   in
-  frames := f :: !frames;
-  arm ();
-  f
-
-let leave fr =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) @@ fun () ->
-  frames := List.filter (fun g -> g.fid <> fr.fid) !frames;
-  match (!frames, !saved) with
-  | [], Some (t, h) ->
-    ignore (Unix.setitimer Unix.ITIMER_REAL t);
-    Sys.set_signal Sys.sigalrm h;
-    saved := None
-  | _ -> arm ()
-
-let with_timeout b f =
-  if b.timeout_s <= 0.0 then f ()
-  else begin
-    let fr = enter b.timeout_s in
-    (* Our own deadline may expire inside [leave] itself; that raise is
-       equivalent to the flag check that follows, so absorb it. *)
-    let finish () = try leave fr with Timed_out id when id = fr.fid -> () in
-    let budget_exceeded () =
-      Dp_diag.Diag.fail
-        (Dp_diag.Diag.errorf ~code:"DP-BUDGET001" ~subsystem:"budget"
-           ~context:[ ("timeout_s", Fmt.str "%g" b.timeout_s) ]
-           "synthesis exceeded the %gs wall-clock budget" b.timeout_s)
-    in
-    match f () with
-    | v ->
-      finish ();
-      (* The alarm may have fired inside an exception-swallowing wrapper
-         (e.g. [Synth.run_res]'s catch-all); the flag still records it. *)
-      if fr.fired then budget_exceeded () else v
-    | exception Timed_out id when id = fr.fid ->
-      finish ();
-      budget_exceeded ()
-    | exception e ->
-      finish ();
-      if fr.fired then budget_exceeded () else raise e
-  end
+  Dp_gov.Gov.create ?deadline_s
+    ?max_cells:(if b.max_cells > 0 then Some b.max_cells else None)
+    ?max_heap_words ()

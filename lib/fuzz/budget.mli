@@ -1,10 +1,14 @@
 (** Resource-bounded synthesis: wall-clock, matrix-height and gate-count
-    ceilings so pathological fuzz inputs fail {e gracefully} with a typed
+    ceilings so pathological inputs fail {e gracefully} with a typed
     [Dp_diag.Diag.t] instead of hanging the process or exhausting memory.
+    The fuzz oracle and the synthesis server both turn a budget into
+    limits here: {!estimate_rows} refuses a case before any work,
+    {!governor} bounds the work itself, and {!check_cells} judges the
+    finished netlist.
 
-    Diagnostics: [DP-BUDGET001] wall-clock timeout, [DP-BUDGET002]
-    gate-count ceiling, [DP-BUDGET003] static addend-row (matrix-height)
-    ceiling. *)
+    Diagnostics: [DP-BUDGET003] static addend-row (matrix-height)
+    ceiling, [DP-CANCEL003] gate-count ceiling; the governor adds
+    [DP-CANCEL001] (deadline) and the rest of the [Dp_gov.Gov] family. *)
 
 type t = {
   timeout_s : float;  (** wall-clock budget per synthesis; <= 0 disables *)
@@ -28,42 +32,21 @@ val estimate_rows : Case.t -> int
 (** [DP-BUDGET003] if {!estimate_rows} exceeds [max_rows]. *)
 val check_static : t -> Case.t -> (unit, Dp_diag.Diag.t) result
 
-(** [DP-BUDGET002] if the built netlist exceeds [max_cells]. *)
+(** [DP-CANCEL003] if the built netlist exceeds [max_cells] — the same
+    verdict the governor's in-loop cell check gives, made exactly: that
+    check only looks every [Dp_gov.Gov.default_poll_every] checkpoints,
+    and it never sees a netlist served from a cache. *)
 val check_cells : t -> Dp_netlist.Netlist.t -> (unit, Dp_diag.Diag.t) result
 
-(** [clamp_deadline b ~now ~deadline] tightens [timeout_s] so the work
-    also finishes by the absolute [deadline] ([None] = unchanged): the
-    synthesis server derives each request's effective budget from the
-    client deadline minus the time already spent queueing.  An expired
-    deadline clamps to a tiny positive timeout (never 0.0, which would
-    disable the timer). *)
-val clamp_deadline : t -> now:float -> deadline:float option -> t
+(** [governor ?deadline ?max_heap_words b] is a fresh [Dp_gov.Gov]
+    governor carrying [b]'s wall-clock and cell limits.  Its deadline is
+    [timeout_s] from now, tightened to the absolute [deadline]
+    ([Unix.gettimeofday] clock) when one is given: the server derives it
+    from the client's deadline, so time spent queueing counts.  A
+    deadline already passed trips at the first checkpoint.
+    [max_heap_words] is passed through as the heap watermark.
 
-(** [with_timeout b f] runs [f] under an interval timer and raises
-    [Dp_diag.Diag.E] with [DP-BUDGET001] if it exceeds [timeout_s].
-    Exception-safe: the timer and previous [SIGALRM] handler are always
-    restored.
-
-    Reentrant: nested budgets stack — each keeps its own absolute
-    deadline, the single process timer is armed for the earliest one,
-    and an expiring {e outer} budget unwinds through (and is not
-    misattributed to) an inner budget still within its own allowance.
-    Thread-correct in the narrow sense that a deadline is only ever
-    converted into the [DP-BUDGET001] failure of the [with_timeout]
-    call that created it.
-
-    {b Scope.}  [ITIMER_REAL] is a {e process-wide} resource: there is
-    exactly one timer and one [SIGALRM] disposition per process, and the
-    kernel delivers the signal to a thread of its choosing — a foreign
-    thread's expiry is only flagged and re-armed until the owner happens
-    to run the handler, so under a multi-threaded worker pool an expiry
-    can land an unbounded number of re-arm hops late.  This machinery is
-    therefore the driver for the {e single-threaded} [dpsyn fuzz]
-    oracle, where one synthesis owns the whole process and a signal is
-    the only way to interrupt a loop that does not cooperate.  The
-    synthesis {e server} does not use it: each worker thread installs a
-    thread-ambient [Dp_gov.Gov] governor instead, which enforces the
-    same wall-clock/cell budgets (plus a heap watermark) at cooperative
-    checkpoints — per-thread, signal-free, and aborting only between
-    well-formed pipeline steps. *)
-val with_timeout : t -> (unit -> 'a) -> 'a
+    The governor bounds only work still in progress: run a synthesis
+    under it with [Dp_gov.Gov.with_ambient], and a deadline that passes
+    after the last checkpoint does not retract a finished result. *)
+val governor : ?deadline:float -> ?max_heap_words:int -> t -> Dp_gov.Gov.t

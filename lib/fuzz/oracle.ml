@@ -34,9 +34,9 @@ let pp_outcome ppf = function
     Fmt.pf ppf "FAIL under %a/%a: %a" Dp_flow.Strategy.pp f.strategy
       Dp_adders.Adder.pp f.adder Dp_diag.Diag.pp f.diag
 
-(* The bounded-abort family: the fuzz budget's own DP-BUDGET* codes plus
-   the cooperative governor's cancellations ([Dp_gov.Gov]) — a synthesis
-   cut short by a resource verdict is [Bounded], never a [Fail]. *)
+(* The bounded-abort family: the static row check's DP-BUDGET003 plus
+   the governor's cancellations ([Dp_gov.Gov]) — a synthesis cut short
+   by a resource verdict is [Bounded], never a [Fail]. *)
 let is_budget_code code =
   (String.length code >= 9 && String.sub code 0 9 = "DP-BUDGET")
   || Dp_gov.Gov.is_cancel_code code
@@ -286,19 +286,19 @@ let check_pair ~config case strategy adder =
       ("repro", Case.synth_command ~strategy ~adder case);
     ]
   in
+  let verdict (d : Dp_diag.Diag.t) =
+    if is_budget_code d.code then Bounded d
+    else Fail { strategy; adder; diag = d }
+  in
   match
-    Budget.with_timeout config.budget (fun () ->
+    Dp_gov.Gov.with_ambient (Budget.governor config.budget) (fun () ->
         match synth_pair ~config case strategy adder with
         | Error d -> Error d
         | Ok netlist -> check_netlist ~config ~ctx case netlist case.Case.ports)
   with
   | Ok () -> Pass
-  | Error d ->
-    if is_budget_code d.Dp_diag.Diag.code then Bounded d
-    else Fail { strategy; adder; diag = d }
-  | exception Dp_diag.Diag.E d ->
-    if is_budget_code d.Dp_diag.Diag.code then Bounded d
-    else Fail { strategy; adder; diag = d }
+  | Error d -> verdict d
+  | exception Dp_diag.Diag.E d -> verdict d
 
 let check ?(config = default_config) case =
   match Budget.check_static config.budget case with

@@ -35,7 +35,7 @@
     callback, and the pipeline loops pick it up with {!ambient} — so
     the dozens of loops across the libraries need no extra parameters,
     and concurrent server workers each govern their own request without
-    interference (unlike a process-wide [setitimer] alarm). *)
+    interference.  [Dp_fuzz.Budget.governor] builds one from a budget. *)
 
 (** Checkpoint classes, one per pipeline stage that polls.  Tests use
     them to aim an injected fault at a specific loop. *)

@@ -215,27 +215,25 @@ let locked t f = Mutex.protect t.state_lock f
    exceptions) and belongs to the supervision boundary in
    [worker_loop].
 
-   The request runs under a per-thread ambient [Dp_gov.Gov] governor
-   rather than the process-wide ITIMER_REAL of [Budget.with_timeout]:
-   each worker enforces its own deadline/cell/memory limits without
-   sharing a timer (there is exactly one ITIMER_REAL per process — see
-   budget.mli), and a tripped limit lands at a cooperative checkpoint
-   between well-formed pipeline steps, so the cache never sees a torn
-   entry and the worker is reused, not restarted.  [squeeze] (the chaos
-   [Mem_squeeze] fault) runs the request under a one-word watermark so
-   the memory-abort path is exercised end to end. *)
-let execute t ~budget ?(squeeze = false) (p : Protocol.synth_params) =
+   The request runs under its own per-thread ambient [Dp_gov.Gov]
+   governor, built from the configured budget and the client's absolute
+   [deadline] (so time spent queueing counts): each worker enforces its
+   own deadline/cell/memory limits, and a tripped limit lands at a
+   cooperative checkpoint between well-formed pipeline steps, so the
+   cache never sees a torn entry and the worker is reused, not
+   restarted.  [squeeze] (the chaos [Mem_squeeze] fault) runs the
+   request under a one-word watermark so the memory-abort path is
+   exercised end to end. *)
+let execute t ?deadline ?(squeeze = false) (p : Protocol.synth_params) =
   match Protocol.serve_request ~tech:t.config.tech p with
   | Error d -> Error d
   | Ok r -> (
-    let opt cond v = if cond then Some v else None in
+    let budget = t.config.budget in
     let gov =
-      Dp_gov.Gov.create
-        ?deadline_s:(opt (budget.Dp_fuzz.Budget.timeout_s > 0.0) budget.timeout_s)
-        ?max_cells:(opt (budget.max_cells > 0) budget.max_cells)
+      Dp_fuzz.Budget.governor ?deadline
         ?max_heap_words:
           (if squeeze then Some 1 else t.config.mem_watermark_words)
-        ()
+        budget
     in
     match
       Dp_gov.Gov.with_ambient gov (fun () ->
@@ -246,12 +244,10 @@ let execute t ~budget ?(squeeze = false) (p : Protocol.synth_params) =
     with
     | Error d -> Error d
     | exception Diag.E d -> Error d
-    | Ok o -> (
-      (* The governor's in-loop cell check only fires every [poll_every]
-         cells; this exact post-check also covers cached entries. *)
-      match Dp_fuzz.Budget.check_cells budget o.result.netlist with
-      | Ok () -> Ok o
-      | Error d -> Error d))
+    | Ok o ->
+      Result.map
+        (fun () -> o)
+        (Dp_fuzz.Budget.check_cells budget o.result.netlist))
 
 (* Lint outgoing netlists so a corrupted result (chaos, cache rot, or a
    real lowering bug) becomes a typed error envelope instead of a wrong
@@ -429,10 +425,7 @@ let process t job =
           | Chaos.Delay_response | Chaos.Dup_response | Chaos.Drop_mid_line
           | Chaos.Kill_router ) ->
         ()));
-    let budget =
-      Dp_fuzz.Budget.clamp_deadline t.config.budget ~now ~deadline:job.deadline
-    in
-    let r = execute t ~budget ~squeeze:!squeeze job.params in
+    let r = execute t ?deadline:job.deadline ~squeeze:!squeeze job.params in
     let r =
       match (r, !corrupt_result, t.chaos) with
       | Ok o, true, Some c -> (

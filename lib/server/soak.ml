@@ -386,20 +386,16 @@ let run_single config =
   report
 
 (* ------------------------------------------------------------------ *)
-(* Sharded topology: N forked shard processes under a Shard_pool, a
-   Router in front, the same client fleet and the same invariants —
-   plus a pacer thread delivering shard-level faults (SIGKILL /
-   SIGSTOP) from the seeded shard-chaos schedule while requests are in
-   flight. *)
+(* The forked-shard fleet both sharded topologies run.  Each child is a
+   complete single-process server sharing the soak's disk store
+   directory with its siblings; [handle_signals] makes the pool's
+   SIGTERM a graceful drain.  [state_file] lets a new pool incarnation
+   reattach to shards a crashed one left running. *)
 
-let run_sharded config =
-  let pool = build_pool ~crypto:config.crypto_mix () in
+let shard_pool_config ?state_file ~log config =
   let spawn =
     Shard_pool.Spawn_fork
       (fun ~id:_ ~socket_path ->
-        (* The child is a complete single-process server sharing the
-           soak's disk store directory with its siblings.
-           [handle_signals] makes the pool's SIGTERM a graceful drain. *)
         let store =
           Some (Dp_cache.Store.create ~capacity:64 ?dir:config.cache_dir ())
         in
@@ -415,31 +411,40 @@ let run_sharded config =
             log = ignore;
           })
   in
-  let pool_config =
-    {
-      (Shard_pool.default_config ~shards:config.shards ~spawn
-         ~socket_for:(fun i -> config.socket_path ^ "." ^ string_of_int i))
-      with
-      Shard_pool.health_period_s = 0.1;
-      health_timeout_s = 0.5;
-      health_failures = 2;
-      stable_s = 0.5;
-      poll_period_s = 0.02;
-      (* Generous restart intensity: the soak wants to watch shards come
-         back, so kills within the run must not wedge the breaker open
-         for its whole duration. *)
-      supervisor =
-        {
-          Supervisor.max_crashes = 50;
-          window_s = 5.0;
-          cooldown_s = 0.5;
-          backoff_base_s = 0.02;
-          backoff_max_s = 0.2;
-        };
-      log = config.log;
-    }
-  in
-  let shard_pool = Shard_pool.start pool_config in
+  {
+    (Shard_pool.default_config ~shards:config.shards ~spawn
+       ~socket_for:(fun i -> config.socket_path ^ "." ^ string_of_int i))
+    with
+    Shard_pool.health_period_s = 0.1;
+    health_timeout_s = 0.5;
+    health_failures = 2;
+    stable_s = 0.5;
+    poll_period_s = 0.02;
+    (* Generous restart intensity: the soak wants to watch shards come
+       back, so kills within the run must not wedge the breaker open
+       for its whole duration. *)
+    supervisor =
+      {
+        Supervisor.max_crashes = 50;
+        window_s = 5.0;
+        cooldown_s = 0.5;
+        backoff_base_s = 0.02;
+        backoff_max_s = 0.2;
+      };
+    state_file;
+    log;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Sharded topology: N forked shard processes under a Shard_pool, a
+   Router in front, the same client fleet and the same invariants —
+   plus a pacer thread delivering shard-level faults (SIGKILL /
+   SIGSTOP) from the seeded shard-chaos schedule while requests are in
+   flight. *)
+
+let run_sharded config =
+  let pool = build_pool ~crypto:config.crypto_mix () in
+  let shard_pool = Shard_pool.start (shard_pool_config ~log:config.log config) in
   if not (Shard_pool.wait_all_up ~timeout_s:30.0 shard_pool) then begin
     Shard_pool.shutdown shard_pool;
     Diag.fail
@@ -583,49 +588,9 @@ let run_journaled config dir =
       (try ignore (Unix.sigprocmask Unix.SIG_SETMASK [])
        with Invalid_argument _ -> ());
       (try
-         let spawn =
-           Shard_pool.Spawn_fork
-             (fun ~id:_ ~socket_path ->
-               let store =
-                 Some
-                   (Dp_cache.Store.create ~capacity:64 ?dir:config.cache_dir ())
-               in
-               Server.run
-                 {
-                   (Server.default_config ~socket_path) with
-                   Server.store;
-                   workers = config.workers;
-                   chaos = config.chaos;
-                   crash_dir = config.crash_dir;
-                   guard_responses = true;
-                   handle_signals = true;
-                   log = ignore;
-                 })
+         let shard_pool =
+           Shard_pool.start (shard_pool_config ~state_file ~log:ignore config)
          in
-         let pool_config =
-           {
-             (Shard_pool.default_config ~shards:config.shards ~spawn
-                ~socket_for:(fun i ->
-                  config.socket_path ^ "." ^ string_of_int i))
-             with
-             Shard_pool.health_period_s = 0.1;
-             health_timeout_s = 0.5;
-             health_failures = 2;
-             stable_s = 0.5;
-             poll_period_s = 0.02;
-             supervisor =
-               {
-                 Supervisor.max_crashes = 50;
-                 window_s = 5.0;
-                 cooldown_s = 0.5;
-                 backoff_base_s = 0.02;
-                 backoff_max_s = 0.2;
-               };
-             state_file = Some state_file;
-             log = ignore;
-           }
-         in
-         let shard_pool = Shard_pool.start pool_config in
          if not (Shard_pool.wait_all_up ~timeout_s:30.0 shard_pool) then
            Unix._exit 1;
          let journal = Journal.open_ ~dir ~log:ignore () in

@@ -166,23 +166,59 @@ let budget_static_rows () =
   checkb "unlimited passes" true
     (Fz.Budget.check_static Fz.Budget.unlimited case = Ok ())
 
-let budget_timeout_fires () =
-  let b = { Fz.Budget.default with timeout_s = 0.05 } in
+(* Eight one-bit operands raised to the 17th power: distributing the
+   product over the sums visits millions of terms, seconds of work before
+   lowering builds its first cell. *)
+let sop_explosion =
+  let vars =
+    List.map
+      (fun v -> Fz.Case.make_var v ~width:1)
+      [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]
+  in
+  Fz.Case.single ~vars (Dp_expr.Parse.expr "(a+b+c+d+e+f+g+h)^17") ~width:8
+
+let under_timeout ?(config = quick_oracle) timeout_s case =
+  Fz.Oracle.check
+    ~config:{ config with budget = { Fz.Budget.unlimited with timeout_s } }
+    case
+
+let expect_deadline = function
+  | Fz.Oracle.Bounded d ->
+    check Alcotest.string "code" "DP-CANCEL001" d.Dp_diag.Diag.code
+  | o ->
+    Alcotest.failf "expected Bounded DP-CANCEL001, got %a" Fz.Oracle.pp_outcome o
+
+let budget_timeout_bounds_heavy_case () =
   let t0 = Unix.gettimeofday () in
-  (match
-     Fz.Budget.with_timeout b (fun () ->
-         let rec spin acc =
-           if Unix.gettimeofday () -. t0 > 10.0 then acc
-           else spin (acc + (acc mod 7))
-         in
-         Ok (spin 1))
-   with
-  | Ok _ -> Alcotest.fail "expected the 50ms budget to fire"
-  | Error _ -> Alcotest.fail "expected an exception, got Error"
-  | exception Dp_diag.Diag.E d ->
-    check Alcotest.string "code" "DP-BUDGET001" d.Dp_diag.Diag.code);
-  checkb "fired well before the 10s workload" true
-    (Unix.gettimeofday () -. t0 < 5.0)
+  expect_deadline (under_timeout 0.001 sop_explosion);
+  checkb "bounded well before the expansion finishes" true
+    (Unix.gettimeofday () -. t0 < 2.0)
+
+(* Each oracle run governs its own thread: a short deadline in one
+   thread bounds only that thread's synthesis, while a run in another
+   thread, checking every strategy x adder pair and so still busy when
+   the short deadline passes, is judged in full. *)
+let budget_timeouts_are_per_thread () =
+  let light =
+    Fz.Case.single
+      ~vars:[ Fz.Case.make_var "x" ~width:8; Fz.Case.make_var "y" ~width:8 ]
+      (Dp_expr.Parse.expr "x*y*y + x*y + 3*x") ~width:24
+  in
+  let heavy_outcome = ref Fz.Oracle.Pass in
+  let light_outcome = ref Fz.Oracle.Pass in
+  let spawn r f = Thread.create (fun () -> r := f ()) () in
+  let threads =
+    [
+      spawn heavy_outcome (fun () -> under_timeout 0.05 sop_explosion);
+      spawn light_outcome (fun () ->
+          under_timeout ~config:Fz.Oracle.default_config 30.0 light);
+    ]
+  in
+  List.iter Thread.join threads;
+  expect_deadline !heavy_outcome;
+  match !light_outcome with
+  | Fz.Oracle.Pass -> ()
+  | o -> Alcotest.failf "expected Pass, got %a" Fz.Oracle.pp_outcome o
 
 (* ------------------------------------------------------------------ *)
 (* Oracle on known-good and known-bad inputs *)
@@ -404,7 +440,9 @@ let suite =
     case "shrinker preserves the diag code and minimizes" shrink_synthetic;
     case "shrinker rejects a passing case" shrink_rejects_passing_case;
     case "matrix-height budget trips as DP-BUDGET003" budget_static_rows;
-    case "wall-clock budget trips as DP-BUDGET001" budget_timeout_fires;
+    case "wall-clock budget bounds a heavy case as DP-CANCEL001"
+      budget_timeout_bounds_heavy_case;
+    case "wall-clock budgets are per thread" budget_timeouts_are_per_thread;
     case "oracle passes clean generated cases" oracle_passes_clean_cases;
     case "oracle catches a wrong netlist" oracle_catches_wrong_netlist;
     case "driver runs a clean deterministic batch" driver_small_batch;

@@ -51,7 +51,7 @@ let code_classification () =
     [ "DP-CANCEL001"; "DP-CANCEL002"; "DP-CANCEL003"; "DP-BUDGET-MEM" ];
   List.iter
     (fun c -> checkb (c ^ " is not a cancel code") false (Gov.is_cancel_code c))
-    [ "DP-BUDGET001"; "DP-BUDGET002"; "DP-SRV-TOOBIG"; "DP-ENV003" ];
+    [ "DP-BUDGET003"; "DP-SRV-TOOBIG"; "DP-ENV003" ];
   List.iter
     (fun c -> checkb (c ^ " retryable") true (Gov.retryable c))
     [ "DP-CANCEL001"; "DP-CANCEL002"; "DP-BUDGET-MEM" ];
@@ -180,6 +180,30 @@ let deadline_abort_then_clean_retry () =
     check Alcotest.string "cache hit byte-identical" o1.verilog o3.verilog
   | Error d -> Alcotest.fail (Diag.to_string d)
 
+(* The sum-of-products expansion polls too: distributing
+   (a+...+h)^17 over eight one-bit operands runs for seconds before
+   lowering builds a cell, so only a checkpoint inside the expansion
+   stops it on time. *)
+let deadline_bounds_sop_expansion () =
+  let env =
+    List.fold_left
+      (fun env v -> Dp_expr.Env.add_uniform v ~width:1 env)
+      Dp_expr.Env.empty [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]
+  in
+  let req =
+    C.Serve.request ~width:(Some 8) env
+      (Dp_expr.Parse.expr "(a+b+c+d+e+f+g+h)^17")
+  in
+  let gov = Gov.create ~deadline_s:0.2 () in
+  let t0 = Unix.gettimeofday () in
+  (match run_governed gov ~store:(C.Store.create ()) req with
+  | Some d ->
+    check Alcotest.string "code" "DP-CANCEL001" d.Diag.code;
+    check Alcotest.string "site" "lower"
+      (Option.value (List.assoc_opt "site" d.Diag.context) ~default:"?")
+  | None -> Alcotest.fail "the expansion outlived a 0.2 s deadline");
+  checkb "aborted within 1 s" true (Unix.gettimeofday () -. t0 < 1.0)
+
 let memory_watermark_abort () =
   let dir = fresh_dir "gov-mem" in
   let store = C.Store.create ~dir () in
@@ -232,6 +256,8 @@ let suite =
       abort_leaves_lint_clean_netlist;
     case "gov: crypto deadline abort within 2 intervals, byte-identical retry"
       deadline_abort_then_clean_retry;
+    case "gov: deadline stops the SOP expansion at site lower"
+      deadline_bounds_sop_expansion;
     case "gov: memory watermark aborts with DP-BUDGET-MEM" memory_watermark_abort;
     case "gov: cell budget aborts mid-loop with DP-CANCEL003"
       cell_budget_abort_mid_loop;
