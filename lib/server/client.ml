@@ -113,6 +113,22 @@ let rpc ?deadline c request =
   | Error _ as e -> e
   | Ok () -> recv_response ?deadline c
 
+let once ?deadline ~socket request =
+  match connect ?deadline socket with
+  | Error _ as e -> e
+  | Ok c ->
+    Fun.protect ~finally:(fun () -> close c) @@ fun () ->
+    rpc ?deadline c request
+
+let ping ~deadline ~id socket =
+  match
+    once ~deadline ~socket
+      (Protocol.request_to_json { Protocol.id; req = Protocol.Ping })
+  with
+  | Ok resp ->
+    Json.member "pong" resp |> Fun.flip Option.bind Json.to_bool = Some true
+  | Error _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* Retry loop *)
 
@@ -166,19 +182,12 @@ let call ?(retry = default_retry) ~socket request =
     let capped = Float.min raw retry.max_backoff_s in
     capped *. (0.5 +. Random.State.float rng 1.0)
   in
-  let attempt () =
+  let rec go k =
     let deadline =
       if retry.per_attempt_timeout_s <= 0.0 then None
       else Some (Unix.gettimeofday () +. retry.per_attempt_timeout_s)
     in
-    match connect ?deadline socket with
-    | Error _ as e -> e
-    | Ok c ->
-      Fun.protect ~finally:(fun () -> close c) @@ fun () ->
-      rpc ?deadline c request
-  in
-  let rec go k =
-    let r = attempt () in
+    let r = once ?deadline ~socket request in
     let verdict =
       match r with
       | Error d -> if retryable d then `Retry else `Done

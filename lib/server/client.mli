@@ -36,6 +36,15 @@ val recv_response : ?deadline:float -> t -> (Json.t, Dp_diag.Diag.t) result
 (** One request, one response, on an existing connection. *)
 val rpc : ?deadline:float -> t -> Json.t -> (Json.t, Dp_diag.Diag.t) result
 
+(** [once ?deadline ~socket request]: connect, {!rpc}, close — one
+    attempt, no retry.  [deadline] bounds the connect and the read. *)
+val once :
+  ?deadline:float -> socket:string -> Json.t -> (Json.t, Dp_diag.Diag.t) result
+
+(** [ping ~deadline ~id socket]: does a [ping] with this [id] come back
+    as a pong before [deadline]?  Any failure is [false]. *)
+val ping : deadline:float -> id:Json.t -> string -> bool
+
 type retry = {
   attempts : int;  (** total attempts, including the first *)
   base_backoff_s : float;

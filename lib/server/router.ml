@@ -60,14 +60,8 @@ let lat_window = 128
 
 type t = {
   config : config;
-  listen_fd : Unix.file_descr;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  mutable accept_thread : Thread.t option;
-  mutable signal_thread : Thread.t option;
+  listener : Listener.t;
   state_lock : Mutex.t;
-  mutable shutting_down : bool;
-  mutable connections : int;
   mutable routed : int;  (* forwards answered by a shard *)
   mutable failovers : int;  (* forwards answered by a non-home shard *)
   mutable forward_errors : int;  (* forwards no shard could answer *)
@@ -99,14 +93,6 @@ let home_of t (p : Protocol.synth_params) =
     | byte -> byte mod n
     | exception _ -> 0)
 
-let attempt t socket json =
-  let deadline = Unix.gettimeofday () +. t.config.forward_timeout_s in
-  match Client.connect ~deadline socket with
-  | Error _ as e -> e
-  | Ok c ->
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    Client.rpc ~deadline c json
-
 (* Forward to the home shard, failing over along home+1, home+2, … —
    shards the pool believes down are skipped, shards that error at the
    transport level (died between the pool noticing and our connect, or
@@ -130,7 +116,11 @@ let forward t ~home json =
       let i = (home + k) mod n in
       if not (Shard_pool.is_up pool i) then go (k + 1)
       else
-        match attempt t (Shard_pool.socket_of pool i) json with
+        match
+          Client.once
+            ~deadline:(Unix.gettimeofday () +. t.config.forward_timeout_s)
+            ~socket:(Shard_pool.socket_of pool i) json
+        with
         | Ok resp ->
           locked t (fun () ->
               t.routed <- t.routed + 1;
@@ -391,13 +381,17 @@ let stats_json t =
     List.init n (fun i ->
         if not (Shard_pool.is_up pool i) then None
         else
-          match attempt t (Shard_pool.socket_of pool i) req with
+          match
+            Client.once
+              ~deadline:(Unix.gettimeofday () +. t.config.forward_timeout_s)
+              ~socket:(Shard_pool.socket_of pool i) req
+          with
           | Error _ -> None
           | Ok resp -> Json.member "stats" resp)
     |> List.filter_map Fun.id
   in
-  let connections, routed, failovers, forward_errors =
-    locked t (fun () -> (t.connections, t.routed, t.failovers, t.forward_errors))
+  let routed, failovers, forward_errors =
+    locked t (fun () -> (t.routed, t.failovers, t.forward_errors))
   in
   Json.Obj
     [
@@ -424,7 +418,7 @@ let stats_json t =
       ( "router",
         Json.Obj
           ([
-             ("connections", Json.Int connections);
+             ("connections", Json.Int (Listener.connections t.listener));
              ("routed", Json.Int routed);
              ("failovers", Json.Int failovers);
              ("forward_errors", Json.Int forward_errors);
@@ -462,142 +456,41 @@ let stats_json t =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Shutdown *)
+(* Requests the listener hands over *)
 
-let request_shutdown t =
-  let first =
-    locked t (fun () ->
-        if t.shutting_down then false
-        else begin
-          t.shutting_down <- true;
-          true
-        end)
-  in
-  if first then begin
-    t.config.log "router shutting down";
-    (try Sys.remove t.config.socket_path with Sys_error _ -> ());
-    try ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-    with Unix.Unix_error _ -> ()
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Connection handling (mirrors Server's: read lines, answer lines) *)
-
-exception Peer_gone of Diag.t
-
-let respond fd json =
-  match Lineio.write_line fd (Json.to_string json) with
-  | Ok () -> ()
-  | Error d -> raise (Peer_gone d)
-
-let handle_line t fd line =
-  match Protocol.request_of_line line with
-  | Error d ->
-    respond fd (Protocol.error_response ~id:(Protocol.id_of_line line) d);
-    `Continue
-  | Ok { Protocol.id; req } -> (
-    match req with
-    | Protocol.Ping ->
-      respond fd (Protocol.ok_response ~id [ ("pong", Json.Bool true) ]);
-      `Continue
-    | Protocol.Stats ->
-      respond fd (Protocol.ok_response ~id [ ("stats", stats_json t) ]);
-      `Continue
-    | Protocol.Shutdown ->
-      respond fd (Protocol.ok_response ~id []);
-      request_shutdown t;
-      `Close
-    | Protocol.Synth p -> (
-      let home = home_of t p in
-      let json =
-        Protocol.request_to_json { Protocol.id; req = Protocol.Synth p }
-      in
-      (* Journal the admission before any forward: a router crash after
-         this point leaves a replayable record.  A request with no
-         content address is not journaled — the shard's typed error is
-         cheap to recompute. *)
-      let seq =
-        match t.config.journal with
+let handle t ~id = function
+  | Protocol.Stats -> Protocol.ok_response ~id [ ("stats", stats_json t) ]
+  | Protocol.Synth p -> (
+    let home = home_of t p in
+    let json = Protocol.request_to_json { Protocol.id; req = Protocol.Synth p } in
+    (* Journal the admission before any forward: a router crash after
+       this point leaves a replayable record.  A request with no
+       content address is not journaled — the shard's typed error is
+       cheap to recompute. *)
+    let seq =
+      match t.config.journal with
+      | None -> None
+      | Some j -> (
+        match Protocol.digest_of_params ~tech:t.config.tech p with
         | None -> None
-        | Some j -> (
-          match Protocol.digest_of_params ~tech:t.config.tech p with
-          | None -> None
-          | Some digest ->
-            let s = Journal.admit j ~digest ~params:(Protocol.params_to_json p) in
-            Journal.dispatch j ~seq:s ~shard:home;
-            Some (j, s))
-      in
-      match forward_hedged t ~home json with
-      | Ok resp ->
-        (* Any shard answer — an error envelope included — completes the
-           journal entry: the outcome is reproducible from the store (or
-           recomputable), so replaying it would only duplicate work. *)
-        Option.iter (fun (j, s) -> Journal.complete j ~seq:s) seq;
-        (* Relay the shard's envelope; the deterministic printer makes
-           the re-serialization byte-identical to the shard's own line,
-           so sharding is invisible to byte-comparing clients. *)
-        respond fd resp;
-        `Continue
-      | Error d ->
-        respond fd (Protocol.error_response ~id d);
-        `Continue)
-    | Protocol.Batch ps ->
-      let elements = handle_batch t ps in
-      respond fd (Protocol.batch_response ~id elements);
-      `Continue)
-
-let handle_connection t fd =
-  locked t (fun () -> t.connections <- t.connections + 1);
-  let reader = Lineio.create fd in
-  let rec loop () =
-    match Lineio.read_line reader with
-    | Lineio.Eof -> ()
-    | Lineio.Truncated partial ->
-      (try
-         respond fd
-           (Protocol.error_response ~id:Json.Null
-              (Diag.v ~code:"DP-PROTO003" ~subsystem:"proto"
-                 ~context:
-                   [ ("buffered_bytes", string_of_int (String.length partial)) ]
-                 "request line truncated: stream ended before the newline"))
-       with Peer_gone _ -> ())
-    | Lineio.Line "" -> loop ()
-    | Lineio.Line line -> (
-      match handle_line t fd line with
-      | `Continue -> loop ()
-      | `Close -> ()
-      | exception Peer_gone d ->
-        t.config.log (Printf.sprintf "router: dropping connection: %s" d.Diag.message))
-  in
-  loop ();
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let rec go () =
-    if locked t (fun () -> t.shutting_down) then ()
-    else
-      match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error (_, _, _) -> ()
-      | ready, _, _ ->
-        if List.mem t.wake_r ready then begin
-          (try ignore (Unix.read t.wake_r (Bytes.create 1) 0 1)
-           with Unix.Unix_error _ -> ());
-          if not (locked t (fun () -> t.shutting_down)) then request_shutdown t
-        end
-        else (
-          match Unix.accept t.listen_fd with
-          | fd, _ ->
-            ignore (Thread.create (fun () -> handle_connection t fd) ());
-            go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            go ()
-          | exception Unix.Unix_error (_, _, _) -> ())
-  in
-  go ();
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+        | Some digest ->
+          let s = Journal.admit j ~digest ~params:(Protocol.params_to_json p) in
+          Journal.dispatch j ~seq:s ~shard:home;
+          Some (j, s))
+    in
+    match forward_hedged t ~home json with
+    | Ok resp ->
+      (* Any shard answer — an error envelope included — completes the
+         journal entry: the outcome is reproducible from the store (or
+         recomputable), so replaying it would only duplicate work. *)
+      Option.iter (fun (j, s) -> Journal.complete j ~seq:s) seq;
+      (* Relay the shard's envelope; the deterministic printer makes
+         the re-serialization byte-identical to the shard's own line,
+         so sharding is invisible to byte-comparing clients. *)
+      resp
+    | Error d -> Protocol.error_response ~id d)
+  | Protocol.Batch ps -> Protocol.batch_response ~id (handle_batch t ps)
+  | Protocol.Ping | Protocol.Shutdown -> assert false (* answered by the listener *)
 
 (* ------------------------------------------------------------------ *)
 (* Journal replay: the crash-recovery pass, run once at start before the
@@ -659,24 +552,18 @@ let replay_journal t =
 (* ------------------------------------------------------------------ *)
 
 let start (config : config) =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  if Sys.file_exists config.socket_path then Sys.remove config.socket_path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock listen_fd;
-  Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
-  Unix.listen listen_fd 16;
-  let wake_r, wake_w = Unix.pipe () in
+  (* Binding first also masks the signals, so a SIGTERM during the
+     replay below only wakes the accept loop, which drains once the
+     replay is done. *)
+  let listener =
+    Listener.bind ~socket_path:config.socket_path
+      ~handle_signals:config.handle_signals ~log:config.log
+  in
   let t =
     {
       config;
-      listen_fd;
-      wake_r;
-      wake_w;
-      accept_thread = None;
-      signal_thread = None;
+      listener;
       state_lock = Mutex.create ();
-      shutting_down = false;
-      connections = 0;
       routed = 0;
       failovers = 0;
       forward_errors = 0;
@@ -693,52 +580,24 @@ let start (config : config) =
      observe a journal whose incomplete entries are already back in
      flight.  (Callers bring the pool up — or reattach it — first.) *)
   replay_journal t;
-  if config.handle_signals then begin
-    (* Same sigwait-thread discipline as [Server.start]: handlers must
-       not depend on the kernel picking a runnable thread. *)
-    let watched = [ Sys.sigterm; Sys.sigint; Sys.sigusr2 ] in
-    ignore (Thread.sigmask Unix.SIG_BLOCK watched);
-    let rec watch ~first =
-      let s = Thread.wait_signal watched in
-      if s <> Sys.sigusr2 then
-        if first then begin
-          (try ignore (Unix.write t.wake_w (Bytes.of_string "s") 0 1)
-           with Unix.Unix_error _ -> ());
-          watch ~first:false
-        end
-        else Stdlib.exit 130
-      else ()
-    in
-    t.signal_thread <- Some (Thread.create (fun () -> watch ~first:true) ())
-  end;
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  Listener.serve listener (handle t);
   config.log
     (Printf.sprintf "router listening on %s (%d shards)" config.socket_path
        (Shard_pool.shard_count config.pool));
   t
 
+let request_shutdown t = Listener.request_shutdown t.listener
+
 let wait t =
-  Option.iter Thread.join t.accept_thread;
-  t.accept_thread <- None;
-  (match t.signal_thread with
-  | None -> ()
-  | Some th ->
-    (try Unix.kill (Unix.getpid ()) Sys.sigusr2 with Unix.Unix_error _ -> ());
-    Thread.join th;
-    t.signal_thread <- None;
-    ignore
-      (Thread.sigmask Unix.SIG_UNBLOCK [ Sys.sigterm; Sys.sigint; Sys.sigusr2 ]));
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
+  Listener.wait t.listener;
   (* The front is down by choice; take the fleet with it.  (A crashed
      router never reaches this line — that is what the journal, the
      pool's state file and the next incarnation's replay are for.) *)
   Shard_pool.shutdown t.config.pool;
   Option.iter Journal.close t.config.journal;
-  let connections, routed, failovers, forward_errors, fired, wins, div =
+  let routed, failovers, forward_errors, fired, wins, div =
     locked t (fun () ->
-        ( t.connections,
-          t.routed,
+        ( t.routed,
           t.failovers,
           t.forward_errors,
           t.hedges_fired,
@@ -751,7 +610,8 @@ let wait t =
        "router drained: connections=%d routed=%d failovers=%d \
         forward_errors=%d shard_restarts=%d health_kills=%d hedges=%d/%d \
         diverges=%d"
-       connections routed failovers forward_errors restarts health_kills fired
+       (Listener.connections t.listener)
+       routed failovers forward_errors restarts health_kills fired
        wins div)
 
 (* (fired, wins, diverges) — for the soak report and benches. *)

@@ -22,9 +22,9 @@
       (served/errors/cache/supervisor/latency histogram), plus a
       [router] section (routed/failovers/forward_errors) and the pool's
       per-shard detail;
-    - [ping] — answered locally;
-    - [shutdown] — acknowledged, then the router and the whole pool shut
-      down.
+    - malformed lines, [ping] and [shutdown] — answered by the
+      {!Listener} front it shares with {!Server}; a shutdown takes the
+      whole pool down too.
 
     {2 Durability (opt-in via [journal])}
 
@@ -79,10 +79,9 @@ val default_config : socket_path:string -> pool:Shard_pool.t -> config
 
 type t
 
-(** Bind the front socket, replay the journal (if any), and start
-    accepting.  Ignores SIGPIPE process-wide.  The caller brings the
-    pool up (or reattaches it) first, so replay forwards land on a live
-    fleet. *)
+(** {!Listener.bind} the front socket, replay the journal (if any),
+    and start accepting.  The caller brings the pool up (or reattaches
+    it) first, so replay forwards land on a live fleet. *)
 val start : config -> t
 
 (** The home shard for these parameters (digest prefix mod shard count;
@@ -92,11 +91,11 @@ val home_of : t -> Protocol.synth_params -> int
 (** Aggregated topology stats (the [stats] op's payload). *)
 val stats_json : t -> Json.t
 
-(** Idempotent: stop accepting, unlink the front socket. *)
+(** {!Listener.request_shutdown} on the front socket. *)
 val request_shutdown : t -> unit
 
-(** Join the accept and signal threads, then shut the pool down too
-    (and close the journal). *)
+(** {!Listener.wait}, then shut the pool down too (and close the
+    journal). *)
 val wait : t -> unit
 
 (** (hedges fired, hedge wins, divergences). *)

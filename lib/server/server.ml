@@ -1,5 +1,5 @@
-(* The synthesis service: a Unix-domain-socket listener, one handler
-   thread per connection, and a worker pool fed through a bounded queue.
+(* The synthesis service: a worker pool fed through a bounded queue,
+   behind the socket front it shares with the router ([Listener]).
 
    Backpressure is structural: the queue blocks producers once
    [queue_depth] jobs are waiting, so a flood of batch requests slows the
@@ -180,22 +180,13 @@ type t = {
   queue : job Bqueue.t;
   supervisor : Supervisor.t;
   chaos : Chaos.t option;
-  listen_fd : Unix.file_descr;
-  (* self-pipe: closing a listen socket does not wake a thread already
-     blocked on it, so shutdown (and the SIGTERM/SIGINT handlers, which
-     must not take locks) writes one byte here and the accept loop
-     selects on both *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
+  listener : Listener.t;
   mutable worker_threads : Thread.t list;
-  mutable accept_thread : Thread.t option;
-  mutable signal_thread : Thread.t option;
   state_lock : Mutex.t;
-  mutable shutting_down : bool;
-  (* counters, all under [state_lock] *)
+  (* counters, all under [state_lock]; the listener counts connections
+     and the malformed lines it answered itself *)
   mutable served : int;  (** synth results delivered (incl. batch elements) *)
   mutable errors : int;  (** error envelopes/elements delivered *)
-  mutable connections : int;
   mutable deadline_expired : int;  (** jobs failed fast in the queue *)
   mutable crash_dumps : int;  (** [.repro] files written *)
   mutable guard_rejects : int;  (** corrupted results caught by the guard *)
@@ -530,7 +521,6 @@ let run_jobs t params_list =
 let stats_json t =
   let ( served,
         errors,
-        connections,
         deadline_expired,
         crash_dumps,
         guard_rejects,
@@ -539,7 +529,6 @@ let stats_json t =
     locked t (fun () ->
         ( t.served,
           t.errors,
-          t.connections,
           t.deadline_expired,
           t.crash_dumps,
           t.guard_rejects,
@@ -597,8 +586,8 @@ let stats_json t =
   Json.Obj
     [
       ("served", Json.Int served);
-      ("errors", Json.Int errors);
-      ("connections", Json.Int connections);
+      ("errors", Json.Int (errors + Listener.bad_lines t.listener));
+      ("connections", Json.Int (Listener.connections t.listener));
       ("workers", Json.Int t.config.workers);
       ("queue_depth", Json.Int t.config.queue_depth);
       ("cache", cache);
@@ -609,168 +598,19 @@ let stats_json t =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Shutdown *)
+(* Requests the listener hands over *)
 
-let request_shutdown t =
-  let first =
-    locked t (fun () ->
-        if t.shutting_down then false
-        else begin
-          t.shutting_down <- true;
-          true
-        end)
-  in
-  if first then begin
-    t.config.log "shutting down";
-    (* Unlink before waking the accept loop: [wait] returns once the
-       accept thread and the workers have joined, and a caller must then
-       observe the socket file already gone. *)
-    (try Sys.remove t.config.socket_path with Sys_error _ -> ());
-    Bqueue.close t.queue;
-    try ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-    with Unix.Unix_error _ -> ()
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Connection handling *)
-
-(* A chaos-torn response: the connection must die mid-line. *)
-exception Torn_response
-
-(* The peer vanished mid-response: [Lineio.write_line] returned its
-   typed EPIPE/ECONNRESET diagnostic.  The connection closes; the
-   process (SIGPIPE is ignored) never notices beyond a log line. *)
-exception Peer_gone of Diag.t
-
-let respond t fd json =
-  let line = Json.to_string json in
-  let write_whole () =
-    match Lineio.write_line fd line with
-    | Ok () -> ()
-    | Error d -> raise (Peer_gone d)
-  in
-  let write_half () =
-    let wire = line ^ "\n" in
-    let cut = max 1 (String.length wire / 2) in
-    try ignore (Unix.write fd (Bytes.of_string wire) 0 cut)
-    with Unix.Unix_error _ -> ()
-  in
-  match Option.bind t.chaos (fun c -> Chaos.tick c ~site:`Respond) with
-  | Some Chaos.Truncate_response ->
-    write_half ();
-    raise Torn_response
-  | Some Chaos.Delay_response ->
-    (* Hold the answer back long enough to look like a tail-latency
-       straggler (and to trip a hedging router's delay), then deliver
-       it intact. *)
-    Option.iter (fun c -> Thread.delay (Chaos.slow_s c)) t.chaos;
-    write_whole ()
-  | Some Chaos.Dup_response ->
-    (* The same well-formed line twice: one request per connection means
-       the reader takes the first and the duplicate dies with the
-       socket — duplicated wire bytes must never become a duplicated
-       side effect. *)
-    write_whole ();
-    (match Lineio.write_line fd line with Ok () | Error _ -> ())
-  | Some Chaos.Drop_mid_line ->
-    (* Half a line, then a hard close in both directions: the abrupt-
-       hangup variant of [Truncate_response]. *)
-    write_half ();
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    raise Torn_response
-  | _ -> write_whole ()
-
-let handle_line t fd line =
-  match Protocol.request_of_line line with
-  | Error d ->
-    locked t (fun () -> t.errors <- t.errors + 1);
-    respond t fd (Protocol.error_response ~id:(Protocol.id_of_line line) d);
-    `Continue
-  | Ok { id; req } -> (
-    match req with
-    | Protocol.Stats ->
-      respond t fd (Protocol.ok_response ~id [ ("stats", stats_json t) ]);
-      `Continue
-    | Protocol.Ping ->
-      (* Answered inline, never queued: a pong proves the accept loop and
-         this handler thread are alive even while every worker is wedged —
-         exactly the liveness the shard pool's health check probes. *)
-      respond t fd (Protocol.ok_response ~id [ ("pong", Json.Bool true) ]);
-      `Continue
-    | Protocol.Shutdown ->
-      respond t fd (Protocol.ok_response ~id []);
-      request_shutdown t;
-      `Close
-    | Protocol.Synth p -> (
-      match run_jobs t [ p ] with
-      | [ Ok o ] -> respond t fd (Protocol.synth_response ~id p o); `Continue
-      | [ Error d ] -> respond t fd (Protocol.error_response ~id d); `Continue
-      | _ -> assert false)
-    | Protocol.Batch ps ->
-      let results = run_jobs t ps in
-      let elements = List.map2 Protocol.batch_element ps results in
-      respond t fd (Protocol.batch_response ~id elements);
-      `Continue)
-
-let handle_connection t fd =
-  locked t (fun () -> t.connections <- t.connections + 1);
-  let reader = Lineio.create fd in
-  let rec loop () =
-    match Lineio.read_line reader with
-    | Lineio.Eof -> ()
-    | Lineio.Truncated partial ->
-      (* The peer died (or gave up) mid-request; answer with the typed
-         truncation diagnostic in case its read side is still open. *)
-      locked t (fun () -> t.errors <- t.errors + 1);
-      (try
-         respond t fd
-           (Protocol.error_response ~id:Json.Null
-              (Diag.v ~code:"DP-PROTO003" ~subsystem:"proto"
-                 ~context:[ ("buffered_bytes", string_of_int (String.length partial)) ]
-                 "request line truncated: stream ended before the newline"))
-       with Torn_response | Peer_gone _ -> ())
-    | Lineio.Line "" -> loop ()
-    | Lineio.Line line -> (
-      match handle_line t fd line with
-      | `Continue -> loop ()
-      | `Close -> ()
-      | exception Torn_response -> ()
-      | exception Peer_gone d ->
-        t.config.log (Printf.sprintf "dropping connection: %s" d.Diag.message))
-  in
-  loop ();
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let accept_loop t =
-  let rec go () =
-    if locked t (fun () -> t.shutting_down) then ()
-    else
-      match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error (_, _, _) -> ()
-      | ready, _, _ ->
-        if List.mem t.wake_r ready then begin
-          (* Either [request_shutdown] woke us, or a signal handler did
-             (handlers only write the byte — no locks in signal context);
-             in the latter case the shutdown itself runs here. *)
-          (try ignore (Unix.read t.wake_r (Bytes.create 1) 0 1)
-           with Unix.Unix_error _ -> ());
-          if not (locked t (fun () -> t.shutting_down)) then
-            request_shutdown t
-        end
-        else (
-          match Unix.accept t.listen_fd with
-          | fd, _ ->
-            ignore (Thread.create (fun () -> handle_connection t fd) ());
-            go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            go ()
-          | exception Unix.Unix_error (_, _, _) -> ())
-  in
-  go ();
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+let handle t ~id = function
+  | Protocol.Stats -> Protocol.ok_response ~id [ ("stats", stats_json t) ]
+  | Protocol.Synth p -> (
+    match run_jobs t [ p ] with
+    | [ Ok o ] -> Protocol.synth_response ~id p o
+    | [ Error d ] -> Protocol.error_response ~id d
+    | _ -> assert false)
+  | Protocol.Batch ps ->
+    let results = run_jobs t ps in
+    Protocol.batch_response ~id (List.map2 Protocol.batch_element ps results)
+  | Protocol.Ping | Protocol.Shutdown -> assert false (* answered by the listener *)
 
 (* ------------------------------------------------------------------ *)
 
@@ -778,31 +618,22 @@ let start config =
   if config.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if config.queue_depth < 1 then
     invalid_arg "Server.start: queue_depth must be >= 1";
-  (* A dead client mid-response must not kill the whole server. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  if Sys.file_exists config.socket_path then Sys.remove config.socket_path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock listen_fd;
-  Unix.bind listen_fd (Unix.ADDR_UNIX config.socket_path);
-  Unix.listen listen_fd 16;
-  let wake_r, wake_w = Unix.pipe () in
+  (* Binding first masks the signals before the workers exist. *)
+  let listener =
+    Listener.bind ~socket_path:config.socket_path
+      ~handle_signals:config.handle_signals ~log:config.log
+  in
   let t =
     {
       config;
       queue = Bqueue.create config.queue_depth;
       supervisor = Supervisor.create ~policy:config.supervisor ~log:config.log ();
       chaos = Option.map Chaos.create config.chaos;
-      listen_fd;
-      wake_r;
-      wake_w;
+      listener;
       worker_threads = [];
-      accept_thread = None;
-      signal_thread = None;
       state_lock = Mutex.create ();
-      shutting_down = false;
       served = 0;
       errors = 0;
-      connections = 0;
       deadline_expired = 0;
       crash_dumps = 0;
       guard_rejects = 0;
@@ -812,59 +643,21 @@ let start config =
       latency = histogram ();
     }
   in
-  if config.handle_signals then begin
-    (* A [Sys.Signal_handle] callback only runs at an OCaml safe point of
-       whichever thread the kernel happened to pick — and that thread may
-       be parked forever in [pthread_cond_wait] (a worker, or the main
-       thread joining in [wait]), so the callback can simply never fire.
-       Instead, block the signals in this thread *before* spawning the
-       pool (spawned threads inherit the mask) and claim them from a
-       dedicated [sigwait] thread, which is immune to that lottery.
-       SIGUSR2 is the watcher's own wake-up call, sent by [wait] so the
-       thread can be joined on a signal-less shutdown. *)
-    let watched = [ Sys.sigterm; Sys.sigint; Sys.sigusr2 ] in
-    ignore (Thread.sigmask Unix.SIG_BLOCK watched);
-    let rec watch ~first =
-      let s = Thread.wait_signal watched in
-      if s <> Sys.sigusr2 then
-        if first then begin
-          (try ignore (Unix.write t.wake_w (Bytes.of_string "s") 0 1)
-           with Unix.Unix_error _ -> ());
-          watch ~first:false
-        end
-        else (* second SIGTERM/SIGINT: the drain is taking too long —
-                don't be unkillable *)
-          Stdlib.exit 130
-      else ()
-    in
-    t.signal_thread <- Some (Thread.create (fun () -> watch ~first:true) ())
-  end;
   t.worker_threads <-
     List.init config.workers (fun _ -> Thread.create (fun () -> worker_loop t) ());
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  Listener.serve listener ?chaos:t.chaos
+    ~on_shutdown:(fun () -> Bqueue.close t.queue)
+    (handle t);
   config.log
     (Printf.sprintf "listening on %s (%d workers, queue depth %d)"
        config.socket_path config.workers config.queue_depth);
   t
 
+let request_shutdown t = Listener.request_shutdown t.listener
+
 let wait t =
-  Option.iter Thread.join t.accept_thread;
-  List.iter Thread.join t.worker_threads;
-  (* Retire the signal watcher before closing the wake pipe, so a late
-     signal cannot write into a recycled descriptor: its private SIGUSR2
-     makes [wait_signal] return whether the watcher is still on its
-     first wait or already waiting for a second TERM/INT; join, then
-     restore default delivery for this thread. *)
-  (match t.signal_thread with
-  | None -> ()
-  | Some th ->
-    (try Unix.kill (Unix.getpid ()) Sys.sigusr2 with Unix.Unix_error _ -> ());
-    Thread.join th;
-    t.signal_thread <- None;
-    ignore
-      (Thread.sigmask Unix.SIG_UNBLOCK [ Sys.sigterm; Sys.sigint; Sys.sigusr2 ]));
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
+  Listener.wait t.listener ~drain:(fun () ->
+      List.iter Thread.join t.worker_threads);
   (* The drain is complete: flush the final service counters and the
      latency histogram through the log (stderr for [dpsyn serve]). *)
   let served, errors, deadline_expired, cancelled, toobig, sheds =
@@ -876,6 +669,7 @@ let wait t =
           t.toobig_rejects,
           t.mem_sheds ))
   in
+  let errors = errors + Listener.bad_lines t.listener in
   let crashes, restarts, rejected = Supervisor.counters t.supervisor in
   t.config.log
     (Printf.sprintf

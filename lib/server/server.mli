@@ -1,6 +1,7 @@
-(** The [dpsyn serve] server: a Unix-domain-socket listener speaking the
-    line-delimited JSON protocol of {!Protocol}, with a worker pool fed
-    through a {e bounded} queue (producers block once [queue_depth] jobs
+(** The [dpsyn serve] server: a worker pool behind the {!Listener}
+    socket front (shared with {!Router}: connections, malformed lines,
+    [ping], [shutdown] and signals are handled there), fed through a
+    {e bounded} queue (producers block once [queue_depth] jobs
     are waiting — backpressure instead of unbounded memory), a shared
     {!Dp_cache.Store}, and a per-request {!Dp_gov.Gov} governor carrying
     the wall-clock/cell/memory limits of {!Dp_fuzz.Budget} and
@@ -36,9 +37,9 @@
       ([guard_responses], forced on by chaos) lints outgoing netlists so
       a corrupted result is a [DP-SRV-CORRUPT] error, never a wrong
       answer.
-    - With [handle_signals], SIGTERM/SIGINT trigger a graceful drain:
-      stop accepting, finish queued jobs, flush the latency histogram
-      through [log], return from {!wait}. *)
+    - With [handle_signals], SIGTERM/SIGINT trigger the {!Listener}'s
+      graceful drain: stop accepting, finish queued jobs, flush the
+      latency histogram through [log], return from {!wait}. *)
 
 type config = {
   socket_path : string;
@@ -70,8 +71,8 @@ val default_config : socket_path:string -> config
 
 type t
 
-(** Bind the socket (replacing a stale file), spawn workers and the
-    accept loop, and return immediately. *)
+(** {!Listener.bind} the socket, spawn workers, {!Listener.serve}, and
+    return immediately. *)
 val start : config -> t
 
 (** Block until a [shutdown] request, {!request_shutdown}, or — with

@@ -289,13 +289,12 @@ let monitor_step t =
       t.shards
 
 (* Pool threads must never be the thread the kernel picks for a
-   process-directed SIGTERM/SIGINT/SIGUSR2: a {!Router} (or any host)
-   that handles signals with a sigwait thread relies on every other
-   thread blocking them, and these threads are created before the host
-   gets a chance to set its mask. *)
+   process-directed SIGTERM/SIGINT/SIGUSR2: a host whose {!Listener}
+   handles signals with a sigwait thread relies on every other thread
+   blocking them, and these threads are created before the host gets a
+   chance to set its mask. *)
 let block_host_signals () =
-  try
-    ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint; Sys.sigusr2 ])
+  try ignore (Thread.sigmask Unix.SIG_BLOCK Listener.signals)
   with Invalid_argument _ -> ()
 
 let monitor_loop t =
@@ -317,20 +316,10 @@ let monitor_loop t =
    backoff → restart path through the monitor. *)
 
 let ping_ok t s =
-  let req =
-    Protocol.request_to_json
-      { Protocol.id = Json.Str (Printf.sprintf "hc-%d" s.id); req = Protocol.Ping }
-  in
-  let deadline = Unix.gettimeofday () +. t.config.health_timeout_s in
-  match Client.connect ~deadline s.socket with
-  | Error _ -> false
-  | Ok c ->
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    (match Client.rpc ~deadline c req with
-    | Error _ -> false
-    | Ok resp ->
-      Json.member "pong" resp |> Fun.flip Option.bind Json.to_bool
-      = Some true)
+  Client.ping
+    ~deadline:(Unix.gettimeofday () +. t.config.health_timeout_s)
+    ~id:(Json.Str (Printf.sprintf "hc-%d" s.id))
+    s.socket
 
 let health_step t =
   (* Snapshot targets under the lock, ping outside it: a hung shard
@@ -453,8 +442,6 @@ let start (config : config) =
 
 let socket_of t i = t.shards.(i).socket
 let is_up t i = locked t (fun () -> t.shards.(i).phase = Up)
-let pid_of t i = locked t (fun () -> t.shards.(i).pid)
-let phase_of t i = locked t (fun () -> phase_name t.shards.(i).phase)
 
 (* Test/chaos hooks: deliver a signal to a shard's current incarnation. *)
 let signal_shard t i sg =
@@ -489,8 +476,6 @@ let counters t =
         (fun (r, h) s -> (r + s.restarts, h + s.health_kills))
         (0, 0) t.shards)
 
-let adoptions t = locked t (fun () -> t.adoptions)
-
 let stats_json t =
   let per_shard =
     locked t (fun () ->
@@ -519,7 +504,7 @@ let stats_json t =
       ("shards", Json.Int t.config.shards);
       ("restarts", Json.Int restarts);
       ("health_kills", Json.Int health_kills);
-      ("adopted", Json.Int (adoptions t));
+      ("adopted", Json.Int (locked t (fun () -> t.adoptions)));
       ("detail", Json.List per_shard);
     ]
 

@@ -85,11 +85,6 @@ val socket_of : t -> int -> string
     and fail over. *)
 val is_up : t -> int -> bool
 
-val pid_of : t -> int -> int option
-
-(** ["up"], ["backoff"] or ["stopped"]. *)
-val phase_of : t -> int -> string
-
 (** Block until every shard answers a ping, or the timeout (default
     10 s) passes; [true] on success. *)
 val wait_all_up : ?timeout_s:float -> t -> bool
@@ -104,10 +99,6 @@ val kill : t -> int -> unit
 
 (** (total restarts-after-death, total health-check SIGKILLs). *)
 val counters : t -> int * int
-
-(** Shards reattached to a live process at {!start} (via [state_file])
-    instead of being spawned. *)
-val adoptions : t -> int
 
 (** Pool summary plus per-shard detail (state, pid, restarts,
     health_kills, breaker counters) — embedded in the router's

@@ -385,6 +385,28 @@ let run_single config =
   Server.wait server;
   report
 
+(* The fault pacer both sharded topologies run: a thread that ticks the
+   seeded schedule at [site] every 50 ms while the clients are in
+   flight and hands each fault to [act].  Returns the function that
+   stops and joins it. *)
+let pace chaos ~site act =
+  match chaos with
+  | None -> ignore
+  | Some cc ->
+    let chaos = Chaos.create cc in
+    let stop = ref false and lock = Mutex.create () in
+    let rec go () =
+      if not (Mutex.protect lock (fun () -> !stop)) then begin
+        Option.iter (act chaos) (Chaos.tick chaos ~site);
+        Thread.delay 0.05;
+        go ()
+      end
+    in
+    let th = Thread.create go () in
+    fun () ->
+      Mutex.protect lock (fun () -> stop := true);
+      Thread.join th
+
 (* ------------------------------------------------------------------ *)
 (* The forked-shard fleet both sharded topologies run.  Each child is a
    complete single-process server sharing the soak's disk store
@@ -462,48 +484,24 @@ let run_sharded config =
         log = config.log;
       }
   in
-  (* The shard-fault pacer: ticks the seeded shard-chaos schedule while
-     clients are in flight.  Kills count only when the signal landed. *)
+  (* Shard faults land while clients are in flight.  Kills count only
+     when the signal landed. *)
   let kills = ref 0 and hangs = ref 0 in
-  let stop_faults = ref false in
-  let fault_lock = Mutex.create () in
-  let fault_thread =
-    match config.shard_chaos with
-    | None -> None
-    | Some cc ->
-      let chaos = Chaos.create cc in
-      Some
-        (Thread.create
-           (fun () ->
-             let rec go () =
-               if Mutex.protect fault_lock (fun () -> !stop_faults) then ()
-               else begin
-                 (match Chaos.tick chaos ~site:`Shard with
-                 | Some Chaos.Kill_shard ->
-                   let v = Chaos.pick chaos config.shards in
-                   if Shard_pool.signal_shard shard_pool v Sys.sigkill then begin
-                     incr kills;
-                     config.log
-                       (Printf.sprintf "soak: SIGKILLed shard %d" v)
-                   end
-                 | Some Chaos.Hang_shard ->
-                   let v = Chaos.pick chaos config.shards in
-                   if Shard_pool.signal_shard shard_pool v Sys.sigstop then begin
-                     incr hangs;
-                     config.log
-                       (Printf.sprintf "soak: SIGSTOPped shard %d" v)
-                   end
-                 | _ -> ());
-                 Thread.delay 0.05;
-                 go ()
-               end
-             in
-             go ())
-           ())
+  let signal chaos sg count what =
+    let v = Chaos.pick chaos config.shards in
+    if Shard_pool.signal_shard shard_pool v sg then begin
+      incr count;
+      config.log (Printf.sprintf "soak: %s shard %d" what v)
+    end
+  in
+  let stop_faults =
+    pace config.shard_chaos ~site:`Shard (fun chaos -> function
+      | Chaos.Kill_shard -> signal chaos Sys.sigkill kills "SIGKILLed"
+      | Chaos.Hang_shard -> signal chaos Sys.sigstop hangs "SIGSTOPped"
+      | _ -> ())
   in
   let report = drive config pool (fresh_tally ()) in
-  Mutex.protect fault_lock (fun () -> stop_faults := true);
-  Option.iter Thread.join fault_thread;
+  stop_faults ();
   (* A kill that landed in the run's last moments may still be waiting
      out its restart backoff or the breaker cooldown: let the pool bring
      every shard back, within a bound, before its restarts are counted. *)
@@ -537,28 +535,13 @@ let run_sharded config =
    unavailable here (the pool lives in the child); network faults still
    reach the shard servers via [config.chaos]. *)
 
-let rpc_once ~socket ~timeout_s request =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  match Client.connect ~deadline socket with
-  | Error _ as e -> e
-  | Ok c ->
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    Client.rpc ~deadline c request
-
-let ping_router ~socket =
-  let req =
-    Protocol.request_to_json
-      { Protocol.id = Json.Str "soak-ping"; req = Protocol.Ping }
-  in
-  match rpc_once ~socket ~timeout_s:1.0 req with
-  | Ok resp ->
-    Json.member "pong" resp |> Fun.flip Option.bind Json.to_bool = Some true
-  | Error _ -> false
+let deadline_in s = Unix.gettimeofday () +. s
 
 let wait_router_up ~socket ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = deadline_in timeout_s in
   let rec go () =
-    if ping_router ~socket then true
+    if Client.ping ~deadline:(deadline_in 1.0) ~id:(Json.Str "soak-ping") socket
+    then true
     else if Unix.gettimeofday () > deadline then false
     else begin
       Thread.delay 0.05;
@@ -614,7 +597,9 @@ let run_journaled config dir =
       Protocol.request_to_json
         { Protocol.id = Json.Str "soak-stats"; req = Protocol.Stats }
     in
-    match rpc_once ~socket:config.socket_path ~timeout_s:10.0 req with
+    match
+      Client.once ~deadline:(deadline_in 10.0) ~socket:config.socket_path req
+    with
     | Ok resp -> Json.member "stats" resp
     | Error _ -> None
   in
@@ -649,59 +634,38 @@ let run_journaled config dir =
   in
   let kills = ref 0 and restarts = ref 0 and replays = ref 0 in
   let recovery_samples = ref [] in
-  let stop_faults = ref false in
-  let fault_lock = Mutex.create () in
-  let fault_thread =
-    match config.router_chaos with
-    | None -> None
-    | Some cc ->
-      let chaos = Chaos.create cc in
-      Some
-        (Thread.create
-           (fun () ->
-             let rec go () =
-               if Mutex.protect fault_lock (fun () -> !stop_faults) then ()
-               else begin
-                 (match Chaos.tick chaos ~site:`Router with
-                 | Some Chaos.Kill_router ->
-                   let pid = !router_pid in
-                   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                   (try ignore (Unix.waitpid [] pid)
-                    with Unix.Unix_error _ -> ());
-                   incr kills;
-                   config.log
-                     (Printf.sprintf "soak: SIGKILLed router pid %d" pid);
-                   let t0 = Unix.gettimeofday () in
-                   (* A healthy incarnation answers in well under a
-                      second (shards are adopted, not respawned), so a
-                      short wait keeps a wedged fork cheap. *)
-                   (match spawn_router_up ~timeout_s:10.0 ~tries:3 with
-                   | None -> ()
-                   | Some new_pid ->
-                     router_pid := new_pid;
-                     incr restarts;
-                     recovery_samples :=
-                       ((Unix.gettimeofday () -. t0) *. 1000.0)
-                       :: !recovery_samples;
-                     (* Replay runs before the new incarnation accepts,
-                        so its stats already carry the final counts;
-                        harvest now — the next kill would erase them. *)
-                     match router_stats () with
-                     | Some s ->
-                       replays :=
-                         !replays + int_at s [ "router"; "journal"; "replayed" ]
-                     | None -> ())
-                 | _ -> ());
-                 Thread.delay 0.05;
-                 go ()
-               end
-             in
-             go ())
-           ())
+  let kill_router () =
+    let pid = !router_pid in
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+    incr kills;
+    config.log (Printf.sprintf "soak: SIGKILLed router pid %d" pid);
+    let t0 = Unix.gettimeofday () in
+    (* A healthy incarnation answers in well under a second (shards are
+       adopted, not respawned), so a short wait keeps a wedged fork
+       cheap. *)
+    match spawn_router_up ~timeout_s:10.0 ~tries:3 with
+    | None -> ()
+    | Some new_pid -> (
+      router_pid := new_pid;
+      incr restarts;
+      recovery_samples :=
+        ((Unix.gettimeofday () -. t0) *. 1000.0) :: !recovery_samples;
+      (* Replay runs before the new incarnation accepts, so its stats
+         already carry the final counts; harvest now — the next kill
+         would erase them. *)
+      match router_stats () with
+      | Some s ->
+        replays := !replays + int_at s [ "router"; "journal"; "replayed" ]
+      | None -> ())
+  in
+  let stop_faults =
+    pace config.router_chaos ~site:`Router (fun _ -> function
+      | Chaos.Kill_router -> kill_router ()
+      | _ -> ())
   in
   let report = drive config pool (fresh_tally ()) in
-  Mutex.protect fault_lock (fun () -> stop_faults := true);
-  Option.iter Thread.join fault_thread;
+  stop_faults ();
   (* The pacer restarts within the same tick it kills, so the router
      should be answering; if its last restart failed, respawn once so a
      live incarnation fields the final stats and the shutdown. *)
@@ -727,7 +691,9 @@ let run_journaled config dir =
     Protocol.request_to_json
       { Protocol.id = Json.Str "soak-shutdown"; req = Protocol.Shutdown }
   in
-  ignore (rpc_once ~socket:config.socket_path ~timeout_s:10.0 shutdown_req);
+  ignore
+    (Client.once ~deadline:(deadline_in 10.0) ~socket:config.socket_path
+       shutdown_req);
   let deadline = Unix.gettimeofday () +. 30.0 in
   let rec reap () =
     match Unix.waitpid [ Unix.WNOHANG ] !router_pid with

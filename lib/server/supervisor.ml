@@ -135,4 +135,3 @@ let breaker_state t =
   | SHalf_open -> Half_open
 
 let counters t = locked t @@ fun () -> (t.crashes, t.restarts, t.rejected)
-let count_rejection t = locked t @@ fun () -> t.rejected <- t.rejected + 1

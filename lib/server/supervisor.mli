@@ -51,7 +51,3 @@ val breaker_name : breaker -> string
 
 (** (crashes total, restarts total, rejected-while-open total). *)
 val counters : t -> int * int * int
-
-(** Count an admission rejection (kept separate so the caller can also
-    reject for its own reasons). *)
-val count_rejection : t -> unit

@@ -102,3 +102,58 @@ let assign_of alist name =
   match List.assoc_opt name alist with
   | Some v -> v
   | None -> Alcotest.failf "unbound variable %s" name
+
+(* ------------------------------------------------------------------ *)
+(* Serving: sockets, scratch directories, one-shot requests *)
+
+let socket_counter = ref 0
+
+let fresh_socket () =
+  incr socket_counter;
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dpsyn-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
+  in
+  if Sys.file_exists path then Sys.remove path;
+  path
+
+(* A unique empty scratch directory (crash corpora, disk caches). *)
+let fresh_dir tag =
+  let path = Filename.temp_file ("dpsyn-" ^ tag) "" in
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  path
+
+let faild d = Alcotest.fail (Dp_diag.Diag.to_string d)
+
+let rpc socket request =
+  match Dp_server.Client.once ~socket request with
+  | Ok r -> r
+  | Error d -> faild d
+
+let synth_json ?(expr = "x*y + z") ?(id = 1) ?deadline_ms () =
+  let module Json = Dp_server.Json in
+  Json.Obj
+    ([
+       ("id", Json.Int id);
+       ("op", Json.Str "synth");
+       ("expr", Json.Str expr);
+       ( "vars",
+         Json.List
+           (List.map
+              (fun n ->
+                Json.Obj [ ("name", Json.Str n); ("width", Json.Int 8) ])
+              [ "x"; "y"; "z" ]) );
+     ]
+    @
+    match deadline_ms with
+    | Some d -> [ ("deadline_ms", Json.Float d) ]
+    | None -> [])
+
+let get path j =
+  List.fold_left
+    (fun acc k -> Option.bind acc (Dp_server.Json.member k))
+    (Some j) path
+
+let get_bool path j = Option.bind (get path j) Dp_server.Json.to_bool

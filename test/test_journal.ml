@@ -11,55 +11,6 @@ module SP = Dp_server.Shard_pool
 module R = Dp_server.Router
 module C = Dp_cache
 
-let socket_counter = ref 0
-
-let fresh_socket () =
-  incr socket_counter;
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dpsyn-jtest-%d-%d.sock" (Unix.getpid ()) !socket_counter)
-  in
-  if Sys.file_exists path then Sys.remove path;
-  path
-
-let fresh_dir tag =
-  let path = Filename.temp_file ("dpsyn-" ^ tag) "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
-
-let faild d = Alcotest.fail (Dp_diag.Diag.to_string d)
-
-let rpc socket request =
-  match S.Client.connect socket with
-  | Error d -> faild d
-  | Ok c ->
-    Fun.protect
-      ~finally:(fun () -> S.Client.close c)
-      (fun () ->
-        match S.Client.rpc c request with Ok r -> r | Error d -> faild d)
-
-let synth_json ?(expr = "x*y + z") ?(id = 1) () =
-  Json.Obj
-    [
-      ("id", Json.Int id);
-      ("op", Json.Str "synth");
-      ("expr", Json.Str expr);
-      ( "vars",
-        Json.List
-          (List.map
-             (fun n -> Json.Obj [ ("name", Json.Str n); ("width", Json.Int 8) ])
-             [ "x"; "y"; "z" ]) );
-    ]
-
-let get path j =
-  List.fold_left
-    (fun acc k -> Option.bind acc (Json.member k))
-    (Some j) path
-
-let get_bool path j = Option.bind (get path j) Json.to_bool
-
 let params_xyz () =
   match
     P.synth_params

@@ -1,6 +1,6 @@
 (* The serving layer: JSON wire format, protocol parsing, the in-process
-   server over a real Unix-domain socket, and the reentrant wall-clock
-   budget that makes per-request timeouts safe inside the worker pool. *)
+   server over a real Unix-domain socket, the cross-process store, and
+   the sharded front (router, shard pool) with its chaos soaks. *)
 
 open Helpers
 module S = Dp_server
@@ -123,18 +123,6 @@ let proto_request_round_trips () =
 (* ------------------------------------------------------------------ *)
 (* In-process server over a real socket *)
 
-let socket_counter = ref 0
-
-let fresh_socket () =
-  incr socket_counter;
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dpsyn-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
-  in
-  if Sys.file_exists path then Sys.remove path;
-  path
-
 let with_server ?(configure = fun c -> c) f =
   let socket = fresh_socket () in
   let config = configure (S.Server.default_config ~socket_path:socket) in
@@ -145,53 +133,8 @@ let with_server ?(configure = fun c -> c) f =
       S.Server.wait t)
     (fun () -> f socket t)
 
-let faild d = Alcotest.fail (Dp_diag.Diag.to_string d)
+let rpc_res socket request = S.Client.once ~socket request
 
-let rpc_res socket request =
-  match S.Client.connect socket with
-  | Error d -> Error d
-  | Ok c ->
-    Fun.protect
-      ~finally:(fun () -> S.Client.close c)
-      (fun () -> S.Client.rpc c request)
-
-let rpc socket request =
-  match rpc_res socket request with Ok r -> r | Error d -> faild d
-
-let synth_json ?(expr = "x*y + z") ?(id = 1) ?deadline_ms () =
-  Json.Obj
-    ([
-       ("id", Json.Int id);
-       ("op", Json.Str "synth");
-       ("expr", Json.Str expr);
-       ( "vars",
-         Json.List
-           (List.map
-              (fun n ->
-                Json.Obj [ ("name", Json.Str n); ("width", Json.Int 8) ])
-              [ "x"; "y"; "z" ]) );
-     ]
-    @
-    match deadline_ms with
-    | Some d -> [ ("deadline_ms", Json.Float d) ]
-    | None -> [])
-
-(* A unique empty scratch directory (crash corpora, disk caches). *)
-let fresh_dir tag =
-  let path = Filename.temp_file ("dpsyn-" ^ tag) "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
-
-let get path j =
-  List.fold_left
-    (fun acc k ->
-      match Option.bind acc (Json.member k) with
-      | Some v -> Some v
-      | None -> None)
-    (Some j) path
-
-let get_bool path j = Option.bind (get path j) Json.to_bool
 let get_str path j = Option.bind (get path j) Json.to_str
 let get_int path j = Option.bind (get path j) Json.to_int
 
@@ -649,11 +592,6 @@ let lineio_epipe_is_typed () =
 (* ------------------------------------------------------------------ *)
 (* Cross-process store safety *)
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 (* A real key and synthesis result to store under it. *)
 let store_fixture () =
   let env =
@@ -723,7 +661,7 @@ let store_concurrent_writers_leave_one_whole_entry () =
   checki "exactly one entry file" 1
     (List.length (List.filter (fun f -> Filename.check_suffix f ".dpc") files));
   checkb "no leaked temp files" true
-    (not (List.exists (fun f -> contains_sub f ".tmp.") files))
+    (not (List.exists (fun f -> contains ~needle:".tmp." f) files))
 
 let store_partial_write_degrades_to_miss () =
   let dir = fresh_dir "store-torn" in
@@ -933,6 +871,83 @@ let router_aggregates_stats () =
     checki "latency histograms merge positionally" (List.length exprs) total
   | None -> Alcotest.fail "missing aggregated latency histogram"
 
+(* The router front answers bad lines itself, exactly as a single
+   server does, and keeps the connection. *)
+let router_survives_bad_input () =
+  with_sharded @@ fun base _pool _rt ->
+  match S.Client.connect base with
+  | Error d -> faild d
+  | Ok c ->
+    Fun.protect
+      ~finally:(fun () -> S.Client.close c)
+      (fun () ->
+        let exchange line =
+          match S.Client.send_line c line with
+          | Error d -> faild d
+          | Ok () -> (
+            match S.Client.recv_response c with
+            | Ok j -> j
+            | Error d -> faild d)
+        in
+        let j = exchange "garbage that is not json" in
+        check Alcotest.string "code" "DP-PROTO001"
+          (Option.get (get_str [ "error"; "code" ] j));
+        let j = exchange {|{"id":9,"op":"nope"}|} in
+        checkb "id recovered" true (get_int [ "id" ] j = Some 9);
+        check Alcotest.string "code" "DP-PROTO002"
+          (Option.get (get_str [ "error"; "code" ] j));
+        match S.Client.rpc c (synth_json ()) with
+        | Error d -> faild d
+        | Ok r -> checkb "still usable" true (get_bool [ "ok" ] r = Some true))
+
+let router_truncated_request_is_typed () =
+  with_sharded @@ fun base _pool _rt ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX base);
+  let half = {|{"id":1,"op":"synth","expr":"x*|} in
+  ignore (Unix.write_substring fd half 0 (String.length half));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  match
+    S.Lineio.read_line
+      ~deadline:(Unix.gettimeofday () +. 10.0)
+      (S.Lineio.create fd)
+  with
+  | S.Lineio.Line line -> (
+    match Json.of_string line with
+    | Ok j ->
+      checkb "error envelope" true (get_bool [ "ok" ] j = Some false);
+      check Alcotest.string "truncation code" "DP-PROTO003"
+        (Option.get (get_str [ "error"; "code" ] j))
+    | Error msg -> Alcotest.failf "unparsable response %S: %s" line msg)
+  | _ -> Alcotest.fail "no response to a truncated request"
+
+let router_sigterm_graceful () =
+  let logged = ref [] in
+  let log_lock = Mutex.create () in
+  with_pool @@ fun base pool ->
+  let rt =
+    R.start
+      {
+        (R.default_config ~socket_path:base ~pool) with
+        R.forward_timeout_s = 10.0;
+        handle_signals = true;
+        log =
+          (fun m -> Mutex.protect log_lock (fun () -> logged := m :: !logged));
+      }
+  in
+  let r = rpc base (synth_json ()) in
+  checkb "served before the signal" true (get_bool [ "ok" ] r = Some true);
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  R.wait rt;
+  checkb "socket removed" false (Sys.file_exists base);
+  checkb "both shards down" true
+    ((not (SP.is_up pool 0)) && not (SP.is_up pool 1));
+  checkb "drain summary flushed" true
+    (List.exists
+       (String.starts_with ~prefix:"router drained")
+       (Mutex.protect log_lock (fun () -> !logged)))
+
 let soak_sharded_kill_chaos_holds_invariants () =
   (* scale the run until the pacer has landed at least two shard kills —
      wall-clock-paced chaos cannot promise a count for a fixed load *)
@@ -1104,4 +1119,8 @@ let suite =
       server_memory_watermark_sheds;
     case "server: mem-squeeze chaos aborts typed, worker recovers"
       server_mem_squeeze_aborts_and_recovers;
+    case "router: survives malformed lines" router_survives_bad_input;
+    case "router: truncated request is typed"
+      router_truncated_request_is_typed;
+    case "router: SIGTERM drains and stops the pool" router_sigterm_graceful;
   ]
