@@ -1,12 +1,15 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 5), plus the ablations listed in DESIGN.md, plus
-   Bechamel micro-benchmarks of the allocation algorithms themselves.
+   evaluation (Sec. 5), plus the ablations listed in DESIGN.md and the
+   GPC counter comparison.  Every experiment that calls [verified] fails
+   the run on a netlist that is not equivalent to its expression.  Tool
+   speed is measured by perfbench/, not here.
 
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table1     # one experiment
-   Experiments: table1 table2 fig1 fig2 fig3 fig4
-                ablation-csd ablation-adder ablation-tie speed *)
+   Experiments: table1 table2 extended fig1 fig2 fig3 fig4
+                ablation-csd ablation-adder ablation-tie ablation-finish
+                ablation-booth ablation-glitch ablation-pipeline counters *)
 
 open Dp_flow
 
@@ -525,613 +528,6 @@ let ablation_pipeline () =
        ~rows)
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable benchmark output.
-
-   [speed] writes BENCH_results.json next to the per-run table so every
-   PR leaves a perf trajectory: per-experiment ns/run, the cell counts
-   and matrix heights of the structures each case exercises, and the git
-   revision the numbers belong to. *)
-
-let quick = ref false
-let json_path = ref "BENCH_results.json"
-
-module Json = struct
-  type t =
-    | Obj of (string * t) list
-    | Arr of t list
-    | Str of string
-    | Num of float
-    | Int of int
-    | Bool of bool
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec emit buf = function
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\"%s\":" (escape k));
-          emit buf v)
-        fields;
-      Buffer.add_char buf '}'
-    | Arr xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          emit buf v)
-        xs;
-      Buffer.add_char buf ']'
-    | Str s -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (escape s))
-    | Num f ->
-      (* JSON has no NaN/inf *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-
-  let to_string t =
-    let buf = Buffer.create 1024 in
-    emit buf t;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-end
-
-(* Resolve HEAD from .git directly; bench links no process or unix API. *)
-let git_rev () =
-  let read_line path =
-    if Sys.file_exists path then (
-      let ic = open_in path in
-      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
-      close_in ic;
-      line)
-    else None
-  in
-  match read_line ".git/HEAD" with
-  | Some head when String.length head > 5 && String.sub head 0 5 = "ref: " -> (
-    let r = String.trim (String.sub head 5 (String.length head - 5)) in
-    match read_line (".git/" ^ r) with Some rev -> rev | None -> "unknown")
-  | Some rev -> rev
-  | None -> "unknown"
-
-(* ------------------------------------------------------------------ *)
-(* Speed fixtures: the structures the reduction/simulation cases exercise *)
-
-(* A single tall column with skewed arrivals and probabilities — the
-   wide/tall shape where heap selection beats sort-per-step. *)
-let tall_column netlist ~n =
-  let arrival = Array.init n (fun i -> float_of_int (i mod 7)) in
-  let prob =
-    Array.init n (fun i -> 0.05 +. (0.9 *. float_of_int (i mod 10) /. 9.0))
-  in
-  Array.to_list
-    (Dp_netlist.Netlist.add_input netlist "x" ~width:n ~arrival ~prob)
-
-let sc_t_reduce impl n () =
-  let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.unit_delay in
-  let col = tall_column netlist ~n in
-  ignore
-    (match impl with
-    | `Heap -> Dp_core.Sc_t.reduce_column netlist col
-    | `Sorted -> Dp_core.Sc_t.reduce_column_reference netlist col)
-
-let sc_lp_reduce impl n () =
-  let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.lcb_like in
-  let col = tall_column netlist ~n in
-  ignore
-    (match impl with
-    | `Heap -> Dp_core.Sc_lp.reduce_column netlist col
-    | `Sorted -> Dp_core.Sc_lp.reduce_column_reference netlist col)
-
-let mult_design w =
-  (Dp_expr.Env.of_widths [ ("x", w); ("y", w) ], Dp_expr.Parse.expr "x*y")
-
-let mult_alloc impl w () =
-  let env, expr = mult_design w in
-  let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.lcb_like in
-  let m = Dp_bitmatrix.Lower.lower netlist env expr ~width:(2 * w) in
-  match impl with
-  | `Heap -> Dp_core.Fa_aot.allocate netlist m
-  | `Sorted ->
-    Dp_core.Reduce.sweep netlist m
-      ~reducer:(fun nl col -> Dp_core.Sc_t.reduce_column_reference nl col)
-
-(* Deterministic per-lane input patterns for the simulator throughput
-   cases; cheap enough not to dominate the measurement. *)
-let sim_mix lane name =
-  let h = ref ((lane * 0x9E3779B1) + 0x2545F) in
-  String.iter (fun c -> h := (!h * 31) + Char.code c) name;
-  !h land max_int
-
-let sim_fixture =
-  lazy
-    (let r = run Strategy.Fa_aot Dp_designs.Catalog.idct in
-     let widths =
-       List.map
-         (fun (name, nets) -> (name, Array.length nets))
-         (Dp_netlist.Netlist.inputs r.netlist)
-     in
-     (r.netlist, widths))
-
-let sim_assign widths lane name =
-  sim_mix lane name land Dp_expr.Eval.mask (List.assoc name widths)
-
-let scalar_64vec () =
-  let netlist, widths = Lazy.force sim_fixture in
-  for lane = 0 to 63 do
-    ignore (Dp_sim.Simulator.run netlist ~assign:(sim_assign widths lane))
-  done
-
-let bitsim_64vec () =
-  let netlist, widths = Lazy.force sim_fixture in
-  ignore
-    (Dp_sim.Bitsim.run_lanes netlist ~lanes:64 ~assign:(fun lane name ->
-         sim_assign widths lane name))
-
-(* Serving-layer batch latency: the same four-design batch served
-   through [Dp_cache.Serve] with a pre-warmed store (every request hits)
-   vs with no store at all (every request synthesizes).  The gap is the
-   price a cold cache pays and the win a warm one buys. *)
-let serve_requests =
-  lazy
-    (List.map
-       (fun (d : Dp_designs.Design.t) ->
-         Dp_cache.Serve.request ~width:(Some d.width) d.env d.expr)
-       [
-         Dp_designs.Catalog.x3; Dp_designs.Catalog.poly_mixed;
-         Dp_designs.Catalog.iir; Dp_designs.Catalog.serial_adapter;
-       ])
-
-let warm_store =
-  lazy
-    (let store = Dp_cache.Store.create () in
-     List.iter
-       (fun r -> ignore (Dp_cache.Serve.run ~store r))
-       (Lazy.force serve_requests);
-     store)
-
-let serve_batch impl () =
-  let reqs = Lazy.force serve_requests in
-  match impl with
-  | `Cache_on ->
-    let store = Lazy.force warm_store in
-    List.iter (fun r -> ignore (Dp_cache.Serve.run ~store r)) reqs
-  | `Cache_off -> List.iter (fun r -> ignore (Dp_cache.Serve.run r)) reqs
-
-(* Cell counts and matrix heights of the structures above, for the JSON
-   baseline (one construction per case, outside the timed loop). *)
-let speed_case_meta () =
-  let column_case name n reduce =
-    let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.lcb_like in
-    let col = tall_column netlist ~n in
-    ignore (reduce netlist col);
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("matrix_height", Json.Int n);
-        ("cells", Json.Int (Dp_netlist.Netlist.cell_count netlist));
-      ]
-  in
-  let mult_case name w =
-    let env, expr = mult_design w in
-    let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.lcb_like in
-    let m = Dp_bitmatrix.Lower.lower netlist env expr ~width:(2 * w) in
-    let height = Dp_bitmatrix.Matrix.height m in
-    Dp_core.Fa_aot.allocate netlist m;
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("matrix_height", Json.Int height);
-        ("cells", Json.Int (Dp_netlist.Netlist.cell_count netlist));
-      ]
-  in
-  let sim_case name =
-    let netlist, _ = Lazy.force sim_fixture in
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("nets", Json.Int (Dp_netlist.Netlist.net_count netlist));
-        ("cells", Json.Int (Dp_netlist.Netlist.cell_count netlist));
-      ]
-  in
-  let serve_case name =
-    let store = Dp_cache.Store.create () in
-    let reqs = Lazy.force serve_requests in
-    List.iter (fun r -> ignore (Dp_cache.Serve.run ~store r)) reqs;
-    List.iter (fun r -> ignore (Dp_cache.Serve.run ~store r)) reqs;
-    let s = Dp_cache.Store.stats store in
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("requests", Json.Int (2 * List.length reqs));
-        ("hits", Json.Int s.hits);
-        ("misses", Json.Int s.misses);
-      ]
-  in
-  (* End-to-end server throughput: an in-process soak (N client threads
-     against the socket server), plain and with seeded chaos injection.
-     The delta between the two is the latency/throughput tax of the
-     resilience machinery actually firing. *)
-  (* Crypto-scale reduction shapes: the matrix height / cell count of
-     the catalog's 256-bit modular-multiply cores, for the baseline. *)
-  let crypto_case name (d : Dp_designs.Design.t) =
-    let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.lcb_like in
-    let m = Dp_bitmatrix.Lower.lower netlist d.env d.expr ~width:d.width in
-    let height = Dp_bitmatrix.Matrix.height m in
-    Dp_core.Fa_aot.allocate netlist m;
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("matrix_height", Json.Int height);
-        ("cells", Json.Int (Dp_netlist.Netlist.cell_count netlist));
-      ]
-  in
-  (* GPC counter strategies against their FA-only baselines: cell count,
-     counter usage, reduction-stage depth and STA critical path, per
-     design — the acceptance numbers for the counter subsystem. *)
-  let counters_case name gpc base (d : Dp_designs.Design.t) =
-    let rg = run gpc d in
-    let rb = run base d in
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("design", Json.Str d.name);
-        ("strategy", Json.Str (Strategy.name gpc));
-        ("baseline", Json.Str (Strategy.name base));
-        ("delay_ns", Json.Num rg.stats.delay);
-        ("baseline_delay_ns", Json.Num rb.stats.delay);
-        ("cells", Json.Int rg.stats.cells);
-        ("baseline_cells", Json.Int rb.stats.cells);
-        ("counters", Json.Int rg.stats.counter_count);
-        ("reduction_stages", Json.Int (reduction_levels rg.netlist));
-        ("baseline_reduction_stages", Json.Int (reduction_levels rb.netlist));
-      ]
-  in
-  let soak_case ?(crypto = false) ?(mem = false) name ~chaos =
-    let fresh tag =
-      let path = Filename.temp_file "dpsyn-bench" tag in
-      Sys.remove path;
-      path
-    in
-    let r =
-      Dp_server.Soak.run
-        {
-          (Dp_server.Soak.default_config ~socket_path:(fresh ".sock")) with
-          Dp_server.Soak.clients = 3;
-          requests_per_client = (if !quick then 8 else 25);
-          seed = 11;
-          chaos =
-            (if chaos then
-               Some
-                 {
-                   Dp_server.Chaos.default_config with
-                   seed = 11;
-                   every = 6;
-                   faults =
-                     (if mem then
-                        Dp_server.Chaos.process_faults
-                        @ Dp_server.Chaos.mem_faults
-                      else Dp_server.Chaos.default_config.faults);
-                 }
-             else None);
-          crypto_mix = crypto;
-          cache_dir = Some (fresh ".cache");
-          deadline_ms = Some 5000.0;
-        }
-    in
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("requests", Json.Int r.requests);
-        ("ok", Json.Int r.ok);
-        ("typed_errors", Json.Int r.typed_errors);
-        ("wrong_answers", Json.Int r.wrong_answers);
-        ("violations", Json.Int r.violations);
-        ("requests_per_s", Json.Num r.throughput_rps);
-        ("p50_ms", Json.Num r.p50_ms);
-        ("p99_ms", Json.Num r.p99_ms);
-      ]
-  in
-  (* The same soak against the multi-process sharded topology (3 forked
-     shard servers behind the digest router), plain and with seeded
-     shard kills/hangs firing mid-flight — the cost of routing plus the
-     cost of failover and restart while correctness holds. *)
-  let sharded_soak_case name ~kill =
-    let fresh tag =
-      let path = Filename.temp_file "dpsyn-bench" tag in
-      Sys.remove path;
-      path
-    in
-    let r =
-      Dp_server.Soak.run
-        {
-          (Dp_server.Soak.default_config ~socket_path:(fresh ".sock")) with
-          Dp_server.Soak.clients = 3;
-          (* the kill variant needs enough in-flight time for the
-             wall-clock fault pacer to actually land shard faults *)
-          requests_per_client =
-            (if kill then if !quick then 50 else 120
-             else if !quick then 8
-             else 25);
-          seed = 11;
-          shards = 3;
-          shard_chaos =
-            (if kill then
-               Some
-                 {
-                   Dp_server.Chaos.default_config with
-                   seed = 11;
-                   every = 2;
-                   faults = Dp_server.Chaos.shard_faults;
-                 }
-             else None);
-          cache_dir = Some (fresh ".cache");
-        }
-    in
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("requests", Json.Int r.requests);
-        ("ok", Json.Int r.ok);
-        ("typed_errors", Json.Int r.typed_errors);
-        ("wrong_answers", Json.Int r.wrong_answers);
-        ("violations", Json.Int r.violations);
-        ("shard_kills", Json.Int r.shard_kills);
-        ("shard_hangs", Json.Int r.shard_hangs);
-        ("shard_restarts", Json.Int r.shard_restarts);
-        ("requests_per_s", Json.Num r.throughput_rps);
-        ("p50_ms", Json.Num r.p50_ms);
-        ("p99_ms", Json.Num r.p99_ms);
-      ]
-  in
-  (* The durability loop end to end: the journaled sharded topology with
-     the fault pacer SIGKILLing the router mid-flight.  Every restart
-     replays the journal and reattaches to the still-live shards, so the
-     interesting numbers are the replay/reattach counts and the
-     SIGKILL -> answers-again recovery latency — with correctness
-     (wrong_answers, violations, diverges) pinned at zero. *)
-  let journaled_soak_case name =
-    let fresh tag =
-      let path = Filename.temp_file "dpsyn-bench" tag in
-      Sys.remove path;
-      path
-    in
-    let r =
-      Dp_server.Soak.run
-        {
-          (Dp_server.Soak.default_config ~socket_path:(fresh ".sock")) with
-          Dp_server.Soak.clients = 3;
-          (* long enough in flight for the wall-clock pacer to land
-             router kills even against a warm cache *)
-          requests_per_client = (if !quick then 100 else 200);
-          seed = 11;
-          shards = 2;
-          journal_dir = Some (fresh ".journal");
-          router_chaos =
-            Some
-              {
-                Dp_server.Chaos.default_config with
-                seed = 11;
-                every = 2;
-                faults = Dp_server.Chaos.router_faults;
-              };
-          cache_dir = Some (fresh ".cache");
-        }
-    in
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("requests", Json.Int r.requests);
-        ("ok", Json.Int r.ok);
-        ("typed_errors", Json.Int r.typed_errors);
-        ("wrong_answers", Json.Int r.wrong_answers);
-        ("violations", Json.Int r.violations);
-        ("diverges", Json.Int r.diverges);
-        ("router_kills", Json.Int r.router_kills);
-        ("router_restarts", Json.Int r.router_restarts);
-        ("replays", Json.Int r.replays);
-        ("shard_reattaches", Json.Int r.shard_reattaches);
-        ("recovery_ms", Json.Num r.recovery_ms);
-        ("requests_per_s", Json.Num r.throughput_rps);
-        ("p99_ms", Json.Num r.p99_ms);
-      ]
-  in
-  (* Hedged dispatch under induced tail latency: net chaos delays shard
-     responses, the router duplicates slow requests to the next shard,
-     and the p99 plus the fired/win counts price the tail-cutting.
-     Divergences must stay zero — a hedge may never change an answer. *)
-  let hedged_soak_case name =
-    let fresh tag =
-      let path = Filename.temp_file "dpsyn-bench" tag in
-      Sys.remove path;
-      path
-    in
-    let r =
-      Dp_server.Soak.run
-        {
-          (Dp_server.Soak.default_config ~socket_path:(fresh ".sock")) with
-          Dp_server.Soak.clients = 3;
-          requests_per_client = (if !quick then 30 else 60);
-          seed = 11;
-          shards = 3;
-          hedge = true;
-          (* a ~4% tail of 200 ms delays: rare enough that the hedge
-             timer's adaptive p95 stays at its 25 ms clamp (a fat tail
-             would teach the timer to wait out the delay instead) *)
-          chaos =
-            Some
-              {
-                Dp_server.Chaos.seed = 11;
-                every = 24;
-                slow_s = 0.2;
-                faults = [ Dp_server.Chaos.Delay_response ];
-              };
-          cache_dir = Some (fresh ".cache");
-        }
-    in
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("requests", Json.Int r.requests);
-        ("ok", Json.Int r.ok);
-        ("typed_errors", Json.Int r.typed_errors);
-        ("wrong_answers", Json.Int r.wrong_answers);
-        ("violations", Json.Int r.violations);
-        ("diverges", Json.Int r.diverges);
-        ("hedges_fired", Json.Int r.hedges_fired);
-        ("hedge_wins", Json.Int r.hedge_wins);
-        ("requests_per_s", Json.Num r.throughput_rps);
-        ("p50_ms", Json.Num r.p50_ms);
-        ("p99_ms", Json.Num r.p99_ms);
-      ]
-  in
-  [
-    column_case "reduce/sc_t_n64" 64 (fun nl c -> ignore (Dp_core.Sc_t.reduce_column nl c));
-    column_case "reduce/sc_t_n256" 256 (fun nl c -> ignore (Dp_core.Sc_t.reduce_column nl c));
-    column_case "reduce/sc_lp_n256" 256 (fun nl c -> ignore (Dp_core.Sc_lp.reduce_column nl c));
-    mult_case "reduce/fa_aot_mult24" 24;
-    sim_case "sim/idct_fa_aot";
-    serve_case "serve/batch_4designs";
-    crypto_case "crypto/mulmod_diag256" Dp_designs.Crypto.mul_mod_diag;
-    crypto_case "crypto/mac_chain" Dp_designs.Crypto.mac_chain;
-    counters_case "counters/poly_square_sc_t_gpc" Strategy.Sc_t_gpc
-      Strategy.Fa_aot Dp_designs.Catalog.poly_square;
-    counters_case "counters/idct_sc_t_gpc" Strategy.Sc_t_gpc Strategy.Fa_aot
-      Dp_designs.Catalog.idct;
-    counters_case "counters/complex_sc_t_gpc" Strategy.Sc_t_gpc Strategy.Fa_aot
-      Dp_designs.Catalog.complex;
-    counters_case "counters/mulmod_diag_sc_t_gpc" Strategy.Sc_t_gpc
-      Strategy.Fa_aot Dp_designs.Crypto.mul_mod_diag;
-    counters_case "counters/mac_chain_sc_t_gpc" Strategy.Sc_t_gpc
-      Strategy.Fa_aot Dp_designs.Crypto.mac_chain;
-    counters_case "counters/idct_sc_lp_gpc" Strategy.Sc_lp_gpc Strategy.Fa_alp
-      Dp_designs.Catalog.idct;
-    counters_case "counters/idct_dadda_gpc" Strategy.Dadda_gpc Strategy.Dadda
-      Dp_designs.Catalog.idct;
-    soak_case "soak/plain" ~chaos:false;
-    soak_case "soak/chaos" ~chaos:true;
-    soak_case "soak/crypto_mem_chaos" ~chaos:true ~crypto:true ~mem:true;
-    sharded_soak_case "soak/sharded_plain" ~kill:false;
-    sharded_soak_case "soak/sharded_kill" ~kill:true;
-    journaled_soak_case "soak/router_kill_recovery";
-    hedged_soak_case "serve/hedged_p99";
-  ]
-
-let bechamel_tests () =
-  let open Bechamel in
-  let idct = Dp_designs.Catalog.idct in
-  let synth strategy () = ignore (run strategy idct) in
-  let fig2_alloc () =
-    let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.unit_delay in
-    let m = fig2_matrix netlist in
-    Dp_core.Fa_aot.allocate netlist m
-  in
-  let fig4_alloc () =
-    let netlist = Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.lcb_like in
-    let bits =
-      Dp_netlist.Netlist.add_input netlist "x" ~width:4
-        ~prob:[| 0.1; 0.2; 0.3; 0.4 |]
-        ~arrival:[| 0.0; 0.0; 0.0; 0.0 |]
-    in
-    let m = Dp_bitmatrix.Matrix.create () in
-    Array.iter (fun b -> Dp_bitmatrix.Matrix.add m ~weight:0 b) bits;
-    Dp_core.Fa_alp.allocate netlist m
-  in
-  Test.make_grouped ~name:"dpsyn"
-    [
-      Test.make ~name:"table1/fa_aot_idct" (Staged.stage (synth Strategy.Fa_aot));
-      Test.make ~name:"table1/csa_opt_idct" (Staged.stage (synth Strategy.Csa_opt));
-      Test.make ~name:"table1/conventional_idct"
-        (Staged.stage (synth Strategy.Conventional));
-      Test.make ~name:"table2/fa_alp_idct" (Staged.stage (synth Strategy.Fa_alp));
-      Test.make ~name:"counters/sc_t_gpc_idct"
-        (Staged.stage (synth Strategy.Sc_t_gpc));
-      Test.make ~name:"counters/sc_lp_gpc_idct"
-        (Staged.stage (synth Strategy.Sc_lp_gpc));
-      Test.make ~name:"counters/dadda_gpc_idct"
-        (Staged.stage (synth Strategy.Dadda_gpc));
-      Test.make ~name:"table2/fa_random_idct"
-        (Staged.stage (synth (Strategy.Fa_random 1)));
-      Test.make ~name:"fig1/wallace_quickstart"
-        (Staged.stage (fun () ->
-             let env, expr = fig1_design () in
-             let netlist =
-               Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.unit_delay
-             in
-             let m = Dp_bitmatrix.Lower.lower netlist env expr ~width:3 in
-             Dp_core.Wallace.allocate netlist m));
-      Test.make ~name:"fig2/fa_aot_example" (Staged.stage fig2_alloc);
-      Test.make ~name:"fig3/sc_t_column"
-        (Staged.stage (fun () ->
-             let netlist =
-               Dp_netlist.Netlist.create ~tech:Dp_tech.Tech.unit_delay
-             in
-             let bits = Dp_netlist.Netlist.add_input netlist "x" ~width:6 in
-             ignore (Dp_core.Sc_t.reduce_column netlist (Array.to_list bits))));
-      Test.make ~name:"fig4/sc_lp_example" (Staged.stage fig4_alloc);
-      (* Heap-based column reduction vs the retained sort-per-step
-         reference, on the wide/tall shapes where the asymptotics show. *)
-      Test.make ~name:"reduce/sc_t_heap_n64" (Staged.stage (sc_t_reduce `Heap 64));
-      Test.make ~name:"reduce/sc_t_sorted_n64"
-        (Staged.stage (sc_t_reduce `Sorted 64));
-      Test.make ~name:"reduce/sc_t_heap_n256"
-        (Staged.stage (sc_t_reduce `Heap 256));
-      Test.make ~name:"reduce/sc_t_sorted_n256"
-        (Staged.stage (sc_t_reduce `Sorted 256));
-      Test.make ~name:"reduce/sc_lp_heap_n256"
-        (Staged.stage (sc_lp_reduce `Heap 256));
-      Test.make ~name:"reduce/sc_lp_sorted_n256"
-        (Staged.stage (sc_lp_reduce `Sorted 256));
-      Test.make ~name:"reduce/fa_aot_mult24_heap"
-        (Staged.stage (mult_alloc `Heap 24));
-      Test.make ~name:"reduce/fa_aot_mult24_sorted"
-        (Staged.stage (mult_alloc `Sorted 24));
-      (* 64 vectors through the scalar simulator vs one 64-lane packed
-         sweep of the same netlist. *)
-      Test.make ~name:"sim/scalar_64vec_idct" (Staged.stage scalar_64vec);
-      Test.make ~name:"sim/bitsim_64vec_idct" (Staged.stage bitsim_64vec);
-      (* The same four-design batch through the serving core: warm cache
-         (all hits) vs no cache (all fresh synthesis). *)
-      Test.make ~name:"serve/batch_cache_on"
-        (Staged.stage (serve_batch `Cache_on));
-      Test.make ~name:"serve/batch_cache_off"
-        (Staged.stage (serve_batch `Cache_off));
-      (* Crypto-scale synthesis (a ~256-high addend matrix end to end)
-         vs a governed abort on the same request: the abort must cost
-         orders of magnitude less than the work it cancels. *)
-      Test.make ~name:"crypto/mulmod_diag_fa_aot"
-        (Staged.stage (fun () ->
-             ignore (run Strategy.Fa_aot Dp_designs.Crypto.mul_mod_diag)));
-      Test.make ~name:"crypto/montgomery_fa_alp"
-        (Staged.stage (fun () ->
-             ignore (run Strategy.Fa_alp Dp_designs.Crypto.montgomery_step)));
-      Test.make ~name:"crypto/governed_abort_mulmod"
-        (Staged.stage (fun () ->
-             let gov = Dp_gov.Gov.create ~deadline_s:0.0 () in
-             match
-               Dp_gov.Gov.with_ambient gov (fun () ->
-                   run Strategy.Fa_aot Dp_designs.Crypto.mul_mod_diag)
-             with
-             | _ -> ()
-             | exception Dp_diag.Diag.E _ -> ()));
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* GPC counters vs the FA-only strategies *)
 
 let counters () =
@@ -1179,68 +575,6 @@ let counters () =
     "stages = longest FA/HA/counter chain; the GPC strategies buy their \
      shallower trees by packing whole columns into single counter levels.@."
 
-let speed () =
-  section "Bechamel — synthesis speed (monotonic clock, ns/run)";
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    if !quick then
-      Benchmark.cfg ~limit:500 ~quota:(Time.second 0.02) ~kde:(Some 100) ()
-    else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let estimates =
-    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (name, ols) ->
-           match Analyze.OLS.estimates ols with
-           | Some [ ns ] -> (name, Some ns)
-           | Some _ | None -> (name, None))
-  in
-  (* Column width follows the longest case name: the counters/* and
-     crypto/* names run past any fixed width. *)
-  let name_width =
-    List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0
-      estimates
-  in
-  List.iter
-    (fun (name, est) ->
-      match est with
-      | Some ns -> Fmt.pr "%-*s %12.0f ns/run@." name_width name ns
-      | None -> Fmt.pr "%-*s (no estimate)@." name_width name)
-    estimates;
-  let json =
-    Json.Obj
-      [
-        ("schema", Json.Str "dpsyn-bench-speed/1");
-        ("git_rev", Json.Str (git_rev ()));
-        ("quick", Json.Bool !quick);
-        ( "results",
-          Json.Arr
-            (List.map
-               (fun (name, est) ->
-                 Json.Obj
-                   [
-                     ("name", Json.Str name);
-                     ( "ns_per_run",
-                       match est with Some ns -> Json.Num ns | None -> Json.Num Float.nan
-                     );
-                   ])
-               estimates) );
-        ("cases", Json.Arr (speed_case_meta ()));
-      ]
-  in
-  let oc = open_out !json_path in
-  output_string oc (Json.to_string json);
-  close_out oc;
-  Fmt.pr "@.wrote %s (%d experiments, git %s)@." !json_path
-    (List.length estimates)
-    (git_rev ())
-
 (* ------------------------------------------------------------------ *)
 
 let experiments =
@@ -1260,21 +594,10 @@ let experiments =
     ("ablation-glitch", ablation_glitch);
     ("ablation-pipeline", ablation_pipeline);
     ("counters", counters);
-    ("speed", speed);
   ]
 
 let () =
-  let rec parse_flags = function
-    | "--quick" :: rest ->
-      quick := true;
-      parse_flags rest
-    | "--json" :: path :: rest ->
-      json_path := path;
-      parse_flags rest
-    | name :: rest -> name :: parse_flags rest
-    | [] -> []
-  in
-  match parse_flags (List.tl (Array.to_list Sys.argv)) with
+  match List.tl (Array.to_list Sys.argv) with
   | [] -> List.iter (fun (_, f) -> f ()) experiments
   | names ->
     List.iter
