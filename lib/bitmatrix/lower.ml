@@ -30,11 +30,33 @@ let declare_inputs netlist env expr =
             ~prob:info.prob ))
     (Ast.vars expr)
 
-module Support_map = Map.Make (struct
-  type t = Netlist.net list
+(* A support is the deduplicated, sorted set of nets one partial product
+   ANDs.  A support of at most two nets packs into one int: [[a]] as
+   [a lsl 32] and [[a; b]] (a < b) as [(a lsl 32) lor (b + 1)], which
+   orders packed keys exactly like the lexicographic order of the net
+   lists (net ids stay below 2^30).  Wider supports keep their list. *)
+let pack1 a = a lsl 32
+let pack2 a b = (a lsl 32) lor (b + 1)
 
-  let compare = Stdlib.compare
-end)
+let pack_pair a b =
+  if a = b then pack1 a else if a < b then pack2 a b else pack2 b a
+
+let unpack key =
+  let a = key lsr 32 and b = key land 0xFFFF_FFFF in
+  if b = 0 then [ a ] else [ a; b - 1 ]
+
+(* Lexicographic order of sorted net lists, the order supports are
+   emitted in. *)
+let rec compare_support a b =
+  match a, b with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a, y :: b ->
+    let c = Int.compare x y in
+    if c <> 0 then c else compare_support a b
+
+type factor = { nets : Netlist.net array; signed : bool }
 
 (* Lowering strategy (DESIGN.md Sec. 5): normalize to sum-of-products, then
    expand every monomial into bit-level partial products.  A tuple choosing
@@ -51,7 +73,12 @@ let lower ?(config = default_config) netlist env expr ~width =
   if width < 1 || width > 62 then invalid_arg "Lower.lower: width out of [1,62]";
   Env.check_covers expr env;
   let inputs = declare_inputs netlist env expr in
-  let bit v i = (List.assoc v inputs).(i) in
+  let factor_of =
+    let resolved =
+      List.map (fun (v, nets) -> (v, { nets; signed = Env.is_signed v env })) inputs
+    in
+    fun v -> List.assoc v resolved
+  in
   (* Checkpoint of the expansion itself: distributing products over sums
      and the tuple enumeration below can each visit exponentially many
      terms before the first cell exists, so cell-level polling alone
@@ -63,39 +90,59 @@ let lower ?(config = default_config) netlist env expr ~width =
     | None -> ()
   in
   let sop = Sop.of_expr ~checkpoint expr in
-  let table = ref Support_map.empty in
-  let add_support supp m =
-    checkpoint ();
-    if m <> 0 then
-      table :=
-        Support_map.update supp
-          (fun prev ->
-            let v = Option.value prev ~default:0 + m in
-            if v = 0 then None else Some v)
-          !table
+  let k = ref 0 in
+  (* support -> accumulated multiplier; the constant monomial goes
+     straight into K *)
+  let packed = Int_tbl.create 256 in
+  let wide = Hashtbl.create 16 in
+  let add_packed key m =
+    match Int_tbl.find_opt packed key with
+    | Some acc -> acc := !acc + m
+    | None -> Int_tbl.add packed key (ref m)
+  in
+  let add_wide supp m =
+    match Hashtbl.find_opt wide supp with
+    | Some acc -> acc := !acc + m
+    | None -> Hashtbl.add wide supp (ref m)
+  in
+  let chosen = Array.make (Int.max 1 (Sop.max_degree sop)) 0 in
+  let add_support degree m =
+    match degree with
+    | 0 -> k := !k + m
+    | 1 -> add_packed (pack1 chosen.(0)) m
+    | 2 -> add_packed (pack_pair chosen.(0) chosen.(1)) m
+    | _ -> (
+      match List.sort_uniq Int.compare (Array.to_list (Array.sub chosen 0 degree)) with
+      | [ a ] -> add_packed (pack1 a) m
+      | [ a; b ] -> add_packed (pack2 a b) m
+      | supp -> add_wide supp m)
   in
   let expand_monomial mono coeff =
+    let factors = Array.of_list (List.map factor_of mono) in
+    let degree = Array.length factors in
     (* [sign] tracks the product of per-bit signs: the MSB of a signed
        (two's-complement) factor carries weight -2^(w-1), which makes the
        Baugh-Wooley signed partial products fall out of the same
-       signed-digit machinery as subtraction. *)
-    let rec enum factors sign supp weight =
-      if weight < width then
-        match factors with
-        | [] ->
-          add_support (List.sort_uniq Int.compare supp)
-            (sign * coeff * (1 lsl weight))
-        | v :: rest ->
-          let info = Env.find v env in
-          for i = 0 to info.width - 1 do
-            let bit_sign = if info.signed && i = info.width - 1 then -1 else 1 in
-            enum rest (sign * bit_sign) (bit v i :: supp) (weight + i)
-          done
+       signed-digit machinery as subtraction.  One checkpoint per tuple
+       that reaches a kept column. *)
+    let rec enum level sign weight =
+      if level = degree then begin
+        checkpoint ();
+        let m = sign * coeff * (1 lsl weight) in
+        if m <> 0 then add_support degree m
+      end
+      else
+        let { nets; signed } = factors.(level) in
+        let w = Array.length nets in
+        for i = 0 to Int.min (w - 1) (width - 1 - weight) do
+          let bit_sign = if signed && i = w - 1 then -1 else 1 in
+          chosen.(level) <- nets.(i);
+          enum (level + 1) (sign * bit_sign) (weight + i)
+        done
     in
-    enum mono 1 [] 0
+    enum 0 1 0
   in
   let matrix = Matrix.create ~max_width:width () in
-  let k = ref 0 in
   (* With the Booth style, products of two distinct unsigned variables with
      a +/-1 coefficient use radix-4 Booth rows; everything else goes
      through the AND-array support table. *)
@@ -126,29 +173,49 @@ let lower ?(config = default_config) netlist env expr ~width =
         | [] | [ _ ] | _ :: _ :: _ -> assert false
       else expand_monomial mono coeff)
     (Sop.terms sop);
-  Support_map.iter
-    (fun supp m ->
-      match supp with
-      | [] -> k := !k + m
-      | _ ->
-        let digits =
-          match config.recoding with
-          | Csd -> Csd.recode m
-          | Binary -> Csd.binary m
-        in
-        List.iter
-          (fun (d : Csd.digit) ->
-            checkpoint ();
-            if d.weight < width then
-              let net = Netlist.and_n netlist supp in
-              if d.sign > 0 then Matrix.add matrix ~weight:d.weight net
-              else begin
-                (* -b*2^w  =  ~b*2^w - 2^w *)
-                Matrix.add matrix ~weight:d.weight (Netlist.not_ netlist net);
-                k := !k - (1 lsl d.weight)
-              end)
-          digits)
-    !table;
+  let emit supp m =
+    let digits =
+      match config.recoding with
+      | Csd -> Csd.recode m
+      | Binary -> Csd.binary m
+    in
+    List.iter
+      (fun (d : Csd.digit) ->
+        checkpoint ();
+        if d.weight < width then
+          let net = Netlist.and_n netlist supp in
+          if d.sign > 0 then Matrix.add matrix ~weight:d.weight net
+          else begin
+            (* -b*2^w  =  ~b*2^w - 2^w *)
+            Matrix.add matrix ~weight:d.weight (Netlist.not_ netlist net);
+            k := !k - (1 lsl d.weight)
+          end)
+      digits
+  in
+  (* Emit in ascending support order (see [compare_support]): it numbers
+     the AND cells, and so fixes the Verilog bytes. *)
+  (if Hashtbl.length wide = 0 then begin
+     let keys = Array.make (Int_tbl.length packed) 0 and n = ref 0 in
+     Int_tbl.iter
+       (fun key m ->
+         if !m <> 0 then begin
+           keys.(!n) <- key;
+           incr n
+         end)
+       packed;
+     let keys = Array.sub keys 0 !n in
+     (* keys are distinct; the merge sort is just faster than
+        [Array.sort]'s heap sort *)
+     Array.stable_sort Int.compare keys;
+     Array.iter (fun key -> emit (unpack key) !(Int_tbl.find packed key)) keys
+   end
+   else
+     let nonzero tbl fold key =
+       fold (fun supp m l -> if !m <> 0 then (key supp, !m) :: l else l) tbl []
+     in
+     nonzero packed Int_tbl.fold unpack @ nonzero wide Hashtbl.fold Fun.id
+     |> List.sort (fun (a, _) (b, _) -> compare_support a b)
+     |> List.iter (fun (supp, m) -> emit supp m));
   let k_bits = !k land Eval.mask width in
   for j = 0 to width - 1 do
     if (k_bits lsr j) land 1 = 1 then

@@ -121,7 +121,10 @@ let insert t digest entry =
    rejects structurally corrupt netlists that survive both.  Every
    failure mode degrades to a cache miss. *)
 
-let magic = "dpsyn-cache/1\n"
+(* Bump the version whenever a type reachable from [entry] changes
+   (e.g. [Netlist.t]'s fields): the checksum only guards the bytes, and
+   [Marshal.from_string] would read an older layout as the new type. *)
+let magic = "dpsyn-cache/2\n"
 
 let entry_path dir digest = Filename.concat dir (digest ^ ".dpc")
 

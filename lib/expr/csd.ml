@@ -15,10 +15,12 @@ let recode n =
 
 let binary n =
   let sign = if n < 0 then -1 else 1 in
+  (* [abs min_int] is [min_int]; shifting logically reads it as the
+     unsigned magnitude 2^62, one digit whose value wraps back to n. *)
   let rec go n w acc =
     if n = 0 then List.rev acc
-    else if n land 1 = 1 then go (n asr 1) (w + 1) ({ sign; weight = w } :: acc)
-    else go (n asr 1) (w + 1) acc
+    else if n land 1 = 1 then go (n lsr 1) (w + 1) ({ sign; weight = w } :: acc)
+    else go (n lsr 1) (w + 1) acc
   in
   go (abs n) 0 []
 

@@ -11,7 +11,9 @@ type digit = { sign : int (** +1 or -1 *); weight : int }
 (** CSD digits of any integer (including negatives), weight-ascending. *)
 val recode : int -> digit list
 
-(** Plain base-2 digits of |n| carrying n's sign, weight-ascending. *)
+(** Plain base-2 digits of |n| carrying n's sign, weight-ascending.
+    [min_int], whose magnitude 2^62 is no int, gives the one digit
+    -2^62. *)
 val binary : int -> digit list
 
 val value : digit list -> int

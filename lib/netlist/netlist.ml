@@ -23,6 +23,12 @@ type t = {
   mutable const_false : net option;
   mutable const_true : net option;
   not_cache : (net, net) Hashtbl.t;
+  (* Structural hashing of AND/OR gates: two-input gates (partial
+     products, prefix and carry logic) by their packed pair
+     [(lo lsl 31) lor hi] (net ids stay below 2^31), wider ones by their
+     sorted input list. *)
+  and2_cache : net Int_tbl.t;
+  or2_cache : net Int_tbl.t;
   and_cache : (net list, net) Hashtbl.t;
   or_cache : (net list, net) Hashtbl.t;
   (* The ambient governor at creation time, if any.  [add_cell] is the
@@ -50,6 +56,8 @@ let create ~tech =
     const_false = None;
     const_true = None;
     not_cache = Hashtbl.create 64;
+    and2_cache = Int_tbl.create 64;
+    or2_cache = Int_tbl.create 64;
     and_cache = Hashtbl.create 64;
     or_cache = Hashtbl.create 64;
   }
@@ -130,14 +138,21 @@ let add_cell t kind inputs ~out_probs =
      one delay, so this reduces to max-input-arrival + delay; the
      counters' pin-resolved model makes e.g. a 4:2's carry-out ignore its
      late carry-in pin entirely. *)
+  let counter = Dp_tech.Cell_kind.is_counter kind in
   let port_arrival port =
     let worst = ref neg_infinity in
-    Array.iteri
-      (fun pin n ->
+    if counter then
+      for pin = 0 to arity - 1 do
         match Dp_tech.Tech.pin_delay t.tech kind ~pin ~port with
-        | Some d -> worst := Float.max !worst (arrival t n +. d)
-        | None -> ())
-      inputs;
+        | Some d -> worst := Float.max !worst (arrival t inputs.(pin) +. d)
+        | None -> ()
+      done
+    else begin
+      let d = Dp_tech.Tech.delay t.tech kind ~port in
+      for pin = 0 to arity - 1 do
+        worst := Float.max !worst (arrival t inputs.(pin) +. d)
+      done
+    end;
     !worst
   in
   let outs =
@@ -174,42 +189,69 @@ let not_ t a =
 let buf t a =
   (add_cell t Dp_tech.Cell_kind.Buf [| a |] ~out_probs:[| prob t a |]).(0)
 
+let is_plain t n =
+  match driver t n with From_const _ -> false | From_input _ | From_cell _ -> true
+
+(* Two-input gate on distinct non-constant nets, hashed on the packed
+   pair. *)
+let gate2 t ~cache ~kind_of ~prob2 a b =
+  let lo = Int.min a b and hi = Int.max a b in
+  let key = (lo lsl 31) lor hi in
+  match Int_tbl.find_opt cache key with
+  | Some n -> n
+  | None ->
+    let p = prob2 (prob t lo) (prob t hi) in
+    let n = (add_cell t (kind_of 2) [| lo; hi |] ~out_probs:[| p |]).(0) in
+    Int_tbl.add cache key n;
+    n
+
 (* Shared n-ary gate construction: constant folding, duplicate removal,
-   structural hashing on the sorted input list. *)
-let nary t ~cache ~kind_of ~unit_const ~absorbing_const ~prob_of nets =
-  let nets = List.filter (fun n -> not (is_const t n unit_const)) nets in
-  if List.exists (fun n -> is_const t n absorbing_const) nets then
-    const t absorbing_const
-  else
-    let nets = List.sort_uniq Int.compare nets in
-    match nets with
-    | [] -> const t unit_const
-    | [ n ] -> n
-    | _ -> (
-      match Hashtbl.find_opt cache nets with
-      | Some n -> n
-      | None ->
-        let arity = List.length nets in
-        let p = prob_of (List.map (prob t) nets) in
-        let outs =
-          add_cell t (kind_of arity) (Array.of_list nets) ~out_probs:[| p |]
-        in
-        Hashtbl.add cache nets outs.(0);
-        outs.(0))
+   structural hashing on the sorted input list.  Every gate that comes
+   down to two distinct inputs goes through [gate2], whatever list it
+   was asked for; two non-constant nets get there without building any
+   list.  [prob2 pa pb] equals [prob_of [pa; pb]] bit for bit. *)
+let nary t ~cache ~cache2 ~kind_of ~unit_const ~absorbing_const ~prob_of ~prob2
+    nets =
+  match nets with
+  | [ a; b ] when is_plain t a && is_plain t b ->
+    if a = b then a else gate2 t ~cache:cache2 ~kind_of ~prob2 a b
+  | _ -> (
+    let nets = List.filter (fun n -> not (is_const t n unit_const)) nets in
+    if List.exists (fun n -> is_const t n absorbing_const) nets then
+      const t absorbing_const
+    else
+      match List.sort_uniq Int.compare nets with
+      | [] -> const t unit_const
+      | [ n ] -> n
+      | [ a; b ] -> gate2 t ~cache:cache2 ~kind_of ~prob2 a b
+      | nets -> (
+        match Hashtbl.find_opt cache nets with
+        | Some n -> n
+        | None ->
+          let arity = List.length nets in
+          let p = prob_of (List.map (prob t) nets) in
+          let outs =
+            add_cell t (kind_of arity) (Array.of_list nets) ~out_probs:[| p |]
+          in
+          Hashtbl.add cache nets outs.(0);
+          outs.(0)))
+
+let and_prob ps = List.fold_left ( *. ) 1.0 ps
+let and_prob2 pa pb = (1.0 *. pa) *. pb
+let or_prob ps = 1.0 -. List.fold_left (fun acc p -> acc *. (1.0 -. p)) 1.0 ps
+let or_prob2 pa pb = 1.0 -. ((1.0 *. (1.0 -. pa)) *. (1.0 -. pb))
 
 let and_n t nets =
-  nary t ~cache:t.and_cache
+  nary t ~cache:t.and_cache ~cache2:t.and2_cache
     ~kind_of:(fun n -> Dp_tech.Cell_kind.And_n n)
     ~unit_const:true ~absorbing_const:false
-    ~prob_of:(List.fold_left ( *. ) 1.0)
-    nets
+    ~prob_of:and_prob ~prob2:and_prob2 nets
 
 let or_n t nets =
-  nary t ~cache:t.or_cache
+  nary t ~cache:t.or_cache ~cache2:t.or2_cache
     ~kind_of:(fun n -> Dp_tech.Cell_kind.Or_n n)
     ~unit_const:false ~absorbing_const:true
-    ~prob_of:(fun ps -> 1.0 -. List.fold_left (fun acc p -> acc *. (1.0 -. p)) 1.0 ps)
-    nets
+    ~prob_of:or_prob ~prob2:or_prob2 nets
 
 let xor2_prob pa pb = pa +. pb -. (2.0 *. pa *. pb)
 

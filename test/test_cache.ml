@@ -239,6 +239,29 @@ let garbage_file_degrades_to_miss () =
   checkb "garbage is a miss" false (outcome ~store:store2 "x + y").cached;
   checki "counted" 1 (C.Store.stats store2).corrupt
 
+(* An entry written under an older format version keeps a valid body and
+   checksum, but its marshalled types may have changed since: it must be
+   rejected on the version line alone, never unmarshalled. *)
+let old_format_version_is_corrupt () =
+  with_tmpdir @@ fun dir ->
+  let k = C.Key.make Dp_flow.Strategy.Fa_aot env_xyz (e "x*y + z") in
+  let o = outcome ~store:(C.Store.create ~dir ()) "x*y + z" in
+  check Alcotest.string "entry filed under the key" (C.Key.digest k) o.digest;
+  let path = Filename.concat dir (o.digest ^ ".dpc") in
+  let raw = In_channel.with_open_bin path In_channel.input_all in
+  let eol = String.index raw '\n' in
+  check Alcotest.string "current version" "dpsyn-cache/2" (String.sub raw 0 eol);
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "dpsyn-cache/1";
+      output_string oc (String.sub raw eol (String.length raw - eol)));
+  let r = C.Store.fsck ~dir () in
+  checki "fsck: corrupt" 1 r.C.Store.fsck_corrupt;
+  checki "fsck: valid" 0 r.C.Store.valid;
+  let store = C.Store.create ~dir () in
+  checkb "find misses" true (Option.is_none (C.Store.find store k));
+  checki "counted as corrupt" 1 (C.Store.stats store).corrupt;
+  checkb "file removed" false (Sys.file_exists path)
+
 (* A structurally corrupt netlist that survives the checksum (it was
    checksummed after corruption) must still be rejected — by lint. *)
 let lint_rejects_corrupt_netlist () =
@@ -325,4 +348,6 @@ let suite =
     case "serve: cached identical to fresh (all strategies x adders)"
       cached_identical_to_fresh;
     case "serve: canonical class shares one entry" canonical_class_shares_entry;
+    case "store: older format version degrades to miss"
+      old_format_version_is_corrupt;
   ]

@@ -5,6 +5,7 @@ let () =
       ("expr", Test_expr.suite);
       ("netlist", Test_netlist.suite);
       ("verilog", Test_verilog.suite);
+      ("lower", Test_lower.suite);
       ("matrix", Test_matrix.suite);
       ("core", Test_core.suite);
       ("counters", Test_counters.suite);

@@ -265,7 +265,7 @@ let test_sop_degree () =
 let test_csd_values () =
   List.iter
     (fun n -> checki (string_of_int n) n (Csd.value (Csd.recode n)))
-    [ 0; 1; -1; 7; -7; 255; 1567; 4096; -4017; 12345; max_int / 4 ]
+    [ 0; 1; -1; 7; -7; 255; 1567; 4096; -4017; 12345; max_int / 4; min_int; max_int ]
 
 let test_csd_canonical () =
   List.iter
@@ -288,7 +288,7 @@ let test_csd_never_worse () =
 let test_binary_values () =
   List.iter
     (fun n -> checki (string_of_int n) n (Csd.value (Csd.binary n)))
-    [ 0; 1; -1; 6; -6; 100; -4017 ]
+    [ 0; 1; -1; 6; -6; 100; -4017; min_int; min_int + 1; max_int ]
 
 let suite =
   [

@@ -54,6 +54,38 @@ let test_or_prob () =
   let n, a, b = two_inputs () in
   checkf "p = 1-(0.7*0.2)" 0.86 (Netlist.prob n (Netlist.or_n n [ a; b ]))
 
+(* Every call that comes down to the same two distinct nets returns one
+   gate, whichever list spelled it; its probability is the n-ary formula
+   on the sorted inputs, bit for bit. *)
+let test_pair_cache () =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let gate name build unit_const prob_of =
+    let n, a, b = two_inputs () in
+    let u = Netlist.const n unit_const in
+    let g = build n [ a; b ] in
+    List.iter
+      (fun (label, nets) -> checki (name ^ " " ^ label) g (build n nets))
+      [ ("[b; a]", [ b; a ]); ("with unit", [ a; b; u ]); ("[b; a; a]", [ b; a; a ]) ];
+    checki (name ^ ": one cell") 1 (Netlist.cell_count n);
+    checkb (name ^ ": probability bit for bit") true
+      (same_bits (prob_of [ Netlist.prob n a; Netlist.prob n b ]) (Netlist.prob n g))
+  in
+  gate "and" Netlist.and_n true (List.fold_left ( *. ) 1.0);
+  gate "or" Netlist.or_n false (fun ps ->
+      1.0 -. List.fold_left (fun acc p -> acc *. (1.0 -. p)) 1.0 ps);
+  let n, a, b = two_inputs () in
+  checki "x&x = x" a (Netlist.and_n n [ a; a ]);
+  checki "x|x = x" a (Netlist.or_n n [ a; a ]);
+  let zero = Netlist.const n false and one = Netlist.const n true in
+  checki "x&0 = 0" zero (Netlist.and_n n [ a; zero ]);
+  checki "x|1 = 1" one (Netlist.or_n n [ a; one ]);
+  checki "no cells for folded gates" 0 (Netlist.cell_count n);
+  (* three distinct inputs keep the list-keyed table *)
+  let c = (Netlist.add_input n "c" ~width:1).(0) in
+  let g3 = Netlist.and_n n [ a; b; c ] in
+  checki "and3 hashed" g3 (Netlist.and_n n [ c; a; b; Netlist.const n true ]);
+  checki "and3 one cell" 1 (Netlist.cell_count n)
+
 let test_not_simplifications () =
   let n, a, _ = two_inputs () in
   let na = Netlist.not_ n a in
@@ -270,4 +302,5 @@ let suite =
     case "verilog: unused submodules omitted" test_verilog_no_unused_submodules;
     case "verilog: constants declared when used" test_verilog_constants_declared_when_used;
     case "dot: structure" test_dot_structure;
+    case "AND/OR: two-input structural hash" test_pair_cache;
   ]
