@@ -10,22 +10,32 @@ let next_target height =
 
 (* Reduce one pool to [target] members with the classic minimal rule: an HA
    when exactly one above target, an FA otherwise; fixed (listed) order.
-   The pool length is threaded through the loop (an FA shrinks it by two,
-   an HA by one) instead of being recounted every step. *)
+   The pool is a FIFO (each new sum joins its back, so a step never copies
+   the pool), and its length is threaded through the loop (an FA shrinks
+   it by two, an HA by one) instead of being recounted every step. *)
 let shrink netlist ~target pool =
-  let rec go pool n carries =
-    if n <= target then pool, List.rev carries
-    else
-      match pool with
-      | x :: y :: z :: rest when n > target + 1 ->
-        let sum, carry = Netlist.fa netlist x y z in
-        go (rest @ [ sum ]) (n - 2) (carry :: carries)
-      | x :: y :: rest ->
-        let sum, carry = Netlist.ha netlist x y in
-        go (rest @ [ sum ]) (n - 1) (carry :: carries)
-      | [ _ ] | [] -> pool, List.rev carries
+  let queue = Queue.create () in
+  List.iter (fun x -> Queue.add x queue) pool;
+  let rec go n carries =
+    (* [target >= 2], so a step never runs short of addends *)
+    if n <= target then List.of_seq (Queue.to_seq queue), List.rev carries
+    else if n > target + 1 then begin
+      let x = Queue.pop queue in
+      let y = Queue.pop queue in
+      let z = Queue.pop queue in
+      let sum, carry = Netlist.fa netlist x y z in
+      Queue.add sum queue;
+      go (n - 2) (carry :: carries)
+    end
+    else begin
+      let x = Queue.pop queue in
+      let y = Queue.pop queue in
+      let sum, carry = Netlist.ha netlist x y in
+      Queue.add sum queue;
+      go (n - 1) (carry :: carries)
+    end
   in
-  go pool (List.length pool) []
+  go (Queue.length queue) []
 
 let allocate netlist matrix =
   let in_range j =

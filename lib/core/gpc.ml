@@ -72,14 +72,17 @@ let apply_counter netlist m pins =
   | 6 -> Netlist.c63 netlist pins
   | _ -> Netlist.c53 netlist pins
 
-let reduce_column ~cmp ~cohort netlist addends =
+let reduce_column (k1, k2) ~cohort netlist addends =
   let gov = Netlist.gov netlist in
   let poll () =
     match gov with
     | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Reduce g
     | None -> ()
   in
-  let sorted = List.sort cmp addends in
+  (* One heap serves both phases: drained, it sorts the column for the
+     split; refilled, it selects for the fill. *)
+  let pool = Net_heap.of_list ~k1 ~k2 netlist addends in
+  let sorted = Net_heap.drain pool in
   (* Constants never enter a counter: the builders would degrade the cell
      around them (wasting pins), and a const's 0.0 arrival would anchor
      the SC_T cohort window below every real signal.  They ride the FA/HA
@@ -108,79 +111,36 @@ let reduce_column ~cmp ~cohort netlist addends =
     else pool, fills, ones, twos
   in
   let cohort_size =
-    (* the comparator sorts cohort members first for both strategy
+    (* the heap order puts cohort members first for both strategy
        orders, so the cohort is a prefix of [eligible] *)
     List.length (List.filter in_cohort eligible)
   in
   let leftovers, fills, ones, twos = split eligible cohort_size [] [] [] in
-  let pool = Pqueue.of_list ~cmp ~dummy:(-1) (consts @ leftovers @ fills) in
+  List.iter (Net_heap.push pool) consts;
+  List.iter (Net_heap.push pool) leftovers;
+  List.iter (Net_heap.push pool) fills;
   (* [ones]/[twos] stay accumulated in reverse until the single final
      List.rev, so carries come out in allocation order. *)
   let rec fill ones =
     poll ();
-    let n = Pqueue.length pool in
+    let n = Net_heap.length pool in
     if n >= 4 then begin
-      let x = Pqueue.pop pool in
-      let y = Pqueue.pop pool in
-      let z = Pqueue.pop pool in
+      let x = Net_heap.pop pool in
+      let y = Net_heap.pop pool in
+      let z = Net_heap.pop pool in
       let sum, carry = Netlist.fa netlist x y z in
-      Pqueue.push pool sum;
+      Net_heap.push pool sum;
       fill (carry :: ones)
     end
     else if n = 3 then begin
-      let x = Pqueue.pop pool in
-      let y = Pqueue.pop pool in
+      let x = Net_heap.pop pool in
+      let y = Net_heap.pop pool in
       let sum, carry = Netlist.ha netlist x y in
-      [ sum; Pqueue.pop pool ], List.rev (carry :: ones), List.rev twos
+      [ sum; Net_heap.pop pool ], List.rev (carry :: ones), List.rev twos
     end
-    else Pqueue.drain pool, List.rev ones, List.rev twos
+    else Net_heap.drain pool, List.rev ones, List.rev twos
   in
   fill ones
-
-(* The sort-per-step implementation of the fill phase (the split phase is
-   already a deterministic walk of the sorted pool and is shared),
-   retained as the reference the decision-identity tests diff whole
-   netlists against: the comparators are total orders, so the heap's pop
-   sequence equals the sorted order. *)
-let reduce_column_reference ~cmp ~cohort netlist addends =
-  let sorted = List.sort cmp addends in
-  let eligible, consts =
-    List.partition (fun x -> Netlist.const_value netlist x = None) sorted
-  in
-  let in_cohort =
-    match eligible with [] -> fun _ -> false | x0 :: _ -> cohort x0
-  in
-  let rec take k acc pool =
-    if k = 0 then List.rev acc, pool
-    else
-      match pool with
-      | x :: rest -> take (k - 1) (x :: acc) rest
-      | [] -> invalid_arg "Gpc.reduce_column_reference: pool underflow"
-  in
-  let rec split pool e fills ones twos =
-    if e >= 5 then begin
-      let m = min e 7 in
-      let pins, rest = take m [] pool in
-      let s0, s1, s2 = apply_counter netlist m (Array.of_list pins) in
-      split rest (e - m) (s0 :: fills) (s1 :: ones) (s2 :: twos)
-    end
-    else pool, fills, ones, twos
-  in
-  let cohort_size = List.length (List.filter in_cohort eligible) in
-  let leftovers, fills, ones, twos = split eligible cohort_size [] [] [] in
-  let sort = List.sort cmp in
-  let rec fill pool ones =
-    let pool = sort pool in
-    match pool with
-    | x :: y :: z :: (_ :: _ as rest) ->
-      let sum, carry = Netlist.fa netlist x y z in
-      fill (sum :: rest) (carry :: ones)
-    | [ x; y; z ] ->
-      let sum, carry = Netlist.ha netlist x y in
-      [ sum; z ], List.rev (carry :: ones), List.rev twos
-    | [] | [ _ ] | [ _; _ ] -> pool, List.rev ones, List.rev twos
-  in
-  fill (consts @ leftovers @ fills) ones
 
 (* SC_T's cohort: everything within one FA sum delay of the column's
    earliest signal — the near-simultaneous bulk (native partial
@@ -194,15 +154,8 @@ let arrival_cohort netlist x0 =
   fun x -> Netlist.arrival netlist x <= cut
 
 let reduce_column_t ?(tie_break = Sc_t.Arrival_only) netlist addends =
-  reduce_column
-    ~cmp:(Sc_t.compare_nets netlist tie_break)
-    ~cohort:(arrival_cohort netlist) netlist addends
-
-let reduce_column_t_reference ?(tie_break = Sc_t.Arrival_only) netlist addends
-    =
-  reduce_column_reference
-    ~cmp:(Sc_t.compare_nets netlist tie_break)
-    ~cohort:(arrival_cohort netlist) netlist addends
+  reduce_column (Sc_t.heap_keys tie_break) ~cohort:(arrival_cohort netlist)
+    netlist addends
 
 (* SC_LP packs counters regardless of arrival: the power objective wants
    the maximum number of addends absorbed by the cheapest structure, and
@@ -210,14 +163,7 @@ let reduce_column_t_reference ?(tie_break = Sc_t.Arrival_only) netlist addends
 let any_cohort _ _ = true
 
 let reduce_column_lp ?(tie_break = Sc_lp.Q_only) netlist addends =
-  reduce_column
-    ~cmp:(Sc_lp.compare_nets netlist tie_break)
-    ~cohort:any_cohort netlist addends
-
-let reduce_column_lp_reference ?(tie_break = Sc_lp.Q_only) netlist addends =
-  reduce_column_reference
-    ~cmp:(Sc_lp.compare_nets netlist tie_break)
-    ~cohort:any_cohort netlist addends
+  reduce_column (Sc_lp.heap_keys tie_break) ~cohort:any_cohort netlist addends
 
 let certify netlist = Dp_counters.Certify.ensure (Netlist.tech netlist)
 
@@ -239,24 +185,41 @@ let allocate_lp ?tie_break netlist matrix =
    ripple-free (the certified body's cout is independent of cin) — then
    by an FA for a residual excess of two and an HA for one.  Carries and
    carry-outs both land one column left {e within the same stage},
-   Dadda's accounting, as in [Dadda.allocate]. *)
+   Dadda's accounting, as in [Dadda.allocate].  The pool is a FIFO, as
+   in [Dadda.shrink]: each new sum joins its back. *)
 let compress netlist ~target pool =
-  let rec go pool n carries =
-    if n <= target then pool, List.rev carries
-    else
-      match pool with
-      | x0 :: x1 :: x2 :: x3 :: cin :: rest when n - target >= 3 ->
-        let s, c, co = Netlist.c42 netlist [| x0; x1; x2; x3; cin |] in
-        go (rest @ [ s ]) (n - 4) (co :: c :: carries)
-      | x :: y :: z :: rest when n > target + 1 ->
-        let sum, carry = Netlist.fa netlist x y z in
-        go (rest @ [ sum ]) (n - 2) (carry :: carries)
-      | x :: y :: rest ->
-        let sum, carry = Netlist.ha netlist x y in
-        go (rest @ [ sum ]) (n - 1) (carry :: carries)
-      | [ _ ] | [] -> pool, List.rev carries
+  let queue = Queue.create () in
+  List.iter (fun x -> Queue.add x queue) pool;
+  let rec go n carries =
+    (* [target >= 2], so a step never runs short of addends *)
+    if n <= target then List.of_seq (Queue.to_seq queue), List.rev carries
+    else if n - target >= 3 then begin
+      let x0 = Queue.pop queue in
+      let x1 = Queue.pop queue in
+      let x2 = Queue.pop queue in
+      let x3 = Queue.pop queue in
+      let cin = Queue.pop queue in
+      let s, c, co = Netlist.c42 netlist [| x0; x1; x2; x3; cin |] in
+      Queue.add s queue;
+      go (n - 4) (co :: c :: carries)
+    end
+    else if n > target + 1 then begin
+      let x = Queue.pop queue in
+      let y = Queue.pop queue in
+      let z = Queue.pop queue in
+      let sum, carry = Netlist.fa netlist x y z in
+      Queue.add sum queue;
+      go (n - 2) (carry :: carries)
+    end
+    else begin
+      let x = Queue.pop queue in
+      let y = Queue.pop queue in
+      let sum, carry = Netlist.ha netlist x y in
+      Queue.add sum queue;
+      go (n - 1) (carry :: carries)
+    end
   in
-  go pool (List.length pool) []
+  go (Queue.length queue) []
 
 let allocate_dadda netlist matrix =
   certify netlist;

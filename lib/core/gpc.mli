@@ -39,24 +39,10 @@ val reduce_column_t :
   Netlist.net list ->
   Netlist.net list * Netlist.net list * Netlist.net list
 
-(** Sort-per-step reference for {!reduce_column_t}; decision-identical. *)
-val reduce_column_t_reference :
-  ?tie_break:Sc_t.tie_break ->
-  Netlist.t ->
-  Netlist.net list ->
-  Netlist.net list * Netlist.net list * Netlist.net list
-
 (** The same split-and-fill rule under the SC_LP order (largest |q|
     absorbed first), with an unrestricted cohort: the power objective
     packs as many addends into counters as possible. *)
 val reduce_column_lp :
-  ?tie_break:Sc_lp.tie_break ->
-  Netlist.t ->
-  Netlist.net list ->
-  Netlist.net list * Netlist.net list * Netlist.net list
-
-(** Sort-per-step reference for {!reduce_column_lp}; decision-identical. *)
-val reduce_column_lp_reference :
   ?tie_break:Sc_lp.tie_break ->
   Netlist.t ->
   Netlist.net list ->

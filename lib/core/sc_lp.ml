@@ -21,6 +21,13 @@ let compare_nets netlist tie_break x y =
     in
     if by_arrival <> 0 then by_arrival else Int.compare x y
 
+(* The same order as [Net_heap] keys: k1 = -|q| (ascending -|q| is
+   descending |q|, and -0.0 = 0.0 under [Float.compare]), k2 = 0 under
+   [Q_only] or arrival under [Prefer_early], net id last. *)
+let heap_keys = function
+  | Q_only -> (Net_heap.Neg_abs_q, Net_heap.Zero)
+  | Prefer_early -> (Net_heap.Neg_abs_q, Net_heap.Arrival)
+
 (* Algorithm SC_LP (Sec. 4.3): if the column population is odd, a
    pseudo-addend of constant 0 joins the pool to model the HA (|q| of the
    constant is the maximal 0.5, so the HA is allocated in the first
@@ -29,11 +36,10 @@ let compare_nets netlist tie_break x y =
    The pool size stays even, so it lands on exactly two.
 
    Like SC_T, each step only needs the three extrema of the pool, so a
-   min-heap under the descending-|q| comparator replaces the reference's
-   sort-per-step.  The comparator is total (net id last), so the result
-   is decision-identical to [reduce_column_reference] — including the
-   kept-pair order, which the reference leaves as [last sum; leftover]
-   rather than re-sorted. *)
+   min-heap keyed by descending |q| replaces a sort per step.  Its order
+   is total (net id last), so the result is decision-identical to a
+   sort-per-step reducer under [compare_nets] — including the kept-pair
+   order, [last sum; leftover] rather than re-sorted. *)
 let reduce_column ?(tie_break = Q_only) netlist addends =
   match addends with
   | [] | [ _ ] | [ _; _ ] -> addends, []
@@ -43,9 +49,8 @@ let reduce_column ?(tie_break = Q_only) netlist addends =
         Netlist.const netlist false :: addends
       else addends
     in
-    let pool =
-      Pqueue.of_list ~cmp:(compare_nets netlist tie_break) ~dummy:(-1) even_pool
-    in
+    let k1, k2 = heap_keys tie_break in
+    let pool = Net_heap.of_list ~k1 ~k2 netlist even_pool in
     let gov = Netlist.gov netlist in
     (* The pool size is even and >= 4, and each step removes two, so the
        step that leaves one heap element is always reached. *)
@@ -53,39 +58,16 @@ let reduce_column ?(tie_break = Q_only) netlist addends =
       (match gov with
       | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Reduce g
       | None -> ());
-      let x = Pqueue.pop pool in
-      let y = Pqueue.pop pool in
-      let z = Pqueue.pop pool in
+      let x = Net_heap.pop pool in
+      let y = Net_heap.pop pool in
+      let z = Net_heap.pop pool in
       let sum, carry = Netlist.fa netlist x y z in
       let carries = carry :: carries in
-      if Pqueue.length pool = 1 then
-        [ sum; Pqueue.pop pool ], List.rev carries
+      if Net_heap.length pool = 1 then
+        [ sum; Net_heap.pop pool ], List.rev carries
       else begin
-        Pqueue.push pool sum;
+        Net_heap.push pool sum;
         go carries
       end
     in
     go []
-
-(* The pre-heap implementation, retained verbatim as the reference the
-   decision-identity tests diff against. *)
-let reduce_column_reference ?(tie_break = Q_only) netlist addends =
-  if List.length addends <= 2 then addends, []
-  else begin
-    let pool =
-      if List.length addends mod 2 = 1 then
-        Netlist.const netlist false :: addends
-      else addends
-    in
-    let sort = List.sort (compare_nets netlist tie_break) in
-    let rec go pool carries =
-      if List.length pool <= 2 then pool, List.rev carries
-      else
-        match sort pool with
-        | x :: y :: z :: rest ->
-          let sum, carry = Netlist.fa netlist x y z in
-          go (sum :: rest) (carry :: carries)
-        | [] | [ _ ] | [ _; _ ] -> assert false
-    in
-    go pool []
-  end

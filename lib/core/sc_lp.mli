@@ -16,18 +16,15 @@ type tie_break =
   | Prefer_early  (** break |q| ties toward early arrival, helping timing *)
 
 (** The SC_LP total order (|q| descending, then optionally arrival, then
-    net id) — shared with the counter-aware {!Gpc} strategies. *)
+    net id). *)
 val compare_nets : Netlist.t -> tie_break -> Netlist.net -> Netlist.net -> int
 
-(** Heap-based selection (O(n log n) per column): the three largest-|q|
-    addends feed each FA, popped from a {!Pqueue}. *)
-val reduce_column :
-  ?tie_break:tie_break -> Netlist.t -> Netlist.net list ->
-  Netlist.net list * Netlist.net list
+(** The {!Net_heap} keys whose order equals [compare_nets] — shared with
+    the counter-aware {!Gpc} strategies. *)
+val heap_keys : tie_break -> Net_heap.key * Net_heap.key
 
-(** The original sort-per-step implementation (O(n^2 log n) per column),
-    retained as the reference for the decision-identity tests: both
-    implementations must produce byte-identical netlists. *)
-val reduce_column_reference :
+(** Heap-based selection (O(n log n) per column): the three largest-|q|
+    addends feed each FA, popped from a {!Net_heap}. *)
+val reduce_column :
   ?tie_break:tie_break -> Netlist.t -> Netlist.net list ->
   Netlist.net list * Netlist.net list

@@ -21,6 +21,13 @@ let compare_nets netlist tie_break x y =
     in
     if by_q <> 0 then by_q else Int.compare x y
 
+(* The same order as [Net_heap] keys: k1 = arrival, k2 = 0 under
+   [Arrival_only] or -|q| under [Prefer_high_q] (ascending -|q| is
+   descending |q|, and -0.0 = 0.0 under [Float.compare]), net id last. *)
+let heap_keys = function
+  | Arrival_only -> (Net_heap.Arrival, Net_heap.Zero)
+  | Prefer_high_q -> (Net_heap.Arrival, Net_heap.Neg_abs_q)
+
 (* When exactly three addends remain, the paper's footnote 1 allocates an
    HA on the two earliest so the column keeps exactly two addends.  One
    could instead spend an FA on all three (the convention of Fig. 1 and of
@@ -42,51 +49,33 @@ let finish_three policy netlist x y z carries =
    leaves); when exactly three remain, finish per [three_policy].
 
    The greedy selection is Huffman-like: each step only ever needs the
-   three minima of the pool, so a binary min-heap turns the reference's
-   O(n^2 log n) sort-per-step into O(n log n).  The comparator is a total
-   order (net id last), so the heap's pop sequence equals the sorted
-   order and the produced netlist is decision-identical to
-   [reduce_column_reference] — a property the test suite checks by
-   diffing whole netlists. *)
+   three minima of the pool, so a binary min-heap replaces a sort per
+   step.  The heap's order is total (net id last), so its pop sequence
+   equals the sorted order of [compare_nets]; the test suite diffs whole
+   netlists against the sort-per-step reducer to check it. *)
 let reduce_column ?(tie_break = Arrival_only) ?(three_policy = Ha_finish)
     netlist addends =
-  let pool =
-    Pqueue.of_list ~cmp:(compare_nets netlist tie_break) ~dummy:(-1) addends
-  in
+  let k1, k2 = heap_keys tie_break in
+  let pool = Net_heap.of_list ~k1 ~k2 netlist addends in
   let gov = Netlist.gov netlist in
   let rec go carries =
     (match gov with
     | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Reduce g
     | None -> ());
-    if Pqueue.length pool > 3 then begin
-      let x = Pqueue.pop pool in
-      let y = Pqueue.pop pool in
-      let z = Pqueue.pop pool in
+    if Net_heap.length pool > 3 then begin
+      let x = Net_heap.pop pool in
+      let y = Net_heap.pop pool in
+      let z = Net_heap.pop pool in
       let sum, carry = Netlist.fa netlist x y z in
-      Pqueue.push pool sum;
+      Net_heap.push pool sum;
       go (carry :: carries)
     end
-    else if Pqueue.length pool = 3 then begin
-      let x = Pqueue.pop pool in
-      let y = Pqueue.pop pool in
-      let z = Pqueue.pop pool in
+    else if Net_heap.length pool = 3 then begin
+      let x = Net_heap.pop pool in
+      let y = Net_heap.pop pool in
+      let z = Net_heap.pop pool in
       finish_three three_policy netlist x y z carries
     end
-    else Pqueue.drain pool, List.rev carries
+    else Net_heap.drain pool, List.rev carries
   in
   go []
-
-(* The pre-heap implementation, retained verbatim as the reference the
-   decision-identity tests diff against. *)
-let reduce_column_reference ?(tie_break = Arrival_only)
-    ?(three_policy = Ha_finish) netlist addends =
-  let sort = List.sort (compare_nets netlist tie_break) in
-  let rec go pool carries =
-    match sort pool with
-    | x :: y :: z :: (_ :: _ as rest) ->
-      let sum, carry = Netlist.fa netlist x y z in
-      go (sum :: rest) (carry :: carries)
-    | [ x; y; z ] -> finish_three three_policy netlist x y z carries
-    | ([] | [ _ ] | [ _; _ ]) as rest -> rest, List.rev carries
-  in
-  go addends []

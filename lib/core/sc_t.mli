@@ -24,22 +24,17 @@ type three_policy =
   | Ha_finish  (** the paper's rule: HA on the two earliest, keep two *)
   | Fa_finish  (** one FA on all three, keep only its sum *)
 
-(** The SC_T total order (arrival, then optionally |q|, then net id) —
-    shared with the counter-aware {!Gpc} strategies. *)
+(** The SC_T total order (arrival, then optionally |q|, then net id). *)
 val compare_nets : Netlist.t -> tie_break -> Netlist.net -> Netlist.net -> int
 
+(** The {!Net_heap} keys whose order equals [compare_nets] — shared with
+    the counter-aware {!Gpc} strategies. *)
+val heap_keys : tie_break -> Net_heap.key * Net_heap.key
+
 (** Heap-based selection (O(n log n) per column): the three minima feed
-    each FA, popped from a {!Pqueue} keyed by arrival, then |q| (under
+    each FA, popped from a {!Net_heap} keyed by arrival, then -|q| (under
     [Prefer_high_q]), then net id. *)
 val reduce_column :
-  ?tie_break:tie_break -> ?three_policy:three_policy ->
-  Netlist.t -> Netlist.net list ->
-  Netlist.net list * Netlist.net list
-
-(** The original sort-per-step implementation (O(n^2 log n) per column),
-    retained as the reference for the decision-identity tests: both
-    implementations must produce byte-identical netlists. *)
-val reduce_column_reference :
   ?tie_break:tie_break -> ?three_policy:three_policy ->
   Netlist.t -> Netlist.net list ->
   Netlist.net list * Netlist.net list

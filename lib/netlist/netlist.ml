@@ -9,11 +9,17 @@ type cell = { kind : Dp_tech.Cell_kind.t; inputs : net array }
 
 type t = {
   tech : Dp_tech.Tech.t;
-  drivers : driver Vec.t;
+  (* One int per net.  A cell output holds its driving cell's id, and its
+     port is the net minus the cell's first output: a cell's outputs are
+     consecutive nets, port 0 first.  An input, a constant or a
+     [Mutate.set_driver] override holds [-1 - i], where [i] indexes
+     [side_drivers]. *)
+  net_codes : int Vec.t;
+  side_drivers : driver Vec.t;
   arrival : float Vec.t;
   prob : float Vec.t;
   cells : cell Vec.t;
-  cell_outputs : net array Vec.t;
+  first_outputs : net Vec.t;
   mutable inputs : (string * net array) list;  (* reverse declaration order *)
   mutable outputs : (string * net array) list;  (* reverse declaration order *)
   (* name -> bus indices over [inputs]/[outputs]; the lists keep the
@@ -44,11 +50,12 @@ let create ~tech =
   {
     tech;
     gov = Dp_gov.Gov.ambient ();
-    drivers = Vec.create ~dummy:(From_const false);
+    net_codes = Vec.create ~dummy:0;
+    side_drivers = Vec.create ~dummy:(From_const false);
     arrival = Vec.create ~dummy:0.0;
     prob = Vec.create ~dummy:0.0;
     cells = Vec.create ~dummy:{ kind = Dp_tech.Cell_kind.Buf; inputs = [||] };
-    cell_outputs = Vec.create ~dummy:[||];
+    first_outputs = Vec.create ~dummy:0;
     inputs = [];
     outputs = [];
     input_index = Hashtbl.create 16;
@@ -65,25 +72,42 @@ let create ~tech =
 let tech t = t.tech
 let gov t = t.gov
 let detach_gov t = t.gov <- None
-let net_count t = Vec.length t.drivers
+let net_count t = Vec.length t.net_codes
 let cell_count t = Vec.length t.cells
-let driver t n = Vec.get t.drivers n
+
+let driver t n =
+  let code = Vec.get t.net_codes n in
+  if code >= 0 then
+    From_cell { cell = code; port = n - Vec.get t.first_outputs code }
+  else Vec.get t.side_drivers (-1 - code)
+
 let arrival t n = Vec.get t.arrival n
 let prob t n = Vec.get t.prob n
 let q t n = prob t n -. 0.5
 let cell t i = Vec.get t.cells i
-let cell_output_nets t i = Vec.get t.cell_outputs i
+let output_net t cell ~port = Vec.get t.first_outputs cell + port
 
-let new_net t ~driver ~arrival ~prob =
+let cell_output_nets t i =
+  let first = Vec.get t.first_outputs i in
+  Array.init
+    (Dp_tech.Cell_kind.output_count (cell t i).kind)
+    (fun port -> first + port)
+
+let push_net t ~code ~arrival ~prob =
   (* The incremental probability formulas (paper Sec. 4.2) can round a
      few ulps outside [0,1] at extreme input probabilities; clamp here so
      every stored annotation honours the invariant the lint enforces. *)
   let prob = Float.max 0.0 (Float.min 1.0 prob) in
-  let n = Vec.push t.drivers driver in
+  let n = Vec.push t.net_codes code in
   let n' = Vec.push t.arrival arrival in
   let n'' = Vec.push t.prob prob in
   assert (n = n' && n = n'');
   n
+
+(* A net whose driver is not a cell. *)
+let new_net t ~driver ~arrival ~prob =
+  let code = -1 - Vec.push t.side_drivers driver in
+  push_net t ~code ~arrival ~prob
 
 let add_input ?arrival ?prob t name ~width =
   if Hashtbl.mem t.input_index name then
@@ -114,15 +138,36 @@ let const t b =
     if b then t.const_true <- Some n else t.const_false <- Some n;
     n
 
-let is_const t n b =
-  match driver t n with From_const v -> Bool.equal v b | From_input _ | From_cell _ -> false
-
+(* The const/plain tests read the int code; only a net no cell drives
+   consults its side driver, which is stored, never built. *)
 let const_value t n =
-  match driver t n with From_const v -> Some v | From_input _ | From_cell _ -> None
+  let code = Vec.get t.net_codes n in
+  if code >= 0 then None
+  else
+    match Vec.get t.side_drivers (-1 - code) with
+    | From_const v -> Some v
+    | From_input _ | From_cell _ -> None
 
-(* Instantiate a cell, creating one net per output with arrival/probability
-   computed incrementally from the technology and the formulas of the
-   paper's Secs. 3.1 and 4.2. *)
+let is_const t n b =
+  let code = Vec.get t.net_codes n in
+  code < 0
+  &&
+  match Vec.get t.side_drivers (-1 - code) with
+  | From_const v -> Bool.equal v b
+  | From_input _ | From_cell _ -> false
+
+let is_plain t n =
+  let code = Vec.get t.net_codes n in
+  code >= 0
+  ||
+  match Vec.get t.side_drivers (-1 - code) with
+  | From_const _ -> false
+  | From_input _ | From_cell _ -> true
+
+(* Instantiate a cell, creating one net per output (consecutive, port 0
+   first) with arrival/probability computed incrementally from the
+   technology and the formulas of the paper's Secs. 3.1 and 4.2.  Returns
+   the port-0 net. *)
 let add_cell t kind inputs ~out_probs =
   (* Checkpoint before publishing anything: an abort here leaves the
      netlist exactly as it was after the previous complete cell. *)
@@ -133,13 +178,16 @@ let add_cell t kind inputs ~out_probs =
   if Array.length inputs <> arity then
     invalid_arg "Netlist.add_cell: arity mismatch";
   let cell_id = Vec.push t.cells { kind; inputs } in
+  let first = Vec.length t.net_codes in
+  let id' = Vec.push t.first_outputs first in
+  assert (id' = cell_id);
   (* Per-port arrival: worst over the pins that actually reach the port.
      For conventional cells every pin reaches every port with the port's
      one delay, so this reduces to max-input-arrival + delay; the
      counters' pin-resolved model makes e.g. a 4:2's carry-out ignore its
      late carry-in pin entirely. *)
   let counter = Dp_tech.Cell_kind.is_counter kind in
-  let port_arrival port =
+  for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
     let worst = ref neg_infinity in
     if counter then
       for pin = 0 to arity - 1 do
@@ -153,17 +201,18 @@ let add_cell t kind inputs ~out_probs =
         worst := Float.max !worst (arrival t inputs.(pin) +. d)
       done
     end;
-    !worst
-  in
-  let outs =
-    Array.init (Dp_tech.Cell_kind.output_count kind) (fun port ->
-        new_net t
-          ~driver:(From_cell { cell = cell_id; port })
-          ~arrival:(port_arrival port) ~prob:out_probs.(port))
-  in
-  let id' = Vec.push t.cell_outputs outs in
-  assert (id' = cell_id);
-  outs
+    ignore (push_net t ~code:cell_id ~arrival:!worst ~prob:out_probs.(port))
+  done;
+  first
+
+(* The cell whose port 0 drives [n], or -1. *)
+let port0_cell t n =
+  let code = Vec.get t.net_codes n in
+  if code >= 0 then if Vec.get t.first_outputs code = n then code else -1
+  else
+    match Vec.get t.side_drivers (-1 - code) with
+    | From_cell { cell; port = 0 } -> cell
+    | From_cell _ | From_input _ | From_const _ -> -1
 
 let not_ t a =
   match const_value t a with
@@ -172,25 +221,19 @@ let not_ t a =
     match Hashtbl.find_opt t.not_cache a with
     | Some n -> n
     | None ->
+      let c = port0_cell t a in
       let n =
-        match driver t a with
-        | From_cell { cell; port } when
-            Dp_tech.Cell_kind.equal (Vec.get t.cells cell).kind
-              Dp_tech.Cell_kind.Not && port = 0 ->
+        if c >= 0 && Dp_tech.Cell_kind.equal (cell t c).kind Not then
           (* double negation: reuse the NOT's input *)
-          (Vec.get t.cells cell).inputs.(0)
-        | From_cell _ | From_input _ | From_const _ ->
-          (add_cell t Dp_tech.Cell_kind.Not [| a |]
-             ~out_probs:[| 1.0 -. prob t a |]).(0)
+          (cell t c).inputs.(0)
+        else
+          add_cell t Dp_tech.Cell_kind.Not [| a |]
+            ~out_probs:[| 1.0 -. prob t a |]
       in
       Hashtbl.add t.not_cache a n;
       n)
 
-let buf t a =
-  (add_cell t Dp_tech.Cell_kind.Buf [| a |] ~out_probs:[| prob t a |]).(0)
-
-let is_plain t n =
-  match driver t n with From_const _ -> false | From_input _ | From_cell _ -> true
+let buf t a = add_cell t Dp_tech.Cell_kind.Buf [| a |] ~out_probs:[| prob t a |]
 
 (* Two-input gate on distinct non-constant nets, hashed on the packed
    pair. *)
@@ -201,7 +244,7 @@ let gate2 t ~cache ~kind_of ~prob2 a b =
   | Some n -> n
   | None ->
     let p = prob2 (prob t lo) (prob t hi) in
-    let n = (add_cell t (kind_of 2) [| lo; hi |] ~out_probs:[| p |]).(0) in
+    let n = add_cell t (kind_of 2) [| lo; hi |] ~out_probs:[| p |] in
     Int_tbl.add cache key n;
     n
 
@@ -230,11 +273,11 @@ let nary t ~cache ~cache2 ~kind_of ~unit_const ~absorbing_const ~prob_of ~prob2
         | None ->
           let arity = List.length nets in
           let p = prob_of (List.map (prob t) nets) in
-          let outs =
+          let n =
             add_cell t (kind_of arity) (Array.of_list nets) ~out_probs:[| p |]
           in
-          Hashtbl.add cache nets outs.(0);
-          outs.(0)))
+          Hashtbl.add cache nets n;
+          n))
 
 let and_prob ps = List.fold_left ( *. ) 1.0 ps
 let and_prob2 pa pb = (1.0 *. pa) *. pb
@@ -266,8 +309,8 @@ let rec xor2 t a b =
     if a = b then const t false
     else
       let a, b = if a <= b then a, b else b, a in
-      (add_cell t (Dp_tech.Cell_kind.Xor_n 2) [| a; b |]
-         ~out_probs:[| xor2_prob (prob t a) (prob t b) |]).(0)
+      add_cell t (Dp_tech.Cell_kind.Xor_n 2) [| a; b |]
+        ~out_probs:[| xor2_prob (prob t a) (prob t b) |]
 
 and xor_n t nets =
   match nets with
@@ -275,55 +318,61 @@ and xor_n t nets =
   | [ n ] -> n
   | first :: rest -> List.fold_left (xor2 t) first rest
 
+let ha_cell t a b =
+  let qa = q t a and qb = q t b in
+  let p_sum = 0.5 -. (2.0 *. qa *. qb) in
+  let p_carry = 0.25 +. (qa *. qb) +. (0.5 *. (qa +. qb)) in
+  let sum =
+    add_cell t Dp_tech.Cell_kind.Ha [| a; b |] ~out_probs:[| p_sum; p_carry |]
+  in
+  sum, sum + 1
+
 (* Half adder with constant elimination: HA(x,0) = (x, 0); HA(x,1) = (~x, x). *)
 let rec ha t a b =
-  match const_value t a, const_value t b with
-  | Some _, None -> ha t b a
-  | None, Some false -> a, const t false
-  | None, Some true -> not_ t a, a
-  | Some va, Some vb -> const t (va <> vb), const t (va && vb)
-  | None, None ->
-    let qa = q t a and qb = q t b in
-    let p_sum = 0.5 -. (2.0 *. qa *. qb) in
-    let p_carry = 0.25 +. (qa *. qb) +. (0.5 *. (qa +. qb)) in
-    let outs =
-      add_cell t Dp_tech.Cell_kind.Ha [| a; b |]
-        ~out_probs:[| p_sum; p_carry |]
-    in
-    outs.(0), outs.(1)
+  if is_plain t a && is_plain t b then ha_cell t a b
+  else
+    match const_value t a, const_value t b with
+    | Some _, None -> ha t b a
+    | None, Some false -> a, const t false
+    | None, Some true -> not_ t a, a
+    | Some va, Some vb -> const t (va <> vb), const t (va && vb)
+    | None, None -> ha_cell t a b
+
+let fa_cell t a b c =
+  let qx = q t a and qy = q t b and qz = q t c in
+  (* Paper Sec. 4.2: q(s) = 4 qx qy qz;
+     q(c) = 0.5 (qx + qy + qz) - 2 qx qy qz. *)
+  let p_sum = 0.5 +. (4.0 *. qx *. qy *. qz) in
+  let p_carry = 0.5 +. (0.5 *. (qx +. qy +. qz)) -. (2.0 *. qx *. qy *. qz) in
+  let sum =
+    add_cell t Dp_tech.Cell_kind.Fa [| a; b; c |]
+      ~out_probs:[| p_sum; p_carry |]
+  in
+  sum, sum + 1
 
 (* Full adder.  Constant inputs degrade it: FA(x,y,0) = HA(x,y) and
    FA(x,y,1) = (~(x^y), x|y). *)
 let fa t a b c =
-  let consts, vars =
-    List.partition (fun n -> const_value t n <> None) [ a; b; c ]
-  in
-  let const_sum =
-    List.fold_left
-      (fun acc n -> if is_const t n true then acc + 1 else acc)
-      0 consts
-  in
-  match vars, const_sum with
-  | [], k -> const t (k land 1 = 1), const t (k >= 2)
-  | [ x ], 0 -> x, const t false
-  | [ x ], 1 -> not_ t x, x
-  | [ x ], _ -> x, const t true
-  | [ x; y ], 0 -> ha t x y
-  | [ x; y ], _ ->
-    (* sum = ~(x^y), carry = x|y *)
-    not_ t (xor2 t x y), or_n t [ x; y ]
-  | x :: y :: z :: _, _ ->
-    ignore (x, y, z);
-    let qx = q t a and qy = q t b and qz = q t c in
-    (* Paper Sec. 4.2: q(s) = 4 qx qy qz;
-       q(c) = 0.5 (qx + qy + qz) - 2 qx qy qz. *)
-    let p_sum = 0.5 +. (4.0 *. qx *. qy *. qz) in
-    let p_carry = 0.5 +. (0.5 *. (qx +. qy +. qz)) -. (2.0 *. qx *. qy *. qz) in
-    let outs =
-      add_cell t Dp_tech.Cell_kind.Fa [| a; b; c |]
-        ~out_probs:[| p_sum; p_carry |]
+  if is_plain t a && is_plain t b && is_plain t c then fa_cell t a b c
+  else
+    let consts, vars =
+      List.partition (fun n -> const_value t n <> None) [ a; b; c ]
     in
-    outs.(0), outs.(1)
+    let const_sum =
+      List.fold_left
+        (fun acc n -> if is_const t n true then acc + 1 else acc)
+        0 consts
+    in
+    match vars, const_sum with
+    | [], k -> const t (k land 1 = 1), const t (k >= 2)
+    | [ x ], 0 -> x, const t false
+    | [ x ], 1 -> not_ t x, x
+    | [ x ], _ -> x, const t true
+    | [ x; y ], 0 -> ha t x y
+    | [ x; y ], _ ->
+      (* sum = ~(x^y), carry = x|y *)
+      not_ t (xor2 t x y), or_n t [ x; y ]
+    | _ :: _ :: _ :: _, _ -> fa_cell t a b c
 
 (* ------------------------------------------------------------------ *)
 (* Generalized parallel counters (monolithic cells).                   *)
@@ -395,8 +444,8 @@ let pure_counter t kind body nets =
          (String.lowercase_ascii (Dp_tech.Cell_kind.name kind)));
   if has_const_input t nets then body ()
   else
-    let outs = add_cell t kind nets ~out_probs:(popcount_bit_probs t nets) in
-    (outs.(0), outs.(1), outs.(2))
+    let s0 = add_cell t kind nets ~out_probs:(popcount_bit_probs t nets) in
+    (s0, s0 + 1, s0 + 2)
 
 let c53 t nets =
   pure_counter t Dp_tech.Cell_kind.C53
@@ -429,8 +478,8 @@ let c42 t nets =
     let out_probs =
       [| xor3_prob pu p4 pc; maj3_prob pu p4 pc; maj3_prob p1 p2 p3 |]
     in
-    let outs = add_cell t Dp_tech.Cell_kind.C42 nets ~out_probs in
-    (outs.(0), outs.(1), outs.(2))
+    let sum = add_cell t Dp_tech.Cell_kind.C42 nets ~out_probs in
+    (sum, sum + 1, sum + 2)
 
 let set_output t name nets =
   if Hashtbl.mem t.output_index name then
@@ -454,7 +503,9 @@ let area t =
   fold_cells (fun acc c -> acc +. Dp_tech.Tech.area t.tech c.kind) 0.0 t
 
 module Mutate = struct
-  let set_driver t n d = Vec.set t.drivers n d
+  let set_driver t n d =
+    Vec.set t.net_codes n (-1 - Vec.length t.side_drivers);
+    ignore (Vec.push t.side_drivers d)
   let set_prob t n p = Vec.set t.prob n p
   let set_cell t i c = Vec.set t.cells i c
 

@@ -63,6 +63,11 @@ val cell : t -> int -> cell
 (** Output nets of a cell, indexed by port. *)
 val cell_output_nets : t -> int -> net array
 
+(** [output_net t cell ~port] is [(cell_output_nets t cell).(port)]
+    without building the array; [port] must be below the cell kind's
+    output count. *)
+val output_net : t -> int -> port:int -> net
+
 (** Declare a primary input bus; returns its nets, LSB first.  Arrivals
     default to 0.0 and probabilities to 0.5.
     @raise Invalid_argument on duplicate names or length mismatches. *)

@@ -21,23 +21,23 @@ let kind_counts netlist =
   |> List.sort (fun (a, _) (b, _) ->
          String.compare (Dp_tech.Cell_kind.name a) (Dp_tech.Cell_kind.name b))
 
-let count_kind netlist pred =
-  Netlist.fold_cells
-    (fun acc (c : Netlist.cell) -> if pred c.kind then acc + 1 else acc)
-    0 netlist
-
 let of_netlist netlist =
-  let open Dp_tech.Cell_kind in
+  let fa = ref 0 and ha = ref 0 and counters = ref 0 and gates = ref 0 in
+  Netlist.iter_cells
+    (fun _ (c : Netlist.cell) ->
+      match c.kind with
+      | Dp_tech.Cell_kind.Fa -> incr fa
+      | Ha -> incr ha
+      | C42 | C53 | C63 | C73 -> incr counters
+      | And_n _ | Or_n _ | Xor_n _ | Not | Buf -> incr gates)
+    netlist;
   {
     nets = Netlist.net_count netlist;
     cells = Netlist.cell_count netlist;
-    fa_count = count_kind netlist (function Fa -> true | _ -> false);
-    ha_count = count_kind netlist (function Ha -> true | _ -> false);
-    counter_count = count_kind netlist is_counter;
-    gate_count =
-      count_kind netlist (function
-        | And_n _ | Or_n _ | Xor_n _ | Not | Buf -> true
-        | Fa | Ha | C42 | C53 | C63 | C73 -> false);
+    fa_count = !fa;
+    ha_count = !ha;
+    counter_count = !counters;
+    gate_count = !gates;
     area = Netlist.area netlist;
     depth = Topo.depth netlist;
     delay = Netlist.max_output_arrival netlist;

@@ -91,9 +91,9 @@ let gate_primitive (kind : Dp_tech.Cell_kind.t) =
 let consts_used netlist =
   let used0 = ref false and used1 = ref false in
   let note net =
-    match Netlist.driver netlist net with
-    | Netlist.From_const b -> if b then used1 := true else used0 := true
-    | Netlist.From_input _ | Netlist.From_cell _ -> ()
+    match Netlist.const_value netlist net with
+    | Some b -> if b then used1 := true else used0 := true
+    | None -> ()
   in
   Netlist.iter_cells (fun _ (c : Netlist.cell) -> Array.iter note c.inputs) netlist;
   List.iter (fun (_, nets) -> Array.iter note nets) (Netlist.outputs netlist);
@@ -133,19 +133,18 @@ let emit ?(module_name = "datapath") netlist =
   if const1 then str "  wire const1;\n  assign const1 = 1'b1;\n";
   (* one wire declaration per cell-driven net *)
   Netlist.iter_cells
-    (fun id _ ->
-      Array.iter
-        (fun net ->
-          str "  wire n";
-          num net;
-          str ";\n")
-        (Netlist.cell_output_nets netlist id))
+    (fun id (c : Netlist.cell) ->
+      for port = 0 to Dp_tech.Cell_kind.output_count c.kind - 1 do
+        str "  wire n";
+        num (Netlist.output_net netlist id ~port);
+        str ";\n"
+      done)
     netlist;
   let used_fa = ref false and used_ha = ref false in
   let used_c42 = ref false and used_c53 = ref false in
   let used_c63 = ref false and used_c73 = ref false in
   (* [head] is the line up to the instance number, e.g. ["  DP_FA u"] *)
-  let instance head id in_names (i : int array) out_names (o : int array) =
+  let instance head id in_names (i : int array) out_names =
     str head;
     num id;
     str " (";
@@ -157,38 +156,37 @@ let emit ?(module_name = "datapath") netlist =
       ref_ i.(k);
       chr ')'
     done;
-    for k = 0 to Array.length o - 1 do
+    for k = 0 to Array.length out_names - 1 do
       str ", .";
       str out_names.(k);
       str "(n";
-      num o.(k);
+      num (Netlist.output_net netlist id ~port:k);
       chr ')'
     done;
     str ");\n"
   in
   Netlist.iter_cells
     (fun id (c : Netlist.cell) ->
-      let o = Netlist.cell_output_nets netlist id in
       let i = c.inputs in
       match c.kind with
       | Dp_tech.Cell_kind.Fa ->
         used_fa := true;
-        instance "  DP_FA u" id fa_inputs i sum_carry o
+        instance "  DP_FA u" id fa_inputs i sum_carry
       | Dp_tech.Cell_kind.Ha ->
         used_ha := true;
-        instance "  DP_HA u" id ha_inputs i sum_carry o
+        instance "  DP_HA u" id ha_inputs i sum_carry
       | Dp_tech.Cell_kind.C53 ->
         used_c53 := true;
-        instance "  DP_C53 u" id counter_inputs i counter_outputs o
+        instance "  DP_C53 u" id counter_inputs i counter_outputs
       | Dp_tech.Cell_kind.C63 ->
         used_c63 := true;
-        instance "  DP_C63 u" id counter_inputs i counter_outputs o
+        instance "  DP_C63 u" id counter_inputs i counter_outputs
       | Dp_tech.Cell_kind.C73 ->
         used_c73 := true;
-        instance "  DP_C73 u" id counter_inputs i counter_outputs o
+        instance "  DP_C73 u" id counter_inputs i counter_outputs
       | Dp_tech.Cell_kind.C42 ->
         used_c42 := true;
-        instance "  DP_C42 u" id c42_inputs i c42_outputs o
+        instance "  DP_C42 u" id c42_inputs i c42_outputs
       | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
       | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
       | Dp_tech.Cell_kind.Buf ->
@@ -197,7 +195,7 @@ let emit ?(module_name = "datapath") netlist =
         str " u";
         num id;
         str " (n";
-        num o.(0);
+        num (Netlist.output_net netlist id ~port:0);
         str ", ";
         for k = 0 to Array.length i - 1 do
           if k > 0 then str ", ";

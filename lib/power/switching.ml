@@ -15,12 +15,11 @@ let tree_switching netlist =
       | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha | Dp_tech.Cell_kind.C42
       | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73
         ->
-        let outs = Netlist.cell_output_nets netlist id in
-        Array.iteri
-          (fun port net ->
-            let w = Dp_tech.Tech.energy tech c.kind ~port in
-            total := !total +. (w *. net_activity netlist net))
-          outs
+        for port = 0 to Dp_tech.Cell_kind.output_count c.kind - 1 do
+          let w = Dp_tech.Tech.energy tech c.kind ~port in
+          let net = Netlist.output_net netlist id ~port in
+          total := !total +. (w *. net_activity netlist net)
+        done
       | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
       | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
       | Dp_tech.Cell_kind.Buf -> ())
@@ -32,12 +31,11 @@ let total_switching netlist =
   let total = ref 0.0 in
   Netlist.iter_cells
     (fun id (c : Netlist.cell) ->
-      let outs = Netlist.cell_output_nets netlist id in
-      Array.iteri
-        (fun port net ->
-          let w = Dp_tech.Tech.energy tech c.kind ~port in
-          total := !total +. (w *. net_activity netlist net))
-        outs)
+      for port = 0 to Dp_tech.Cell_kind.output_count c.kind - 1 do
+        let w = Dp_tech.Tech.energy tech c.kind ~port in
+        let net = Netlist.output_net netlist id ~port in
+        total := !total +. (w *. net_activity netlist net)
+      done)
     netlist;
   !total
 

@@ -81,7 +81,6 @@ let run nl =
   (* Per-cell signature and ordering checks. *)
   for c = 0 to ccount - 1 do
     let { Netlist.kind; inputs } = Netlist.cell nl c in
-    let outs = Netlist.cell_output_nets nl c in
     let arity = Dp_tech.Cell_kind.arity kind in
     if Array.length inputs <> arity then
       add Arity_violation (Cell c) "%s has %d inputs, expected %d"
@@ -92,32 +91,29 @@ let run nl =
         add Arity_violation (Cell c) "%s: n-ary gate with n = %d < 2"
           (Dp_tech.Cell_kind.name kind) n
     | Fa | Ha | C42 | C53 | C63 | C73 | Not | Buf -> ());
-    let out_count = Dp_tech.Cell_kind.output_count kind in
-    if Array.length outs <> out_count then
-      add Arity_violation (Cell c) "%s has %d output nets, expected %d"
-        (Dp_tech.Cell_kind.name kind) (Array.length outs) out_count;
     Array.iteri
       (fun pin n ->
         if not (valid n) then
           add Dangling_ref (Cell c) "input pin %d references nonexistent net %d"
             pin n)
       inputs;
+    (* A cell's output nets follow from its kind, so only their range can
+       be wrong. *)
+    let min_out = ref max_int in
+    for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
+      let n = Netlist.output_net nl c ~port in
+      if not (valid n) then
+        add Dangling_ref (Cell c) "output port %d maps to nonexistent net %d"
+          port n;
+      min_out := min !min_out n
+    done;
     Array.iteri
-      (fun port n ->
-        if not (valid n) then
-          add Dangling_ref (Cell c) "output port %d maps to nonexistent net %d"
-            port n)
-      outs;
-    if Array.length outs > 0 then begin
-      let min_out = Array.fold_left min max_int outs in
-      Array.iteri
-        (fun pin n ->
-          if valid n && n >= min_out then
-            add Topo_violation (Cell c)
-              "input pin %d consumes net %d, not older than output net %d" pin
-              n min_out)
-        inputs
-    end
+      (fun pin n ->
+        if valid n && n >= !min_out then
+          add Topo_violation (Cell c)
+            "input pin %d consumes net %d, not older than output net %d" pin n
+            !min_out)
+      inputs
   done;
   (* Per-net driver and annotation checks. *)
   let port_driver = Hashtbl.create 97 in
@@ -128,15 +124,17 @@ let run nl =
       if cell < 0 || cell >= ccount then
         add Bad_driver (Net n) "driven by nonexistent cell %d" cell
       else begin
-        let outs = Netlist.cell_output_nets nl cell in
-        if port < 0 || port >= Array.length outs then
+        let ports =
+          Dp_tech.Cell_kind.output_count (Netlist.cell nl cell).Netlist.kind
+        in
+        if port < 0 || port >= ports then
           add Bad_driver (Net n) "driven by cell %d port %d, which has %d ports"
-            cell port (Array.length outs)
-        else if outs.(port) <> n then
+            cell port ports
+        else if Netlist.output_net nl cell ~port <> n then
           add Driver_mismatch (Net n)
             "claims cell %d port %d as driver, but that port produces net %d"
             cell port
-            outs.(port);
+            (Netlist.output_net nl cell ~port);
         match Hashtbl.find_opt port_driver (cell, port) with
         | Some first ->
           add Multiply_driven (Net n) "cell %d port %d already drives net %d"

@@ -32,8 +32,9 @@ type rule =
           forward-pass evaluation order of the simulator and [Topo] *)
   | Combinational_cycle  (** a dependency cycle through cells *)
   | Arity_violation
-      (** input or output count disagrees with the cell kind's signature;
-          includes n-ary gates with fewer than 2 inputs *)
+      (** input count disagrees with the cell kind's signature; includes
+          n-ary gates with fewer than 2 inputs (output nets follow from
+          the kind, so their count cannot) *)
   | Prob_range  (** an annotated 1-probability outside [0, 1] or NaN *)
   | Const_prob
       (** a constant net annotated with a probability other than its

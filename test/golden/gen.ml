@@ -99,6 +99,12 @@ let () =
   sweep ~tag:"catalog" Catalog.all Strategy.all Dp_adders.Adder.all;
   sweep ~tag:"table2" Catalog.table2 Strategy.all Dp_adders.Adder.all;
   sweep ~tag:"crypto" Crypto.light Strategy.all Dp_adders.Adder.all;
+  (* The 225-256-high matrices of perfbench's crypto_tall, under its five
+     strategies. *)
+  sweep ~tag:"tall"
+    [ Crypto.mul_mod_diag; Crypto.mac_chain ]
+    [ Fa_aot; Fa_alp; Sc_t_gpc; Sc_lp_gpc; Dadda_gpc ]
+    [ Cla ];
   sweep ~tag:"binary"
     ~lower_config:{ default with recoding = Binary }
     Catalog.table1 Strategy.all [ Cla ];

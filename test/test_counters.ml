@@ -179,13 +179,15 @@ let test_gpc_heap_vs_reference_fixed () =
     (fun tb ->
       check_identical "sc_t_gpc column" ~probs:spread_probs spread_arrivals
         (fun nl col -> Gpc.reduce_column_t ~tie_break:tb nl col)
-        (fun nl col -> Gpc.reduce_column_t_reference ~tie_break:tb nl col))
+        (fun nl col ->
+          Reduce_reference.Gpc.reduce_column_t ~tie_break:tb nl col))
     [ Sc_t.Arrival_only; Sc_t.Prefer_high_q ];
   List.iter
     (fun tb ->
       check_identical "sc_lp_gpc column" ~probs:spread_probs spread_arrivals
         (fun nl col -> Gpc.reduce_column_lp ~tie_break:tb nl col)
-        (fun nl col -> Gpc.reduce_column_lp_reference ~tie_break:tb nl col))
+        (fun nl col ->
+          Reduce_reference.Gpc.reduce_column_lp ~tie_break:tb nl col))
     [ Sc_lp.Q_only; Sc_lp.Prefer_early ]
 
 let test_gpc_heap_vs_reference_random () =
@@ -205,7 +207,8 @@ let test_gpc_heap_vs_reference_random () =
           (Fmt.str "random column %d (t)" case)
           ~probs arrivals
           (fun nl col -> Gpc.reduce_column_t ~tie_break:tb nl col)
-          (fun nl col -> Gpc.reduce_column_t_reference ~tie_break:tb nl col))
+          (fun nl col ->
+            Reduce_reference.Gpc.reduce_column_t ~tie_break:tb nl col))
       [ Sc_t.Arrival_only; Sc_t.Prefer_high_q ];
     List.iter
       (fun tb ->
@@ -213,7 +216,8 @@ let test_gpc_heap_vs_reference_random () =
           (Fmt.str "random column %d (lp)" case)
           ~probs arrivals
           (fun nl col -> Gpc.reduce_column_lp ~tie_break:tb nl col)
-          (fun nl col -> Gpc.reduce_column_lp_reference ~tie_break:tb nl col))
+          (fun nl col ->
+            Reduce_reference.Gpc.reduce_column_lp ~tie_break:tb nl col))
       [ Sc_lp.Q_only; Sc_lp.Prefer_early ]
   done
 

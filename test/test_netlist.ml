@@ -195,6 +195,92 @@ let test_area_accumulates () =
   checkf "area" (t.and2_area +. t.fa_area +. t.not_area) (Netlist.area n)
 
 (* ------------------------------------------------------------------ *)
+(* Layout: a net's driver is one int, and a cell's outputs are the
+   consecutive nets from its first. *)
+
+let test_set_driver_round_trips () =
+  let n, a, b = two_inputs () in
+  let na = Netlist.not_ n a in
+  let s, c = Netlist.fa n a b na in
+  checkb "sum driver" true
+    (Netlist.driver n s = Netlist.From_cell { cell = 1; port = 0 });
+  checkb "carry driver" true
+    (Netlist.driver n c = Netlist.From_cell { cell = 1; port = 1 });
+  let drivers =
+    [
+      Netlist.From_input { var = "b"; bit = 0 };
+      Netlist.From_const true;
+      Netlist.From_const false;
+      Netlist.From_cell { cell = 0; port = 0 };
+      Netlist.From_cell { cell = 1; port = 1 };
+    ]
+  in
+  List.iter
+    (fun (label, net) ->
+      List.iter
+        (fun d ->
+          Netlist.Mutate.set_driver n net d;
+          checkb (label ^ ": driver reads back") true
+            (Netlist.driver n net = d);
+          let const = match d with Netlist.From_const v -> Some v | _ -> None in
+          checkb (label ^ ": const_value follows") true
+            (Netlist.const_value n net = const))
+        drivers)
+    [ ("cell-driven sum", s); ("cell-driven carry", c); ("input", a) ];
+  checkb "untouched input" true
+    (Netlist.driver n b = Netlist.From_input { var = "b"; bit = 0 });
+  checkb "untouched cell output" true
+    (Netlist.driver n na = Netlist.From_cell { cell = 0; port = 0 })
+
+let test_cell_outputs_match_builders () =
+  let n = mk_netlist () in
+  let x =
+    Netlist.add_input n "x" ~width:7
+      ~arrival:(Array.init 7 float_of_int)
+      ~prob:(Array.init 7 (fun i -> 0.2 +. (0.1 *. float_of_int i)))
+  in
+  let built = ref [] in
+  let record outs = built := (Netlist.cell_count n - 1, outs) :: !built in
+  let s, c = Netlist.fa n x.(0) x.(1) x.(2) in
+  record [| s; c |];
+  let s, c = Netlist.ha n x.(3) x.(4) in
+  record [| s; c |];
+  let s, c, co = Netlist.c42 n (Array.sub x 0 5) in
+  record [| s; c; co |];
+  let s0, s1, s2 = Netlist.c53 n (Array.sub x 2 5) in
+  record [| s0; s1; s2 |];
+  let s0, s1, s2 = Netlist.c73 n x in
+  record [| s0; s1; s2 |];
+  record [| Netlist.and_n n [ x.(5); x.(6) ] |];
+  record [| Netlist.and_n n [ x.(0); x.(3); x.(6) ] |];
+  record [| Netlist.not_ n x.(6) |];
+  checki "one cell per builder" (List.length !built) (Netlist.cell_count n);
+  let check_all label =
+    List.iter
+      (fun (id, outs) ->
+        check Alcotest.(array int) (Printf.sprintf "%s: cell %d" label id) outs
+          (Netlist.cell_output_nets n id);
+        Array.iteri
+          (fun port net ->
+            checki
+              (Printf.sprintf "%s: cell %d port %d" label id port)
+              net
+              (Netlist.output_net n id ~port))
+          outs)
+      !built
+  in
+  check_all "as built";
+  let retype id kind =
+    Netlist.Mutate.set_cell n id { (Netlist.cell n id) with kind }
+  in
+  retype 2 Dp_tech.Cell_kind.C53;
+  retype 3 Dp_tech.Cell_kind.C42;
+  check_all "C42 <-> C53 retyped";
+  retype 2 Dp_tech.Cell_kind.C42;
+  retype 3 Dp_tech.Cell_kind.C53;
+  check_all "retyped back"
+
+(* ------------------------------------------------------------------ *)
 (* Topo / Stats *)
 
 let small_tree () =
@@ -303,4 +389,8 @@ let suite =
     case "verilog: constants declared when used" test_verilog_constants_declared_when_used;
     case "dot: structure" test_dot_structure;
     case "AND/OR: two-input structural hash" test_pair_cache;
+    case "layout: set_driver round-trips on cell and input nets"
+      test_set_driver_round_trips;
+    case "layout: cell outputs are what the builders returned"
+      test_cell_outputs_match_builders;
   ]

@@ -1,7 +1,7 @@
 (* Tests for the performance PR: the heap-based SC_T/SC_LP must make
    byte-identical decisions to the retained sort-per-step references, the
    64-lane bit-parallel simulator must agree with the scalar simulator and
-   the bignum reference, and the supporting structures (Pqueue, the
+   the bignum reference, and the supporting structures (Net_heap, the
    netlist name index, the one-pass FA_random selection) keep their
    contracts. *)
 
@@ -110,7 +110,7 @@ let sc_t_column_identity spec =
       in
       let nl_ref = mk_netlist () in
       let kept_r, carries_r =
-        Dp_core.Sc_t.reduce_column_reference ~tie_break ~three_policy nl_ref
+        Reduce_reference.Sc_t.reduce_column ~tie_break ~three_policy nl_ref
           (build_column nl_ref spec)
       in
       if kept_h <> kept_r then
@@ -131,7 +131,7 @@ let sc_lp_column_identity spec =
       in
       let nl_ref = mk_netlist () in
       let kept_r, carries_r =
-        Dp_core.Sc_lp.reduce_column_reference ~tie_break nl_ref
+        Reduce_reference.Sc_lp.reduce_column ~tie_break nl_ref
           (build_column nl_ref spec)
       in
       if kept_h <> kept_r then
@@ -171,7 +171,7 @@ let matrix_identity () =
               let nl_ref = mk_netlist () in
               let m = Dp_bitmatrix.Lower.lower nl_ref env expr ~width in
               Dp_core.Reduce.sweep nl_ref m ~reducer:(fun nl col ->
-                  Dp_core.Sc_t.reduce_column_reference ~tie_break ~three_policy
+                  Reduce_reference.Sc_t.reduce_column ~tie_break ~three_policy
                     nl col);
               check_identical
                 (Printf.sprintf "fa_aot %s on %s" label port)
@@ -185,7 +185,7 @@ let matrix_identity () =
               let nl_ref = mk_netlist () in
               let m = Dp_bitmatrix.Lower.lower nl_ref env expr ~width in
               Dp_core.Reduce.sweep nl_ref m ~reducer:(fun nl col ->
-                  Dp_core.Sc_lp.reduce_column_reference ~tie_break nl col);
+                  Reduce_reference.Sc_lp.reduce_column ~tie_break nl col);
               check_identical
                 (Printf.sprintf "fa_alp %s on %s" label port)
                 nl_heap nl_ref)
@@ -358,48 +358,138 @@ let monte_carlo_matches_scalar () =
     want_probs
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue: drains ascending under the comparator, pops track a sorted
-   model under arbitrary push/pop interleavings, and errors on empty. *)
+(* Net_heap: drains in [compare_nets] order under every strategy's key
+   pair, pops track a sorted model under arbitrary push/pop
+   interleavings, and errors on empty.  The nets tie constantly: three
+   arrivals, probabilities whose |q| coincide in pairs, p = 0.5 nets
+   (-|q| = -0.0) and both constants (|q| = 0.5). *)
 
-let pqueue_drain_sorts =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"pqueue drain = sort" ~count:200
-       ~print:QCheck2.Print.(list int)
-       QCheck2.Gen.(list (int_range (-50) 50))
-       (fun xs ->
-         let q = Dp_core.Pqueue.of_list ~cmp:Int.compare ~dummy:0 xs in
-         Dp_core.Pqueue.drain q = List.sort Int.compare xs))
+let heap_orders =
+  List.map
+    (fun tb ->
+      ((fun nl -> Dp_core.Sc_t.compare_nets nl tb), Dp_core.Sc_t.heap_keys tb))
+    [ Dp_core.Sc_t.Arrival_only; Dp_core.Sc_t.Prefer_high_q ]
+  @ List.map
+      (fun tb ->
+        ( (fun nl -> Dp_core.Sc_lp.compare_nets nl tb),
+          Dp_core.Sc_lp.heap_keys tb ))
+      [ Dp_core.Sc_lp.Q_only; Dp_core.Sc_lp.Prefer_early ]
 
-let pqueue_model =
+let heap_drain_sorts =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"pqueue pop tracks sorted model" ~count:200
-       ~print:QCheck2.Print.(list (option int))
-       (* [Some x] pushes x, [None] pops (ignored when empty). *)
-       QCheck2.Gen.(list (option (int_range (-50) 50)))
-       (fun ops ->
-         let q = Dp_core.Pqueue.create ~cmp:Int.compare ~dummy:0 in
-         let model = ref [] in
+    (QCheck2.Test.make ~name:"net_heap drain = sort" ~count:200
+       ~print:print_column_spec gen_column_spec (fun spec ->
+         let nl = mk_netlist () in
+         let nets =
+           (Netlist.const nl false :: build_column nl spec)
+           @ [ Netlist.const nl true ]
+         in
          List.for_all
-           (fun op ->
-             match op with
-             | Some x ->
-               Dp_core.Pqueue.push q x;
-               model := List.sort Int.compare (x :: !model);
-               Dp_core.Pqueue.length q = List.length !model
-             | None -> (
-               match !model with
-               | [] -> Dp_core.Pqueue.is_empty q
-               | m :: rest ->
-                 model := rest;
-                 Dp_core.Pqueue.pop q = m))
-           ops))
+           (fun (cmp, (k1, k2)) ->
+             Dp_core.Net_heap.drain (Dp_core.Net_heap.of_list ~k1 ~k2 nl nets)
+             = List.sort (cmp nl) nets)
+           heap_orders))
 
-let pqueue_empty_pop () =
-  let q = Dp_core.Pqueue.create ~cmp:Int.compare ~dummy:0 in
-  checkb "fresh queue is empty" true (Dp_core.Pqueue.is_empty q);
-  match Dp_core.Pqueue.pop q with
+let heap_pool nl =
+  let spec =
+    List.concat_map
+      (fun a -> List.map (fun p -> (a, p)) [ 0.05; 0.2; 0.5; 0.8; 0.95 ])
+      [ 0.0; 1.0; 2.0 ]
+  in
+  Array.of_list
+    ((Netlist.const nl false :: build_column nl (spec @ spec))
+    @ [ Netlist.const nl true ])
+
+let heap_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"net_heap pop tracks sorted model" ~count:200
+       ~print:QCheck2.Print.(list (option int))
+       (* [Some i] pushes net i of the pool, [None] pops (ignored when
+          empty). *)
+       QCheck2.Gen.(list_size (int_range 0 300) (option (int_range 0 31)))
+       (fun ops ->
+         let nl = mk_netlist () in
+         let pool = heap_pool nl in
+         List.for_all
+           (fun (cmp, (k1, k2)) ->
+             let h = Dp_core.Net_heap.of_list ~k1 ~k2 nl [] in
+             let model = ref [] in
+             List.for_all
+               (fun op ->
+                 match op with
+                 | Some i ->
+                   Dp_core.Net_heap.push h pool.(i);
+                   model := List.merge (cmp nl) [ pool.(i) ] !model;
+                   Dp_core.Net_heap.length h = List.length !model
+                 | None -> (
+                   match !model with
+                   | [] -> Dp_core.Net_heap.length h = 0
+                   | m :: rest ->
+                     model := rest;
+                     Dp_core.Net_heap.pop h = m))
+               ops)
+           heap_orders))
+
+let heap_empty_pop () =
+  let nl = mk_netlist () in
+  let h = Dp_core.Net_heap.of_list ~k1:Arrival ~k2:Zero nl [] in
+  checki "fresh heap is empty" 0 (Dp_core.Net_heap.length h);
+  Dp_core.Net_heap.push h (Netlist.const nl false);
+  ignore (Dp_core.Net_heap.pop h);
+  match Dp_core.Net_heap.pop h with
   | exception Invalid_argument _ -> ()
   | v -> Alcotest.failf "pop on empty returned %d" v
+
+(* Decision identity at full height: the tallest column of the lowered
+   MulModDiag256 matrix (about 256 addends), reduced by every SC_T, SC_LP
+   and GPC combination, against the sort-per-step references. *)
+
+let tallest_column_identity () =
+  let d = Dp_designs.Crypto.mul_mod_diag in
+  let nl = mk_netlist () in
+  let m = Dp_bitmatrix.Lower.lower nl d.env d.expr ~width:d.width in
+  let col =
+    List.fold_left
+      (fun acc j ->
+        let c = Dp_bitmatrix.Matrix.column m j in
+        if List.length c > List.length acc then c else acc)
+      []
+      (List.init (Dp_bitmatrix.Matrix.width m) Fun.id)
+  in
+  checkb "full height" true (List.length col >= 225);
+  let lowered = Marshal.to_string nl [] in
+  let copy () : Netlist.t = Marshal.from_string lowered 0 in
+  let same label heap reference =
+    let nl_heap = copy () and nl_ref = copy () in
+    if heap nl_heap col <> reference nl_ref col then
+      Alcotest.failf "%s: kept or carry lists differ" label;
+    check_identical label nl_heap nl_ref
+  in
+  let pair f nl col = let kept, carries = f nl col in (kept, carries, []) in
+  List.iter
+    (fun (label, tie_break, three_policy) ->
+      same ("sc_t " ^ label)
+        (pair (Dp_core.Sc_t.reduce_column ~tie_break ~three_policy))
+        (pair (Reduce_reference.Sc_t.reduce_column ~tie_break ~three_policy)))
+    sc_t_combos;
+  List.iter
+    (fun (label, tie_break) ->
+      same ("sc_lp " ^ label)
+        (pair (Dp_core.Sc_lp.reduce_column ~tie_break))
+        (pair (Reduce_reference.Sc_lp.reduce_column ~tie_break)))
+    sc_lp_combos;
+  List.iter
+    (fun tie_break ->
+      same "gpc t"
+        (Dp_core.Gpc.reduce_column_t ~tie_break)
+        (Reduce_reference.Gpc.reduce_column_t ~tie_break))
+    [ Dp_core.Sc_t.Arrival_only; Dp_core.Sc_t.Prefer_high_q ];
+  List.iter
+    (fun tie_break ->
+      same "gpc lp"
+        (Dp_core.Gpc.reduce_column_lp ~tie_break)
+        (Reduce_reference.Gpc.reduce_column_lp ~tie_break))
+    [ Dp_core.Sc_lp.Q_only; Dp_core.Sc_lp.Prefer_early ]
 
 (* ------------------------------------------------------------------ *)
 (* Netlist name index: lookups stay correct, duplicates still raise, and
@@ -469,9 +559,11 @@ let suite =
     case "bitsim lanes = scalar simulator and bignum" bitsim_matches_scalar;
     case "batched equiv = scalar replay" equiv_batched_matches_scalar;
     case "monte carlo bit-parallel = scalar replay" monte_carlo_matches_scalar;
-    pqueue_drain_sorts;
-    pqueue_model;
-    case "pqueue empty pop raises" pqueue_empty_pop;
+    heap_drain_sorts;
+    heap_model;
+    case "net_heap empty pop raises" heap_empty_pop;
+    case "heap = reference on the tallest MulModDiag256 column"
+      tallest_column_identity;
     case "netlist name index" netlist_name_index;
     case "sc_random one-pass selection" sc_random_deterministic;
   ]
