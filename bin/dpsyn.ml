@@ -1474,7 +1474,13 @@ let soak_cmd =
            else fun msg -> Fmt.epr "dpsyn soak: %s@." msg);
       }
     in
-    let report = Dp_server.Soak.run config in
+    let report =
+      match Dp_server.Soak.run config with
+      | report -> report
+      | exception Invalid_argument msg ->
+        Fmt.epr "error: %s@." msg;
+        exit 1
+    in
     Fmt.pr "%a@." Dp_server.Soak.pp_report report;
     (match json_out with
     | None -> ()

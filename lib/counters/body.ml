@@ -1,54 +1,21 @@
-open Dp_netlist
-
-(* Evaluate a recipe's blocks on one pin-assignment bitmask; returns
-   per-block (sum, carry). *)
-let eval_blocks (r : Exact.recipe) v =
-  let nb = Array.length r.blocks in
-  let out = Array.make (max nb 1) (false, false) in
-  let value = function
-    | Exact.Pin i -> (v lsr i) land 1 = 1
-    | Exact.Out { block; port } ->
-      (if port = 0 then fst else snd) out.(block)
+(* One FA/HA evaluation of the recipe on the pin-assignment bitmask [v]. *)
+let eval (r : Dp_tech.Recipe.t) v =
+  let fa a b c =
+    let n = Bool.to_int a + Bool.to_int b + Bool.to_int c in
+    (n land 1 = 1, n >= 2)
   in
-  Array.iteri
-    (fun i (b : Exact.block) ->
-      let n = ref 0 in
-      Array.iter (fun a -> if value a then incr n) b.args;
-      out.(i) <- (!n land 1 = 1, !n >= 2))
-    r.blocks;
-  (out, value)
+  let ha a b = (a <> b, a && b) in
+  Dp_tech.Recipe.eval r ~pin:(fun i -> (v lsr i) land 1 = 1) ~fa ~ha
 
-let port_value (r : Exact.recipe) ~port v =
-  let _, value = eval_blocks r v in
-  value r.outputs.(port)
+let port_value r ~port v =
+  let o0, o1, o2 = eval r v in
+  match port with
+  | 0 -> o0
+  | 1 -> o1
+  | 2 -> o2
+  | _ -> invalid_arg "Body.port_value: bad port"
 
-let weighted_value (r : Exact.recipe) v =
-  let _, value = eval_blocks r v in
-  let acc = ref 0 in
-  for port = 0 to 2 do
-    if value r.outputs.(port) then
-      acc := !acc + (1 lsl Spec.port_weight r.kind ~port)
-  done;
-  !acc
-
-(* Instantiate the recipe through the netlist's FA/HA builders — the
-   expanded (non-monolithic) form of the counter, used by tests to check
-   the monolithic cell against its own body in-circuit. *)
-let expand netlist (r : Exact.recipe) pins =
-  if Array.length pins <> Dp_tech.Cell_kind.arity r.kind then
-    invalid_arg "Body.expand: arity mismatch";
-  let nb = Array.length r.blocks in
-  let outs = Array.make (max nb 1) (0, 0) in
-  let net = function
-    | Exact.Pin i -> pins.(i)
-    | Exact.Out { block; port } ->
-      (if port = 0 then fst else snd) outs.(block)
-  in
-  Array.iteri
-    (fun i (b : Exact.block) ->
-      outs.(i) <-
-        (if b.fa then
-           Netlist.fa netlist (net b.args.(0)) (net b.args.(1)) (net b.args.(2))
-         else Netlist.ha netlist (net b.args.(0)) (net b.args.(1))))
-    r.blocks;
-  (net r.outputs.(0), net r.outputs.(1), net r.outputs.(2))
+let weighted_value (r : Dp_tech.Recipe.t) v =
+  let o0, o1, o2 = eval r v in
+  let weight port b = if b then 1 lsl Spec.port_weight r.kind ~port else 0 in
+  weight 0 o0 + weight 1 o1 + weight 2 o2

@@ -1,21 +1,12 @@
-(** Evaluation and netlist expansion of exactly-synthesized counter
-    bodies. *)
+(** Evaluation of the counter bodies of {!Dp_tech.Recipe} on one pin
+    assignment. *)
 
 (** [port_value r ~port v] evaluates the recipe's gate network on the pin
     assignment bitmask [v] — the quantity [Certify] compares exhaustively
-    against {!Spec.port_value}. *)
-val port_value : Exact.recipe -> port:int -> int -> bool
+    against {!Spec.port_value}.
+    @raise Invalid_argument unless [port] is 0, 1 or 2. *)
+val port_value : Dp_tech.Recipe.t -> port:int -> int -> bool
 
 (** Output ports weighted by [2^weight]; equals [Spec.popcount v] for a
     correct recipe. *)
-val weighted_value : Exact.recipe -> int -> int
-
-(** [expand netlist r pins] instantiates the recipe through the ordinary
-    FA/HA builders and returns the three output nets — the discrete form
-    of the counter, against which tests check the monolithic cell.
-    @raise Invalid_argument on an arity mismatch. *)
-val expand :
-  Dp_netlist.Netlist.t ->
-  Exact.recipe ->
-  Dp_netlist.Netlist.net array ->
-  Dp_netlist.Netlist.net * Dp_netlist.Netlist.net * Dp_netlist.Netlist.net
+val weighted_value : Dp_tech.Recipe.t -> int -> int

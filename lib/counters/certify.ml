@@ -11,11 +11,29 @@ let fail kind fmt =
            msg))
     fmt
 
-let check_kind tech kind =
-  let r = Exact.recipe kind in
+let check tech (r : Recipe.t) =
+  let kind = r.kind in
   let m = Cell_kind.arity kind in
-  (* 1. Exhaustive functional equivalence: the synthesized body computes
-     the arithmetic spec on all 2^m assignments, every port. *)
+  (* 0. Well-formed: FAs take three arguments and HAs two, and every
+     reference names a pin of the cell or an earlier block. *)
+  let valid ~before = function
+    | Recipe.Pin i -> i >= 0 && i < m
+    | Recipe.Out { block; port } ->
+      block >= 0 && block < before && (port = 0 || port = 1)
+  in
+  Array.iteri
+    (fun i (b : Recipe.block) ->
+      if
+        Array.length b.args <> (if b.fa then 3 else 2)
+        || not (Array.for_all (valid ~before:i) b.args)
+      then fail kind "block %d is malformed" i)
+    r.blocks;
+  if
+    Array.length r.outputs <> 3
+    || not (Array.for_all (valid ~before:(Array.length r.blocks)) r.outputs)
+  then fail kind "output ports are malformed";
+  (* 1. Exhaustive functional equivalence: the body computes the
+     arithmetic spec on all 2^m assignments, every port. *)
   for v = 0 to (1 lsl m) - 1 do
     for port = 0 to 2 do
       if Body.port_value r ~port v <> Spec.port_value kind ~port v then
@@ -56,11 +74,14 @@ let check_kind tech kind =
 
 (* Memoized per technology: the strategies call [ensure] on every synth,
    so the certificates must be cheap after the first run — but remain a
-   load-bearing gate, not a test-only artifact. *)
+   load-bearing gate, not a test-only artifact.  Worker threads share the
+   memo, so the check-and-insert runs under [lock]. *)
 let certified : (Tech.t, unit) Hashtbl.t = Hashtbl.create 4
+let lock = Mutex.create ()
 
 let ensure tech =
-  if not (Hashtbl.mem certified tech) then begin
-    List.iter (check_kind tech) Spec.kinds;
-    Hashtbl.add certified tech ()
-  end
+  Mutex.protect lock (fun () ->
+      if not (Hashtbl.mem certified tech) then begin
+        List.iter (fun kind -> check tech (Recipe.of_kind kind)) Spec.kinds;
+        Hashtbl.add certified tech ()
+      end)

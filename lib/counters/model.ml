@@ -9,45 +9,36 @@ open Dp_tech
    [Certify] holds the two within a tight epsilon.  The composed path is
    scaled by the technology's [counter_fusion], the ratio at which the
    monolithic cell beats its discrete reference body. *)
-let pin_delay tech (r : Exact.recipe) ~pin ~port =
-  let nb = Array.length r.blocks in
-  let arr = Array.make (max nb 1) (neg_infinity, neg_infinity) in
-  let at = function
-    | Exact.Pin i -> if i = pin then 0.0 else neg_infinity
-    | Exact.Out { block; port } -> (if port = 0 then fst else snd) arr.(block)
+let pin_delay tech (r : Recipe.t) ~pin ~port =
+  let through kind worst =
+    ( worst +. Tech.delay tech kind ~port:0,
+      worst +. Tech.delay tech kind ~port:1 )
   in
-  Array.iteri
-    (fun i (b : Exact.block) ->
-      let worst =
-        Array.fold_left (fun acc a -> Float.max acc (at a)) neg_infinity b.args
-      in
-      let kind = if b.fa then Cell_kind.Fa else Cell_kind.Ha in
-      arr.(i) <-
-        ( worst +. Tech.delay tech kind ~port:0,
-          worst +. Tech.delay tech kind ~port:1 ))
-    r.blocks;
-  let a = at r.outputs.(port) in
+  let o0, o1, o2 =
+    Recipe.eval r
+      ~pin:(fun i -> if i = pin then 0.0 else neg_infinity)
+      ~fa:(fun a b c -> through Cell_kind.Fa (Float.max (Float.max a b) c))
+      ~ha:(fun a b -> through Cell_kind.Ha (Float.max a b))
+  in
+  let a =
+    match port with
+    | 0 -> o0
+    | 1 -> o1
+    | 2 -> o2
+    | _ -> invalid_arg "Model.pin_delay: bad port"
+  in
   if Float.is_finite a then Some (tech.Tech.counter_fusion *. a) else None
 
-let worst_delay tech r ~port =
-  let worst = ref neg_infinity in
-  for pin = 0 to Cell_kind.arity r.Exact.kind - 1 do
-    match pin_delay tech r ~pin ~port with
-    | Some d -> worst := Float.max !worst d
-    | None -> ()
-  done;
-  !worst
-
-let area tech (r : Exact.recipe) =
-  (float_of_int (Exact.fa_count r) *. Tech.area tech Cell_kind.Fa)
-  +. (float_of_int (Exact.ha_count r) *. Tech.area tech Cell_kind.Ha)
+let area tech (r : Recipe.t) =
+  (float_of_int (Recipe.fa_count r) *. Tech.area tech Cell_kind.Fa)
+  +. (float_of_int (Recipe.ha_count r) *. Tech.area tech Cell_kind.Ha)
 
 (* Total switching energy of the body's block outputs.  The monolithic
    cell attributes the same total across its three ports, so the sums
    must agree — the conservation law [Certify] checks. *)
-let total_energy tech (r : Exact.recipe) =
+let total_energy tech (r : Recipe.t) =
   Array.fold_left
-    (fun acc (b : Exact.block) ->
+    (fun acc (b : Recipe.block) ->
       let kind = if b.fa then Cell_kind.Fa else Cell_kind.Ha in
       acc +. Tech.energy tech kind ~port:0 +. Tech.energy tech kind ~port:1)
     0.0 r.blocks

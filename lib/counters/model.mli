@@ -7,14 +7,11 @@
 (** Delay from [pin] to [port] through the recipe, or [None] when the pin
     has no combinational path to that port. *)
 val pin_delay :
-  Dp_tech.Tech.t -> Exact.recipe -> pin:int -> port:int -> float option
-
-(** Worst {!pin_delay} over the pins reaching [port]. *)
-val worst_delay : Dp_tech.Tech.t -> Exact.recipe -> port:int -> float
+  Dp_tech.Tech.t -> Dp_tech.Recipe.t -> pin:int -> port:int -> float option
 
 (** Sum of the body's FA/HA areas. *)
-val area : Dp_tech.Tech.t -> Exact.recipe -> float
+val area : Dp_tech.Tech.t -> Dp_tech.Recipe.t -> float
 
 (** Sum of per-transition energies over every block output — the total
     the monolithic cell must conserve across its three ports. *)
-val total_energy : Dp_tech.Tech.t -> Exact.recipe -> float
+val total_energy : Dp_tech.Tech.t -> Dp_tech.Recipe.t -> float

@@ -33,8 +33,6 @@ let port_value (kind : Cell_kind.t) ~port v =
     | _ -> invalid_arg "Spec.port_value: bad port")
   | _ -> invalid_arg "Spec.port_value: not a counter"
 
-let port_table kind ~port = Tt.of_fun (arity kind) (port_value kind ~port)
-
 let weighted_value kind v =
   let acc = ref 0 in
   for port = 0 to 2 do

@@ -23,9 +23,6 @@ val popcount : int -> int
     bitmask [v]. *)
 val port_value : Dp_tech.Cell_kind.t -> port:int -> int -> bool
 
-(** Full truth table of one output port. *)
-val port_table : Dp_tech.Cell_kind.t -> port:int -> Tt.t
-
 (** [sum over ports of value * 2^weight] — equals [popcount v] for every
     counter kind and assignment (the defining invariant). *)
 val weighted_value : Dp_tech.Cell_kind.t -> int -> int

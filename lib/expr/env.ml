@@ -18,6 +18,11 @@ let add ?arrival ?prob ?(signed = false) name ~width env =
     | None -> Array.make width 0.0
     | Some a ->
       if Array.length a <> width then invalid_arg "Env.add: arrival length";
+      Array.iter
+        (fun x ->
+          if not (Float.is_finite x && x >= 0.0) then
+            invalid_arg "Env.add: arrival must be finite and >= 0")
+        a;
       Array.copy a
   in
   let prob =
@@ -27,7 +32,9 @@ let add ?arrival ?prob ?(signed = false) name ~width env =
       if Array.length p <> width then invalid_arg "Env.add: prob length";
       Array.iter
         (fun x ->
-          if x < 0.0 || x > 1.0 then invalid_arg "Env.add: prob out of [0,1]")
+          (* written so that NaN fails too *)
+          if not (x >= 0.0 && x <= 1.0) then
+            invalid_arg "Env.add: prob out of [0,1]")
         p;
       Array.copy p
   in

@@ -18,7 +18,8 @@ val empty : t
 
 (** [add name ~width env] binds [name]; omitted arrivals default to 0.0 and
     omitted probabilities to 0.5.  @raise Invalid_argument on mismatched
-    array lengths, non-positive width, or probabilities outside [0, 1]. *)
+    array lengths, non-positive width, probabilities that are NaN or
+    outside [0, 1], or arrivals that are negative or not finite. *)
 val add :
   ?arrival:float array -> ?prob:float array -> ?signed:bool ->
   string -> width:int -> t -> t

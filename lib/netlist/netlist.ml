@@ -405,73 +405,45 @@ let maj3_prob pa pb pc =
 
 let xor3_prob pa pb pc = xor2_prob (xor2_prob pa pb) pc
 
-(* Canonical expanded bodies — the same recipes [Dp_counters] certifies.
-   Used when a constant input lets the counter degrade: [fa]/[ha] fold
-   the constants away, so e.g. C53(a,b,c,d,0) costs one FA + one FA +
-   one HA with the zero absorbed. *)
-let c53_body t p0 p1 p2 p3 p4 =
-  let s, c1 = fa t p0 p1 p2 in
-  let s0, c2 = fa t s p3 p4 in
-  let s1, s2 = ha t c1 c2 in
-  (s0, s1, s2)
-
-let c63_body t p0 p1 p2 p3 p4 p5 =
-  let s, c1 = fa t p0 p1 p2 in
-  let u, c2 = fa t p3 p4 p5 in
-  let s0, c3 = ha t s u in
-  let s1, s2 = fa t c1 c2 c3 in
-  (s0, s1, s2)
-
-let c73_body t p0 p1 p2 p3 p4 p5 p6 =
-  let s, c1 = fa t p0 p1 p2 in
-  let u, c2 = fa t p3 p4 p5 in
-  let s0, c3 = fa t s u p6 in
-  let s1, s2 = fa t c1 c2 c3 in
-  (s0, s1, s2)
-
-let c42_body t x1 x2 x3 x4 cin =
-  let u, cout = fa t x1 x2 x3 in
-  let sum, carry = fa t u x4 cin in
-  (sum, carry, cout)
-
 let has_const_input t nets =
   Array.exists (fun n -> const_value t n <> None) nets
 
-let pure_counter t kind body nets =
+let check_arity kind nets =
   if Array.length nets <> Dp_tech.Cell_kind.arity kind then
     invalid_arg
       (Printf.sprintf "Netlist.%s: arity mismatch"
-         (String.lowercase_ascii (Dp_tech.Cell_kind.name kind)));
-  if has_const_input t nets then body ()
+         (String.lowercase_ascii (Dp_tech.Cell_kind.name kind)))
+
+(* The counter's FA/HA body from [Dp_tech.Recipe], built through [fa]/[ha].
+   Used when a constant input lets the counter degrade: the builders fold
+   the constants away, so e.g. C53(a,b,c,d,0) costs one FA + one FA + one
+   HA with the zero absorbed. *)
+let counter_body t kind nets =
+  check_arity kind nets;
+  Dp_tech.Recipe.eval
+    (Dp_tech.Recipe.of_kind kind)
+    ~pin:(fun i -> nets.(i))
+    ~fa:(fa t) ~ha:(ha t)
+
+let pure_counter t kind nets =
+  check_arity kind nets;
+  if has_const_input t nets then counter_body t kind nets
   else
     let s0 = add_cell t kind nets ~out_probs:(popcount_bit_probs t nets) in
     (s0, s0 + 1, s0 + 2)
 
-let c53 t nets =
-  pure_counter t Dp_tech.Cell_kind.C53
-    (fun () -> c53_body t nets.(0) nets.(1) nets.(2) nets.(3) nets.(4))
-    nets
-
-let c63 t nets =
-  pure_counter t Dp_tech.Cell_kind.C63
-    (fun () ->
-      c63_body t nets.(0) nets.(1) nets.(2) nets.(3) nets.(4) nets.(5))
-    nets
-
-let c73 t nets =
-  pure_counter t Dp_tech.Cell_kind.C73
-    (fun () ->
-      c73_body t nets.(0) nets.(1) nets.(2) nets.(3) nets.(4) nets.(5) nets.(6))
-    nets
+let c53 t nets = pure_counter t Dp_tech.Cell_kind.C53 nets
+let c63 t nets = pure_counter t Dp_tech.Cell_kind.C63 nets
+let c73 t nets = pure_counter t Dp_tech.Cell_kind.C73 nets
 
 let c42 t nets =
-  if Array.length nets <> 5 then invalid_arg "Netlist.c42: arity mismatch";
-  let x1 = nets.(0) and x2 = nets.(1) and x3 = nets.(2) in
-  let x4 = nets.(3) and cin = nets.(4) in
-  if has_const_input t nets then c42_body t x1 x2 x3 x4 cin
+  check_arity Dp_tech.Cell_kind.C42 nets;
+  if has_const_input t nets then counter_body t Dp_tech.Cell_kind.C42 nets
   else
     (* sum = (x1^x2^x3) ^ x4 ^ cin; carry = maj(x1^x2^x3, x4, cin);
        cout = maj(x1, x2, x3) — the cin-independent chain output. *)
+    let x1 = nets.(0) and x2 = nets.(1) and x3 = nets.(2) in
+    let x4 = nets.(3) and cin = nets.(4) in
     let p1 = prob t x1 and p2 = prob t x2 and p3 = prob t x3 in
     let p4 = prob t x4 and pc = prob t cin in
     let pu = xor3_prob p1 p2 p3 in

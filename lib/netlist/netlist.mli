@@ -95,8 +95,7 @@ val fa : t -> net -> net -> net -> net * net
 (** Generalized parallel counters, [(s0, s1, s2)] with [s0] at the input
     weight, [s1] one weight up and [s2] two weights up — the binary digits
     of the input population count.  A constant input degrades the counter
-    into its canonical FA/HA body (certified in [Dp_counters]) with the
-    constant folded away.
+    into its {!counter_body} with the constant folded away.
     @raise Invalid_argument unless given exactly 5/6/7 nets. *)
 val c53 : t -> net array -> net * net * net
 
@@ -106,9 +105,18 @@ val c73 : t -> net array -> net * net * net
 (** 4:2 compressor: inputs [[| x1; x2; x3; x4; cin |]], result
     [(sum, carry, cout)] with [sum] at the input weight and both [carry]
     and [cout] one weight up.  [cout] depends only on [x1..x3], never on
-    [cin], so 4:2 rows chain without a ripple.
+    [cin], so 4:2 rows chain without a ripple.  A constant input degrades
+    it into its {!counter_body}.
     @raise Invalid_argument unless given exactly 5 nets. *)
 val c42 : t -> net array -> net * net * net
+
+(** [counter_body t kind pins] builds the counter's FA/HA body
+    ({!Dp_tech.Recipe.of_kind}, certified in [Dp_counters]) through {!fa}
+    and {!ha} and returns its three output nets: the discrete form of the
+    counter, which the monolithic cell must equal.
+    @raise Invalid_argument on an arity mismatch or a non-counter kind. *)
+val counter_body :
+  t -> Dp_tech.Cell_kind.t -> net array -> net * net * net
 
 (** @raise Invalid_argument on duplicate names. *)
 val set_output : t -> string -> net array -> unit

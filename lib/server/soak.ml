@@ -749,11 +749,25 @@ let run_journaled config dir =
     recovery_ms;
   }
 
+(* A topology field that the chosen topology would silently ignore is a
+   bad config, refused before anything starts. *)
+let check_topology config =
+  let refuse fmt = Printf.ksprintf invalid_arg ("Soak.run: " ^^ fmt) in
+  let sharded = config.shards >= 2 in
+  if config.journal_dir <> None && not sharded then
+    refuse "journal_dir needs shards >= 2 (got %d)" config.shards;
+  if config.hedge && not sharded then
+    refuse "hedge needs shards >= 2 (got %d)" config.shards;
+  if config.shard_chaos <> None && not sharded then
+    refuse "shard_chaos needs shards >= 2 (got %d)" config.shards;
+  if config.shard_chaos <> None && config.journal_dir <> None then
+    refuse "shard_chaos is unavailable with journal_dir (the pool lives in \
+            the router child)";
+  if config.router_chaos <> None && config.journal_dir = None then
+    refuse "router_chaos needs journal_dir"
+
 let run config =
+  check_topology config;
   match config.journal_dir with
-  | Some dir when config.shards >= 2 -> run_journaled config dir
-  | Some _ ->
-    Diag.fail
-      (Diag.v ~code:"DP-SRV-SHARD-DOWN" ~subsystem:"server"
-         "a journaled soak needs a sharded topology (--shards >= 2)")
+  | Some dir -> run_journaled config dir
   | None -> if config.shards >= 2 then run_sharded config else run_single config

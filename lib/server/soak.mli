@@ -55,7 +55,9 @@ type config = {
       (** seeded router-fault schedule ({!Chaos.router_faults}: SIGKILL
           the router child, refork it, measure recovery); journaled runs
           only *)
-  hedge : bool;  (** enable {!Router.default_hedge} hedged dispatch *)
+  hedge : bool;
+      (** enable {!Router.default_hedge} hedged dispatch; sharded runs
+          only *)
   log : string -> unit;
 }
 
@@ -99,5 +101,9 @@ val pp_report : report Fmt.t
 (** Start the server (or, with [shards >= 2], the shard pool and
     router; with [journal_dir] also set, the forked journaled router),
     run the soak, shut everything down, join (and reap) every thread
-    and process. *)
+    and process.
+    @raise Invalid_argument, naming the field, before starting anything
+    when the topology would ignore a field: [journal_dir], [hedge] or
+    [shard_chaos] with [shards < 2], [shard_chaos] with [journal_dir],
+    or [router_chaos] without [journal_dir]. *)
 val run : config -> report

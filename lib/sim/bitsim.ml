@@ -17,9 +17,9 @@ let popcount x =
   to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
 
 (* 64-lane FA/HA blocks, used to evaluate the counters through their
-   canonical exactly-synthesized bodies (the [Dp_counters] recipes) —
-   deliberately NOT via popcount, so that [Simulator]'s arithmetic
-   semantics and this boolean evaluation cross-check each other. *)
+   [Dp_tech.Recipe] bodies — deliberately NOT via popcount, so that
+   [Simulator]'s arithmetic semantics and this boolean evaluation
+   cross-check each other. *)
 let fa64 a b c =
   let sum = Int64.logxor (Int64.logxor a b) c in
   let carry =
@@ -34,37 +34,18 @@ let cell_outputs (c : Netlist.cell) (values : int64 array) =
   let v i = values.(c.inputs.(i)) in
   match c.kind with
   | Dp_tech.Cell_kind.Fa ->
-    let a = v 0 and b = v 1 and cin = v 2 in
-    let sum = Int64.logxor (Int64.logxor a b) cin in
-    let carry =
-      Int64.logor (Int64.logand a b)
-        (Int64.logor (Int64.logand a cin) (Int64.logand b cin))
-    in
+    let sum, carry = fa64 (v 0) (v 1) (v 2) in
     [| sum; carry |]
   | Dp_tech.Cell_kind.Ha ->
-    let a = v 0 and b = v 1 in
-    [| Int64.logxor a b; Int64.logand a b |]
-  | Dp_tech.Cell_kind.C53 ->
-    let s, c1 = fa64 (v 0) (v 1) (v 2) in
-    let s0, c2 = fa64 s (v 3) (v 4) in
-    let s1, s2 = ha64 c1 c2 in
+    let sum, carry = ha64 (v 0) (v 1) in
+    [| sum; carry |]
+  | Dp_tech.Cell_kind.(C42 | C53 | C63 | C73) ->
+    let s0, s1, s2 =
+      Dp_tech.Recipe.eval
+        (Dp_tech.Recipe.of_kind c.kind)
+        ~pin:v ~fa:fa64 ~ha:ha64
+    in
     [| s0; s1; s2 |]
-  | Dp_tech.Cell_kind.C63 ->
-    let s, c1 = fa64 (v 0) (v 1) (v 2) in
-    let u, c2 = fa64 (v 3) (v 4) (v 5) in
-    let s0, c3 = ha64 s u in
-    let s1, s2 = fa64 c1 c2 c3 in
-    [| s0; s1; s2 |]
-  | Dp_tech.Cell_kind.C73 ->
-    let s, c1 = fa64 (v 0) (v 1) (v 2) in
-    let u, c2 = fa64 (v 3) (v 4) (v 5) in
-    let s0, c3 = fa64 s u (v 6) in
-    let s1, s2 = fa64 c1 c2 c3 in
-    [| s0; s1; s2 |]
-  | Dp_tech.Cell_kind.C42 ->
-    let u, cout = fa64 (v 0) (v 1) (v 2) in
-    let sum, carry = fa64 u (v 3) (v 4) in
-    [| sum; carry; cout |]
   | Dp_tech.Cell_kind.And_n n ->
     let acc = ref Int64.minus_one in
     for i = 0 to n - 1 do

@@ -12,7 +12,7 @@
     port 1 the carry and port 2 the chain carry-out (both weight [j+1]).
     The carry-out depends only on pins 0-2, never on the carry-in, which is
     what lets 4:2 rows chain without a ripple.  Every counter's gate-level
-    body is exactly synthesized and certified in [Dp_counters].
+    body is an entry of [Recipe], certified in [Dp_counters].
 
     [And_n n], [Or_n n] and [Xor_n n] are [n]-input single-output gates
     ([n >= 2]); wide instances are priced as balanced trees of 2-input

@@ -92,16 +92,9 @@ let tree_levels n =
   go 0 1
 
 (* Per-pin, per-port delays of the parallel counters, as path sums of
-   FA/HA block delays through the canonical exactly-synthesized bodies
-   (see [Dp_counters]; the test suite certifies these closed forms
-   against the recipe-derived model for every technology):
-
-     C53: FA(p0,p1,p2) -> (s,c1); FA(s,p3,p4) -> (s0,c2); HA(c1,c2) -> (s1,s2)
-     C63: FA(p0,p1,p2) -> (s,c1); FA(p3,p4,p5) -> (t,c2);
-          HA(s,t) -> (s0,c3); FA(c1,c2,c3) -> (s1,s2)
-     C73: FA(p0,p1,p2) -> (s,c1); FA(p3,p4,p5) -> (t,c2);
-          FA(s,t,p6) -> (s0,c3); FA(c1,c2,c3) -> (s1,s2)
-     C42: FA(p0,p1,p2) -> (u,cout); FA(u,p3,cin) -> (sum,carry)
+   FA/HA block delays through the counter bodies of [Recipe] (the test
+   suite and [Dp_counters.Certify] hold these closed forms to the
+   recipe-derived model for every technology).
 
    [None] means the pin has no combinational path to the port — the one
    such case is the 4:2 compressor's carry-out, which is independent of

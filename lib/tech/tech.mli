@@ -55,9 +55,9 @@ val delay : t -> Cell_kind.t -> port:int -> float
     (the 4:2 compressor's carry-out is independent of its pins 3 and 4).
     Conventional cells report [Some (delay t kind ~port)] for every pin.
     Counter delays are path sums of FA/HA block delays through the
-    canonical exactly-synthesized bodies of [Dp_counters], scaled by
-    [counter_fusion]; [Dp_counters.Certify] holds these closed forms to
-    the recipe-derived model for every technology it admits.
+    counter bodies of {!Recipe}, scaled by [counter_fusion];
+    [Dp_counters.Certify] holds these closed forms to the recipe-derived
+    model for every technology it admits.
     @raise Invalid_argument on a nonexistent port. *)
 val pin_delay : t -> Cell_kind.t -> pin:int -> port:int -> float option
 

@@ -47,15 +47,31 @@ let apply (t : Tech.t) key value =
   | _ -> fail "unknown key: %s" key
 
 let validate (t : Tech.t) =
-  let nonneg name v = if v < 0.0 then fail "%s must be >= 0 (got %g)" name v in
+  let nonneg name v =
+    if not (Float.is_finite v && v >= 0.0) then
+      fail "%s must be finite and >= 0 (got %g)" name v
+  in
   nonneg "fa_sum_delay" t.fa_sum_delay;
   nonneg "fa_carry_delay" t.fa_carry_delay;
   nonneg "ha_sum_delay" t.ha_sum_delay;
   nonneg "ha_carry_delay" t.ha_carry_delay;
+  nonneg "and2_delay" t.and2_delay;
+  nonneg "or2_delay" t.or2_delay;
+  nonneg "xor2_delay" t.xor2_delay;
+  nonneg "not_delay" t.not_delay;
+  nonneg "buf_delay" t.buf_delay;
   nonneg "fa_area" t.fa_area;
   nonneg "ha_area" t.ha_area;
+  nonneg "and2_area" t.and2_area;
+  nonneg "or2_area" t.or2_area;
+  nonneg "xor2_area" t.xor2_area;
+  nonneg "not_area" t.not_area;
+  nonneg "buf_area" t.buf_area;
   nonneg "fa_sum_energy" t.fa_sum_energy;
   nonneg "fa_carry_energy" t.fa_carry_energy;
+  nonneg "ha_sum_energy" t.ha_sum_energy;
+  nonneg "ha_carry_energy" t.ha_carry_energy;
+  nonneg "gate_energy" t.gate_energy;
   if not (t.counter_fusion > 0.0 && t.counter_fusion <= 1.0) then
     fail "counter_fusion must be in (0, 1] (got %g)" t.counter_fusion;
   t

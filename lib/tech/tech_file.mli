@@ -11,8 +11,9 @@
 
 exception Parse_error of string
 
-(** @raise Parse_error on unknown keys, malformed lines, bad numbers or
-    negative values. *)
+(** @raise Parse_error on unknown keys, malformed lines, bad numbers, a
+    numeric value that is negative, NaN or infinite, or a
+    [counter_fusion] outside (0, 1]. *)
 val of_string : ?base:Tech.t -> string -> Tech.t
 
 (** @raise Parse_error as {!of_string}; @raise Sys_error on I/O failure. *)

@@ -1,13 +1,10 @@
+(* The branch-and-bound search that found the counter bodies of
+   [Dp_tech.Recipe], kept as the proof that the table is minimal (see
+   [Test_counters], which asserts the search reproduces every entry).
+   Not used outside the tests. *)
+
 open Dp_tech
-
-type sig_ref = Pin of int | Out of { block : int; port : int }
-type block = { fa : bool; args : sig_ref array }
-
-type recipe = {
-  kind : Cell_kind.t;
-  blocks : block array;
-  outputs : sig_ref array;
-}
+open Recipe
 
 (* ------------------------------------------------------------------ *)
 (* Branch-and-bound exact synthesis.
@@ -198,25 +195,6 @@ let synthesize (kind : Cell_kind.t) =
     end
   in
   deepen (lower_bound (potential (counts init)) goal_p)
-
-(* One search per kind per process; the searches are deterministic, so the
-   cache is an optimization, never a source of divergence (the test suite
-   compares cached against freshly recomputed recipes). *)
-let cache : (Cell_kind.t, recipe) Hashtbl.t = Hashtbl.create 8
-
-let recipe kind =
-  match Hashtbl.find_opt cache kind with
-  | Some r -> r
-  | None ->
-    let r = synthesize kind in
-    Hashtbl.add cache kind r;
-    r
-
-let fa_count r =
-  Array.fold_left (fun acc b -> if b.fa then acc + 1 else acc) 0 r.blocks
-
-let ha_count r =
-  Array.fold_left (fun acc b -> if b.fa then acc else acc + 1) 0 r.blocks
 
 let area_units r = (2 * fa_count r) + ha_count r
 

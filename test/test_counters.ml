@@ -2,6 +2,7 @@ open Dp_netlist
 open Dp_core
 open Dp_counters
 open Helpers
+module Recipe = Dp_tech.Recipe
 
 let kind_name = Dp_tech.Cell_kind.name
 
@@ -20,12 +21,12 @@ let test_spec_popcount_invariant () =
     Spec.kinds
 
 (* ------------------------------------------------------------------ *)
-(* Exact synthesis: every body matches the spec on all 2^m assignments *)
+(* The recipe table: every body matches the spec on all 2^m assignments *)
 
 let test_body_exhaustive () =
   List.iter
     (fun k ->
-      let r = Exact.recipe k in
+      let r = Recipe.of_kind k in
       let m = Spec.arity k in
       for v = 0 to (1 lsl m) - 1 do
         for port = 0 to 2 do
@@ -37,29 +38,33 @@ let test_body_exhaustive () =
       done)
     Spec.kinds
 
-(* The search is deterministic and the memo cache returns the same recipe
-   as a from-scratch run — synthesis results cannot drift within or
-   across processes. *)
-let test_exact_deterministic () =
+(* The search is deterministic and reproduces the checked-in table
+   exactly — blocks, outputs, and so every cost — which proves each
+   table entry minimal. *)
+let test_exact_reproduces_table () =
   List.iter
     (fun k ->
+      let name = kind_name k in
       let a = Exact.synthesize k in
-      let b = Exact.synthesize k in
-      checkb (Fmt.str "%s: repeat searches agree" (kind_name k)) true (a = b);
-      checkb
-        (Fmt.str "%s: memo cache agrees with fresh search" (kind_name k))
-        true
-        (Exact.recipe k = a))
+      let t = Recipe.of_kind k in
+      checkb (name ^ ": repeat searches agree") true (a = Exact.synthesize k);
+      checkb (name ^ ": blocks") true (a.blocks = t.blocks);
+      checkb (name ^ ": outputs") true (a.outputs = t.outputs);
+      checkb (name ^ ": search equals table") true (a = t);
+      checki (name ^ " FA count") (Recipe.fa_count a) (Recipe.fa_count t);
+      checki (name ^ " HA count") (Recipe.ha_count a) (Recipe.ha_count t);
+      checki (name ^ " area units") (Exact.area_units a) (Exact.area_units t);
+      checki (name ^ " depth") (Exact.depth a) (Exact.depth t))
     Spec.kinds
 
-(* Known-minimal costs, locked as a regression: a search change that
-   finds a bigger (or deeper) body must fail loudly. *)
+(* Known-minimal costs, locked as a regression: a table or search change
+   that yields a bigger (or deeper) body must fail loudly. *)
 let test_exact_costs () =
   List.iter
     (fun (k, fa, ha, depth) ->
-      let r = Exact.recipe k in
-      checki (Fmt.str "%s FA count" (kind_name k)) fa (Exact.fa_count r);
-      checki (Fmt.str "%s HA count" (kind_name k)) ha (Exact.ha_count r);
+      let r = Recipe.of_kind k in
+      checki (Fmt.str "%s FA count" (kind_name k)) fa (Recipe.fa_count r);
+      checki (Fmt.str "%s HA count" (kind_name k)) ha (Recipe.ha_count r);
       checki
         (Fmt.str "%s area units" (kind_name k))
         ((2 * fa) + ha)
@@ -89,7 +94,7 @@ let test_cell_matches_expanded_body () =
       let nl = mk_netlist () in
       let pins = Netlist.add_input nl "p" ~width:m in
       let s0, s1, s2 = (cell_builder k) nl pins in
-      let b0, b1, b2 = Body.expand nl (Exact.recipe k) pins in
+      let b0, b1, b2 = Netlist.counter_body nl k pins in
       Netlist.set_output nl "cell" [| s0; s1; s2 |];
       Netlist.set_output nl "body" [| b0; b1; b2 |];
       for v = 0 to (1 lsl m) - 1 do
@@ -114,6 +119,66 @@ let test_certify_passes () =
       Certify.ensure tech)
     techs
 
+(* The gate is load-bearing: a miswired body is refused with DP-CTR001. *)
+let test_certify_rejects_tampered () =
+  let rejects label r =
+    match Certify.check Dp_tech.Tech.lcb_like r with
+    | () -> Alcotest.failf "%s: accepted" label
+    | exception Dp_diag.Diag.E d ->
+      check Alcotest.string label "DP-CTR001" d.Dp_diag.Diag.code
+  in
+  List.iter
+    (fun k ->
+      let r = Recipe.of_kind k in
+      let name = kind_name k in
+      Certify.check Dp_tech.Tech.lcb_like r;
+      let outputs = Array.copy r.outputs in
+      outputs.(0) <- r.outputs.(1);
+      outputs.(1) <- r.outputs.(0);
+      rejects (name ^ ": swapped output port") { r with outputs };
+      let nb = Array.length r.blocks in
+      rejects
+        (name ^ ": dropped block")
+        { r with blocks = Array.sub r.blocks 0 (nb - 1) };
+      let blocks = Array.copy r.blocks in
+      blocks.(nb - 2) <- r.blocks.(nb - 1);
+      blocks.(nb - 1) <- r.blocks.(nb - 2);
+      rejects (name ^ ": blocks out of order") { r with blocks };
+      let blocks = Array.copy r.blocks in
+      blocks.(0) <- { fa = false; args = Array.sub r.blocks.(0).args 0 2 };
+      rejects (name ^ ": FA turned into an HA") { r with blocks })
+    Spec.kinds
+
+(* The memo is shared by worker threads: eight threads racing through the
+   first certification of a fresh technology all build the netlist a
+   sequential run builds. *)
+let test_certify_concurrent_first_use () =
+  let tech = { Dp_tech.Tech.lcb_like with counter_fusion = 0.81 } in
+  let d = Dp_designs.Catalog.idct in
+  let verilog () =
+    Verilog.emit
+      (Dp_flow.Synth.run ~tech ~width:d.width Dp_flow.Strategy.Sc_t_gpc d.env
+         d.expr)
+        .netlist
+  in
+  let results = Array.make 8 (Error "not run") in
+  let threads =
+    Array.init 8 (fun i ->
+        Thread.create
+          (fun () ->
+            results.(i) <-
+              (try Ok (verilog ()) with e -> Error (Printexc.to_string e)))
+          ())
+  in
+  Array.iter Thread.join threads;
+  let sequential = verilog () in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok v -> check Alcotest.string (Fmt.str "thread %d" i) sequential v
+      | Error e -> Alcotest.failf "thread %d: %s" i e)
+    results
+
 (* The technology's monolithic closed forms must equal the recipe-derived
    model on every (pin, port) pair, including path absence — this is the
    contract Certify enforces; assert it directly so a drift is pinned to
@@ -123,7 +188,7 @@ let test_closed_forms_match_model () =
     (fun tech ->
       List.iter
         (fun k ->
-          let r = Exact.recipe k in
+          let r = Recipe.of_kind k in
           for pin = 0 to Spec.arity k - 1 do
             for port = 0 to 2 do
               let label =
@@ -274,10 +339,12 @@ let suite =
   [
     case "spec: weighted ports equal popcount" test_spec_popcount_invariant;
     case "exact: bodies match spec on all 2^m inputs" test_body_exhaustive;
-    case "exact: search and memo cache deterministic" test_exact_deterministic;
+    case "exact: search reproduces the table" test_exact_reproduces_table;
     case "exact: minimal costs locked" test_exact_costs;
     case "cell: monolithic equals expanded body" test_cell_matches_expanded_body;
     case "certify: lcb_like and unit_delay pass" test_certify_passes;
+    case "certify: tampered bodies rejected" test_certify_rejects_tampered;
+    case "certify: concurrent first GPC synth" test_certify_concurrent_first_use;
     case "model: closed forms equal recipe model" test_closed_forms_match_model;
     case "gpc: heap equals reference (fixed column)"
       test_gpc_heap_vs_reference_fixed;

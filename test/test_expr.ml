@@ -149,6 +149,24 @@ let test_env_validation () =
   Alcotest.check_raises "bad prob" (Invalid_argument "Env.add: prob out of [0,1]")
     (fun () ->
       ignore (Env.add "x" ~width:1 ~prob:[| 1.5 |] Env.empty));
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Fmt.str "prob %g" p)
+        (Invalid_argument "Env.add: prob out of [0,1]") (fun () ->
+          ignore (Env.add "x" ~width:2 ~prob:[| 0.5; p |] Env.empty)))
+    [ Float.nan; -0.1; Float.infinity ];
+  List.iter
+    (fun a ->
+      Alcotest.check_raises (Fmt.str "arrival %g" a)
+        (Invalid_argument "Env.add: arrival must be finite and >= 0") (fun () ->
+          ignore (Env.add "x" ~width:2 ~arrival:[| 0.0; a |] Env.empty));
+      checkb
+        (Fmt.str "arrival %g is DP-ENV002" a)
+        true
+        (match Env.add_res "x" ~width:1 ~arrival:[| a |] Env.empty with
+        | Error d -> d.Dp_diag.Diag.code = "DP-ENV002"
+        | Ok _ -> false))
+    [ Float.nan; Float.infinity; Float.neg_infinity; -5.0 ];
   Alcotest.check_raises "bad width" (Invalid_argument "Env.add: width must be >= 1")
     (fun () -> ignore (Env.add_uniform "x" ~width:0 Env.empty))
 

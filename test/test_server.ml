@@ -238,6 +238,29 @@ let server_survives_bad_input () =
         | Error d -> faild d
         | Ok r -> checkb "still usable" true (get_bool [ "ok" ] r = Some true))
 
+(* An arrival the CLI refuses is refused on the wire too: 1e999 parses
+   to infinity, which the environment rejects as DP-ENV002. *)
+let server_rejects_infinite_arrival () =
+  with_server @@ fun socket _ ->
+  match S.Client.connect socket with
+  | Error d -> faild d
+  | Ok c ->
+    Fun.protect
+      ~finally:(fun () -> S.Client.close c)
+      (fun () ->
+        (match
+           S.Client.send_line c
+             {|{"id":5,"op":"synth","expr":"x + y","vars":[{"name":"x","width":4,"arrival":1e999},{"name":"y","width":4}]}|}
+         with
+        | Error d -> faild d
+        | Ok () -> ());
+        match S.Client.recv_response c with
+        | Error d -> faild d
+        | Ok j ->
+          checkb "refused" true (get_bool [ "ok" ] j = Some false);
+          check Alcotest.string "code" "DP-ENV002"
+            (Option.get (get_str [ "error"; "code" ] j)))
+
 let server_stats () =
   with_server @@ fun socket _ ->
   ignore (rpc socket (synth_json ()));
@@ -948,6 +971,28 @@ let router_sigterm_graceful () =
        (String.starts_with ~prefix:"router drained")
        (Mutex.protect log_lock (fun () -> !logged)))
 
+(* A topology field the chosen topology would ignore is refused before
+   anything starts: no socket is ever bound. *)
+let soak_refuses_ignored_topology_fields () =
+  let chaos = Some S.Chaos.default_config in
+  List.iter
+    (fun (label, configure) ->
+      let socket = fresh_socket () in
+      let config = configure (S.Soak.default_config ~socket_path:socket) in
+      (match S.Soak.run config with
+      | _ -> Alcotest.failf "%s: accepted" label
+      | exception Invalid_argument _ -> ());
+      checkb (label ^ ": no socket") false (Sys.file_exists socket))
+    [
+      ("hedge unsharded", fun c -> { c with S.Soak.hedge = true });
+      ("shard_chaos unsharded", fun c -> { c with S.Soak.shard_chaos = chaos });
+      ("journal unsharded", fun c -> { c with S.Soak.journal_dir = Some "j" });
+      ("router_chaos unjournaled", fun c ->
+        { c with S.Soak.shards = 2; router_chaos = chaos });
+      ("shard_chaos journaled", fun c ->
+        { c with S.Soak.shards = 2; journal_dir = Some "j"; shard_chaos = chaos });
+    ]
+
 let soak_sharded_kill_chaos_holds_invariants () =
   (* scale the run until the pacer has landed at least two shard kills —
      wall-clock-paced chaos cannot promise a count for a fixed load *)
@@ -1080,6 +1125,7 @@ let suite =
     case "server: synth, cache hit, canonical reuse" server_synth_and_cache;
     case "server: batch keeps order, errors in place" server_batch_order_and_errors;
     case "server: survives malformed lines" server_survives_bad_input;
+    case "server: infinite arrival is DP-ENV002" server_rejects_infinite_arrival;
     case "server: stats counters and histogram" server_stats;
     case "server: per-request cell budget" server_enforces_cell_budget;
     case "server: shutdown op stops everything" server_shutdown_op;
@@ -1113,6 +1159,8 @@ let suite =
       router_aggregates_stats;
     case "soak: sharded run with shard kills holds the invariants"
       soak_sharded_kill_chaos_holds_invariants;
+    case "soak: unused topology flags refused"
+      soak_refuses_ignored_topology_fields;
     case "server: admission rejects oversized requests"
       server_admission_rejects_oversized;
     case "server: memory watermark sheds new work"

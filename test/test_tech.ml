@@ -83,6 +83,11 @@ let test_tech_file_errors () =
       "fa_sum_delay notanumber";
       "fa_sum_delay";
       "fa_area -3";
+      "fa_sum_delay nan";
+      "fa_sum_delay inf";
+      "xor2_delay -1";
+      "gate_energy infinity";
+      "counter_fusion nan";
     ]
 
 let test_tech_file_custom_base () =
