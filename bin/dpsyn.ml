@@ -119,17 +119,13 @@ let strategy_arg ~default =
            column-isolation, csa_opt, conventional, sc_t_gpc, sc_lp_gpc, \
            dadda_gpc.")
 
+(* A path, loaded by [load_tech] in the command's action, so that a bad
+   file is a DP-TECH diagnostic (exit 3), not a usage error.  [serve]
+   also passes the path on to its shard processes. *)
 let tech_arg =
-  let tech_conv =
-    let parse path =
-      match Dp_tech.Tech_file.of_file_res path with
-      | Ok t -> Ok t
-      | Error d -> Error (`Msg (Dp_diag.Diag.to_string d))
-    in
-    Arg.conv (parse, Dp_tech.Tech.pp)
-  in
   Arg.(
-    value & opt tech_conv Dp_tech.Tech.lcb_like
+    value
+    & opt (some string) None
     & info [ "tech" ] ~docv:"FILE"
         ~doc:"Technology file (key value lines); defaults inherit lcb_like.")
 
@@ -238,6 +234,15 @@ let fail_diag_json d =
        (Dp_server.Json.Obj [ ("error", Dp_server.Protocol.diag_to_json d) ]));
   exit 3
 
+(* A --tech path; a file that does not load is reported like every other
+   DP-* diagnostic of the command, as JSON under --json. *)
+let load_tech ?(json = false) = function
+  | None -> Dp_tech.Tech.lcb_like
+  | Some path -> (
+    match Dp_tech.Tech_file.of_file_res path with
+    | Ok t -> t
+    | Error d -> if json then fail_diag_json d else fail_diag d)
+
 (* CLI -v specs carry one uniform arrival/probability per variable. *)
 let var_specs_of_vars vars =
   List.map
@@ -322,8 +327,9 @@ let report_result (r : Dp_flow.Synth.result) ~env ~check ~cells ~verilog ~dot
 (* Commands *)
 
 let synth_cmd =
-  let action expr vars width strategy tech adder recoding multiplier_style
+  let action expr vars width strategy tech_file adder recoding multiplier_style
       verilog dot testbench pipeline check cells check_level json =
+    let tech = load_tech ~json tech_file in
     if json then begin
       let ((_, o) as record) =
         synth_record ~tech ~vars:(var_specs_of_vars vars) ~width ~strategy
@@ -412,7 +418,8 @@ let compare_cmd =
       $ check_level_arg $ json_arg)
 
 let lint_cmd =
-  let action expr vars width strategy tech adder =
+  let action expr vars width strategy tech_file adder =
+    let tech = load_tech tech_file in
     match env_of_vars expr vars with
     | Error msg ->
       Fmt.epr "error: %s (bind it with -v)@." msg;
@@ -871,16 +878,6 @@ let serve_cmd =
              (mismatch = DP-SRV-DIVERGE, never a silently picked \
              answer).")
   in
-  (* The shard processes are real 'dpsyn serve' invocations, so the tech
-     option stays a file *path* here — it must survive re-serialization
-     into a shard's argv. *)
-  let tech_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tech" ] ~docv:"FILE"
-          ~doc:"Technology file (key value lines); defaults inherit lcb_like.")
-  in
   let action socket shards workers queue_depth timeout max_cells max_rows
       mem_watermark_mb cache_dir capacity no_cache tech_file crash_dir
       max_crashes cooldown guard chaos chaos_every chaos_seed journal_dir
@@ -889,14 +886,7 @@ let serve_cmd =
       Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8))
         mem_watermark_mb
     in
-    let tech =
-      match tech_file with
-      | None -> Dp_tech.Tech.lcb_like
-      | Some path -> (
-        match Dp_tech.Tech_file.of_file_res path with
-        | Ok t -> t
-        | Error d -> fail_diag d)
-    in
+    let tech = load_tech tech_file in
     let log = fun msg -> Fmt.epr "dpsyn serve: %s@." msg in
     if shards < 2 && (journal_dir <> None || hedge) then begin
       Fmt.epr
@@ -1036,7 +1026,7 @@ let serve_cmd =
     Term.(
       const action $ socket_arg $ shards_arg $ workers_arg $ queue_arg
       $ timeout_arg $ max_cells_arg $ max_rows_arg $ mem_watermark_arg
-      $ cache_dir_arg $ capacity_arg $ no_cache_arg $ tech_file_arg
+      $ cache_dir_arg $ capacity_arg $ no_cache_arg $ tech_arg
       $ crash_dir_arg $ max_crashes_arg $ cooldown_arg $ guard_arg
       $ chaos_arg $ chaos_every_arg $ chaos_seed_arg $ journal_arg
       $ hedge_arg)

@@ -75,11 +75,28 @@ let detach_gov t = t.gov <- None
 let net_count t = Vec.length t.net_codes
 let cell_count t = Vec.length t.cells
 
-let driver t n =
+(* [driving_cell] and [driving_port] are the decoders of [net_codes];
+   [driver] builds its record from them. *)
+let driving_cell t n =
   let code = Vec.get t.net_codes n in
-  if code >= 0 then
-    From_cell { cell = code; port = n - Vec.get t.first_outputs code }
-  else Vec.get t.side_drivers (-1 - code)
+  if code >= 0 then code
+  else
+    match Vec.get t.side_drivers (-1 - code) with
+    | From_cell { cell; port = _ } -> cell
+    | From_input _ | From_const _ -> -1
+
+let driving_port t n =
+  let code = Vec.get t.net_codes n in
+  if code >= 0 then n - Vec.get t.first_outputs code
+  else
+    match Vec.get t.side_drivers (-1 - code) with
+    | From_cell { cell = _; port } -> port
+    | From_input _ | From_const _ -> -1
+
+let driver t n =
+  let cell = driving_cell t n in
+  if cell >= 0 then From_cell { cell; port = driving_port t n }
+  else Vec.get t.side_drivers (-1 - Vec.get t.net_codes n)
 
 let arrival t n = Vec.get t.arrival n
 let prob t n = Vec.get t.prob n
@@ -207,12 +224,8 @@ let add_cell t kind inputs ~out_probs =
 
 (* The cell whose port 0 drives [n], or -1. *)
 let port0_cell t n =
-  let code = Vec.get t.net_codes n in
-  if code >= 0 then if Vec.get t.first_outputs code = n then code else -1
-  else
-    match Vec.get t.side_drivers (-1 - code) with
-    | From_cell { cell; port = 0 } -> cell
-    | From_cell _ | From_input _ | From_const _ -> -1
+  let c = driving_cell t n in
+  if c >= 0 && driving_port t n = 0 then c else -1
 
 let not_ t a =
   match const_value t a with

@@ -47,7 +47,20 @@ val gov : t -> Dp_gov.Gov.t option
 val detach_gov : t -> unit
 val net_count : t -> int
 val cell_count : t -> int
+
+(** What drives [n], as a record built on each call for a cell output.
+    Readers that run once per net or per pin on a request's path use
+    {!driving_cell} instead. *)
 val driver : t -> net -> driver
+
+(** The cell that {!driver} names for [n], or [-1] when [n] is a primary
+    input or a constant, without allocating.  A {!Mutate.set_driver}
+    override is answered as {!driver} answers it. *)
+val driving_cell : t -> net -> int
+
+(** The output port of {!driving_cell} that drives [n], as {!driver}
+    names it; [-1] when no cell drives [n]. *)
+val driving_port : t -> net -> int
 
 (** Arrival time annotated at construction. *)
 val arrival : t -> net -> float

@@ -13,16 +13,18 @@ let check netlist =
 let levels netlist =
   let n = Netlist.net_count netlist in
   let level = Array.make n 0 in
-  (* Nets are created in topological order, so one forward pass suffices. *)
+  (* Nets are created in topological order, so one forward pass suffices;
+     inputs and constants stay at level 0. *)
   for net = 0 to n - 1 do
-    match Netlist.driver netlist net with
-    | Netlist.From_input _ | Netlist.From_const _ -> level.(net) <- 0
-    | Netlist.From_cell { cell; port = _ } ->
-      let c = Netlist.cell netlist cell in
-      let max_in =
-        Array.fold_left (fun acc input -> max acc level.(input)) 0 c.inputs
-      in
-      level.(net) <- max_in + 1
+    let cell = Netlist.driving_cell netlist net in
+    if cell >= 0 then begin
+      let inputs = (Netlist.cell netlist cell).inputs in
+      let max_in = ref 0 in
+      for pin = 0 to Array.length inputs - 1 do
+        max_in := Int.max !max_in level.(inputs.(pin))
+      done;
+      level.(net) <- !max_in + 1
+    end
   done;
   level
 
@@ -30,7 +32,7 @@ let depth netlist =
   let level = levels netlist in
   List.fold_left
     (fun acc (_, nets) ->
-      Array.fold_left (fun acc net -> max acc level.(net)) acc nets)
+      Array.fold_left (fun acc net -> Int.max acc level.(net)) acc nets)
     0
     (Netlist.outputs netlist)
 

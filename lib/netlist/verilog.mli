@@ -7,9 +7,14 @@
     only when some cell input or output bit reads that constant.
 
     Emission runs on every cache miss (each result record carries the
-    netlist's byte count and MD5), so it appends literal text, characters
-    and decimal digits straight into one buffer, with no per-line
-    formatting and no intermediate strings. *)
+    netlist's byte count and MD5).  It writes into one [Bytes] buffer
+    sized from the netlist up front, which doubles only if that estimate
+    falls short.  Each line reserves room once; the literal text, byte
+    by byte, and the decimal digits, two per division from a digit-pair
+    table, then go in with bounds-checked writes that never grow the
+    buffer.  A pin's reference comes from {!Netlist.driving_cell}
+    without building a driver record.  The text is byte-identical to the
+    original [Printf] emitter, which the tests keep as the reference. *)
 
 (** The netlist as module [module_name] (default ["datapath"]) followed by
     the submodules it instantiates. *)

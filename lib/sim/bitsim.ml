@@ -30,60 +30,93 @@ let fa64 a b c =
 
 let ha64 a b = (Int64.logxor a b, Int64.logand a b)
 
-let cell_outputs (c : Netlist.cell) (values : int64 array) =
+(* Writes the packed word of each output port [p] of [c] to
+   [out.(p)]. *)
+let eval_cell (c : Netlist.cell) (values : int64 array) out =
   let v i = values.(c.inputs.(i)) in
   match c.kind with
   | Dp_tech.Cell_kind.Fa ->
     let sum, carry = fa64 (v 0) (v 1) (v 2) in
-    [| sum; carry |]
+    out.(0) <- sum;
+    out.(1) <- carry
   | Dp_tech.Cell_kind.Ha ->
     let sum, carry = ha64 (v 0) (v 1) in
-    [| sum; carry |]
+    out.(0) <- sum;
+    out.(1) <- carry
   | Dp_tech.Cell_kind.(C42 | C53 | C63 | C73) ->
     let s0, s1, s2 =
       Dp_tech.Recipe.eval
         (Dp_tech.Recipe.of_kind c.kind)
         ~pin:v ~fa:fa64 ~ha:ha64
     in
-    [| s0; s1; s2 |]
+    out.(0) <- s0;
+    out.(1) <- s1;
+    out.(2) <- s2
   | Dp_tech.Cell_kind.And_n n ->
     let acc = ref Int64.minus_one in
     for i = 0 to n - 1 do
       acc := Int64.logand !acc (v i)
     done;
-    [| !acc |]
+    out.(0) <- !acc
   | Dp_tech.Cell_kind.Or_n n ->
     let acc = ref 0L in
     for i = 0 to n - 1 do
       acc := Int64.logor !acc (v i)
     done;
-    [| !acc |]
+    out.(0) <- !acc
   | Dp_tech.Cell_kind.Xor_n n ->
     let acc = ref 0L in
     for i = 0 to n - 1 do
       acc := Int64.logxor !acc (v i)
     done;
-    [| !acc |]
-  | Dp_tech.Cell_kind.Not -> [| Int64.lognot (v 0) |]
-  | Dp_tech.Cell_kind.Buf -> [| v 0 |]
+    out.(0) <- !acc
+  | Dp_tech.Cell_kind.Not -> out.(0) <- Int64.lognot (v 0)
+  | Dp_tech.Cell_kind.Buf -> out.(0) <- v 0
+
+let inputs_below (c : Netlist.cell) net =
+  let rec from pin =
+    pin >= Array.length c.inputs || (c.inputs.(pin) < net && from (pin + 1))
+  in
+  from 0
 
 let run netlist ~assign =
   let n = Netlist.net_count netlist in
   let values = Array.make n 0L in
   let gov = Netlist.gov netlist in
   (* Net ids are topologically ordered (see [Simulator.run]); one forward
-     pass evaluates all 64 lanes of every net. *)
+     pass evaluates all 64 lanes of every net.  A cell's outputs are
+     consecutive nets, so it is evaluated once, when the first of them
+     comes up, into [ports]; its other outputs read the words kept there.
+     The words are kept only when every input of the cell lies below the
+     net being evaluated, as on a lint-clean netlist: those values are
+     final.  A cell that reads its own or a later net (a [Netlist.Mutate]
+     corruption) is evaluated again for each net it drives, as
+     [Simulator.run] does. *)
+  let ports = Array.make 3 0L in
+  let evaluated = ref (-1) and port_count = ref 0 in
   for net = 0 to n - 1 do
     (match gov with
     | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Sim g
     | None -> ());
-    match Netlist.driver netlist net with
-    | Netlist.From_input { var; bit } -> values.(net) <- assign var bit
-    | Netlist.From_const b ->
-      values.(net) <- (if b then Int64.minus_one else 0L)
-    | Netlist.From_cell { cell; port } ->
-      let c = Netlist.cell netlist cell in
-      values.(net) <- (cell_outputs c values).(port)
+    let cell = Netlist.driving_cell netlist net in
+    if cell >= 0 then begin
+      if cell <> !evaluated then begin
+        let c = Netlist.cell netlist cell in
+        eval_cell c values ports;
+        evaluated := if inputs_below c net then cell else -1;
+        port_count := Dp_tech.Cell_kind.output_count c.kind
+      end;
+      let port = Netlist.driving_port netlist net in
+      if port >= !port_count then
+        invalid_arg "Bitsim.run: a driver names no such port";
+      values.(net) <- ports.(port)
+    end
+    else
+      match Netlist.driver netlist net with
+      | Netlist.From_input { var; bit } -> values.(net) <- assign var bit
+      | Netlist.From_const b ->
+        values.(net) <- (if b then Int64.minus_one else 0L)
+      | Netlist.From_cell _ -> invalid_arg "Bitsim.run: a driver names no cell"
   done;
   values
 

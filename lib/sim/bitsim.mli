@@ -13,13 +13,12 @@
 
 open Dp_netlist
 
-(** Word-level combinational function of one cell: packed output words
-    (indexed by port) from the current packed net valuation. *)
-val cell_outputs : Netlist.cell -> int64 array -> int64 array
-
 (** Packed value of every net, indexed by net id.  [assign var bit] is the
     packed word of input bit [bit] of variable [var]; lanes the caller
-    never reads may hold anything. *)
+    never reads may hold anything.  Each cell is evaluated once per
+    sweep, when its first output net comes up; on a corrupted netlist, a
+    cell that reads its own or a later net is evaluated again for each
+    net it drives, so every net holds what [Simulator.run] computes. *)
 val run : Netlist.t -> assign:(string -> int -> int64) -> int64 array
 
 (** Pack [lanes] scalar assignments (lane [k] assigns [assign k var] to

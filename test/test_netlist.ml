@@ -222,6 +222,15 @@ let test_set_driver_round_trips () =
           Netlist.Mutate.set_driver n net d;
           checkb (label ^ ": driver reads back") true
             (Netlist.driver n net = d);
+          let cell, port =
+            match d with
+            | Netlist.From_cell { cell; port } -> (cell, port)
+            | Netlist.From_input _ | Netlist.From_const _ -> (-1, -1)
+          in
+          checki (label ^ ": driving_cell follows") cell
+            (Netlist.driving_cell n net);
+          checki (label ^ ": driving_port follows") port
+            (Netlist.driving_port n net);
           let const = match d with Netlist.From_const v -> Some v | _ -> None in
           checkb (label ^ ": const_value follows") true
             (Netlist.const_value n net = const))
@@ -230,7 +239,10 @@ let test_set_driver_round_trips () =
   checkb "untouched input" true
     (Netlist.driver n b = Netlist.From_input { var = "b"; bit = 0 });
   checkb "untouched cell output" true
-    (Netlist.driver n na = Netlist.From_cell { cell = 0; port = 0 })
+    (Netlist.driver n na = Netlist.From_cell { cell = 0; port = 0 });
+  checki "untouched input: no driving cell" (-1) (Netlist.driving_cell n b);
+  checki "untouched cell output: driving cell" 0 (Netlist.driving_cell n na);
+  checki "untouched cell output: driving port" 0 (Netlist.driving_port n na)
 
 let test_cell_outputs_match_builders () =
   let n = mk_netlist () in
@@ -298,6 +310,58 @@ let test_topo_levels () =
   let out = Netlist.find_output n "out" in
   checki "fa after and" 2 levels.(out.(0));
   checki "depth" 2 (Topo.depth n)
+
+(* [Topo.levels] reads net codes; the reference reads [Netlist.driver].
+   A netlist corrupted by [Inject] can make both raise (a dangling pin),
+   so the outcomes are compared, exceptions included. *)
+let same_levels label netlist =
+  let outcome f = match f netlist with v -> Ok v | exception e -> Error e in
+  if outcome Topo.levels <> outcome Topo_reference.levels then
+    Alcotest.failf "%s: levels differ from the reference" label;
+  if outcome Topo.depth <> outcome Topo_reference.depth then
+    Alcotest.failf "%s: depth differs from the reference" label
+
+let test_topo_levels_reference () =
+  List.iter
+    (fun (d : Dp_designs.Design.t) ->
+      List.iter
+        (fun strategy ->
+          let r = Dp_flow.Synth.run strategy d.env d.expr ~width:d.width in
+          same_levels
+            (Printf.sprintf "%s/%s" d.name (Dp_flow.Strategy.name strategy))
+            r.netlist)
+        Dp_flow.Strategy.all)
+    (Dp_designs.Catalog.all @ Dp_designs.Catalog.table2)
+
+let test_topo_levels_reference_injected () =
+  let env = Dp_expr.Env.of_widths [ ("x", 5); ("y", 4); ("z", 6) ] in
+  let victim strategy src () =
+    (Dp_flow.Synth.run strategy env (Dp_expr.Parse.expr src)).netlist
+  in
+  (* the Dadda 4:2 tree is the victim that holds counter cells *)
+  let victims =
+    [
+      victim Dp_flow.Strategy.Fa_aot "x*y + z";
+      victim Dp_flow.Strategy.Dadda_gpc "x*y + y*z + z*x";
+    ]
+  in
+  List.iter
+    (fun m ->
+      let applied = ref false in
+      List.iter
+        (fun fresh ->
+          List.iter
+            (fun seed ->
+              let nl = fresh () in
+              match Dp_verify.Inject.apply ~seed nl m with
+              | None -> ()
+              | Some descr ->
+                applied := true;
+                same_levels (Dp_verify.Inject.name m ^ ": " ^ descr) nl)
+            [ 0; 1; 2; 3; 4 ])
+        victims;
+      checkb (Dp_verify.Inject.name m ^ " applied") true !applied)
+    Dp_verify.Inject.all
 
 let test_critical_path_endpoints () =
   let n = small_tree () in
@@ -393,4 +457,8 @@ let suite =
       test_set_driver_round_trips;
     case "layout: cell outputs are what the builders returned"
       test_cell_outputs_match_builders;
+    case "topo: levels = driver-based reference on the catalog"
+      test_topo_levels_reference;
+    case "topo: levels = driver-based reference under every injected fault"
+      test_topo_levels_reference_injected;
   ]

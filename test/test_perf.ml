@@ -196,7 +196,12 @@ let matrix_identity () =
 (* ------------------------------------------------------------------ *)
 (* Bit-parallel simulation: every lane of [Bitsim.run_lanes] must equal a
    scalar [Simulator.run] of the same assignment, net for net, and the
-   declared outputs must match the bignum reference evaluation. *)
+   declared outputs must match the bignum reference evaluation.  FA_AOT
+   builds FA/HA trees; the three GPC strategies add C73/C63/C53/C42
+   cells, which [Bitsim] evaluates through their recipe bodies and
+   [Simulator] through their arithmetic, so the two cross-check each
+   other there.  Netlists corrupted by every [Inject] class are compared
+   too: there a cell may read its own or a later net, or a dangling one. *)
 
 let unsigned_cases n =
   let config =
@@ -205,56 +210,142 @@ let unsigned_cases n =
   let rng = Random.State.make [| 0xb175 |] in
   List.init n (fun i -> Dp_fuzz.Gen.case ~config rng i)
 
+(* One sweep of [lanes] random assignments against a scalar run of each.
+   A corrupted netlist can make both simulators raise, so the outcomes
+   are compared, exceptions included (by constructor: the messages name
+   different simulators).  Returns the sweep's words and the
+   assignments. *)
+let same_lanes ?lanes rng label netlist =
+  let widths =
+    List.map (fun (name, nets) -> (name, Array.length nets)) (Netlist.inputs netlist)
+  in
+  let lanes =
+    match lanes with Some l -> l | None -> 1 + Random.State.int rng 64
+  in
+  let alists =
+    Array.init lanes (fun _ ->
+        List.map (fun (name, w) -> (name, Random.State.int rng (1 lsl w))) widths)
+  in
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception e -> Error (Printexc.exn_slot_name e)
+  in
+  let packed =
+    outcome (fun () ->
+        Dp_sim.Bitsim.run_lanes netlist ~lanes ~assign:(fun lane name ->
+            List.assoc name alists.(lane)))
+  in
+  for lane = 0 to lanes - 1 do
+    let scalar =
+      outcome (fun () ->
+          Dp_sim.Simulator.run netlist ~assign:(fun name ->
+              List.assoc name alists.(lane)))
+    in
+    match (packed, scalar) with
+    | Ok values, Ok scalar ->
+      Array.iteri
+        (fun net v ->
+          if Dp_sim.Bitsim.lane_bit values net ~lane <> v then
+            Alcotest.failf "%s: net %d, lane %d/%d: bitsim disagrees" label net
+              lane lanes)
+        scalar
+    | Error e, Error e' when e = e' -> ()
+    | _ ->
+      let show = function Ok _ -> "returns" | Error e -> "raises " ^ e in
+      Alcotest.failf "%s: lane %d/%d: bitsim %s, simulator %s" label lane lanes
+        (show packed) (show scalar)
+  done;
+  (packed, alists)
+
 let bitsim_matches_scalar () =
   let rng = Random.State.make [| 0x51d |] in
+  let counters = Hashtbl.create 4 in
   List.iter
     (fun case_ ->
       match Dp_fuzz.Case.single_port case_ with
       | None -> ()
       | Some (expr, width) ->
         let env = Dp_fuzz.Case.env (Dp_fuzz.Case.drop_unused_vars case_) in
-        let r = Dp_flow.Synth.run Dp_flow.Strategy.Fa_aot env expr ~width in
-        let netlist = r.netlist in
-        let widths =
-          List.map
-            (fun (name, nets) -> (name, Array.length nets))
-            (Netlist.inputs netlist)
-        in
-        let lanes = 1 + Random.State.int rng 64 in
-        let alists =
-          Array.init lanes (fun _ ->
-              List.map
-                (fun (name, w) -> (name, Random.State.int rng (1 lsl w)))
-                widths)
-        in
-        let values =
-          Dp_sim.Bitsim.run_lanes netlist ~lanes ~assign:(fun lane name ->
-              List.assoc name alists.(lane))
-        in
-        for lane = 0 to lanes - 1 do
-          let scalar =
-            Dp_sim.Simulator.run netlist ~assign:(fun name ->
-                List.assoc name alists.(lane))
-          in
-          Array.iteri
-            (fun net v ->
-              if Dp_sim.Bitsim.lane_bit values net ~lane <> v then
-                Alcotest.failf "net %d, lane %d/%d: bitsim disagrees" net lane
-                  lanes)
-            scalar;
-          let packed =
-            Dp_sim.Bitsim.output_value netlist values ~lane r.output
-          in
-          let big =
-            Dp_fuzz.Bigval.eval
-              (fun x -> Dp_fuzz.Bigval.of_int (List.assoc x alists.(lane)))
-              expr
-          in
-          checki "output vs bignum"
-            (Dp_fuzz.Bigval.to_int_mod ~width big)
-            packed
-        done)
-    (unsigned_cases 15)
+        List.iter
+          (fun strategy ->
+            let r = Dp_flow.Synth.run strategy env expr ~width in
+            let netlist = r.netlist in
+            Netlist.iter_cells
+              (fun _ (c : Netlist.cell) ->
+                if Dp_tech.Cell_kind.is_counter c.kind then
+                  Hashtbl.replace counters c.kind ())
+              netlist;
+            match same_lanes rng (Dp_flow.Strategy.name strategy) netlist with
+            | Error e, _ ->
+              Alcotest.failf "%s: bitsim raises %s"
+                (Dp_flow.Strategy.name strategy) e
+            | Ok values, alists ->
+              Array.iteri
+                (fun lane alist ->
+                  let packed =
+                    Dp_sim.Bitsim.output_value netlist values ~lane r.output
+                  in
+                  let big =
+                    Dp_fuzz.Bigval.eval
+                      (fun x -> Dp_fuzz.Bigval.of_int (List.assoc x alist))
+                      expr
+                  in
+                  checki "output vs bignum"
+                    (Dp_fuzz.Bigval.to_int_mod ~width big)
+                    packed)
+                alists)
+          Dp_flow.Strategy.[ Fa_aot; Sc_t_gpc; Sc_lp_gpc; Dadda_gpc ])
+    (unsigned_cases 15);
+  List.iter
+    (fun kind ->
+      checkb
+        (Dp_tech.Cell_kind.name kind ^ " cells compared")
+        true (Hashtbl.mem counters kind))
+    Dp_tech.Cell_kind.[ C42; C53; C63; C73 ];
+  (* the Dadda 4:2 tree is the victim that holds counter cells *)
+  let env = Dp_expr.Env.of_widths [ ("x", 5); ("y", 4); ("z", 6) ] in
+  let victims =
+    [
+      (Dp_flow.Strategy.Fa_aot, "x*y + z");
+      (Dp_flow.Strategy.Dadda_gpc, "x*y + y*z + z*x");
+    ]
+  in
+  List.iter
+    (fun m ->
+      let applied = ref false in
+      List.iter
+        (fun (strategy, src) ->
+          for seed = 0 to 4 do
+            let nl =
+              (Dp_flow.Synth.run strategy env (Dp_expr.Parse.expr src)).netlist
+            in
+            match Dp_verify.Inject.apply ~seed nl m with
+            | None -> ()
+            | Some descr ->
+              applied := true;
+              ignore (same_lanes rng (Dp_verify.Inject.name m ^ ": " ^ descr) nl)
+          done)
+        victims;
+      checkb (Dp_verify.Inject.name m ^ " applied") true !applied)
+    Dp_verify.Inject.all;
+  (* Two corruptions that words kept from a cell's first evaluation would
+     answer stale: an FA whose carry-in reads its own sum, and the net just
+     before an FA's outputs claiming the FA's carry while the FA reads it. *)
+  let and_then_fa () =
+    let n = mk_netlist () in
+    let x = Netlist.add_input n "x" ~width:2 in
+    let g = Netlist.and_n n [ x.(0); x.(1) ] in
+    let s, c = Netlist.fa n x.(0) x.(1) g in
+    Netlist.set_output n "o" [| g; s; c |];
+    (n, g, s)
+  in
+  let n, _, s = and_then_fa () in
+  Netlist.Mutate.set_cell_input n ~cell:1 ~pin:2 s;
+  ignore (same_lanes ~lanes:64 rng "an FA's carry-in reads its own sum" n);
+  let n, g, _ = and_then_fa () in
+  Netlist.Mutate.set_driver n g (Netlist.From_cell { cell = 1; port = 1 });
+  ignore (same_lanes ~lanes:64 rng "the net before an FA claims its carry" n)
 
 (* The batched equivalence checker and the Monte-Carlo estimators went
    bit-parallel; their results for a fixed seed must equal a scalar
