@@ -965,7 +965,7 @@ let serve_cmd =
             handle_signals = true;
             log;
             journal;
-            hedge = (if hedge then Some Dp_server.Router.default_hedge else None);
+            hedge;
           }
       with
       | () -> ()
@@ -1061,8 +1061,7 @@ let retry_seed_arg =
 
 let retry_of ~retries ~attempt_timeout ~retry_seed =
   {
-    Dp_server.Client.default_retry with
-    attempts = max 1 retries;
+    Dp_server.Client.attempts = max 1 retries;
     per_attempt_timeout_s = attempt_timeout;
     seed = retry_seed;
   }

@@ -186,6 +186,22 @@ let lint_ok netlist =
   | _ :: _ -> false
   | exception _ -> false
 
+(* The entry a file holds, if its magic line and checksum hold; the read
+   path and [fsck] both judge a file through this.  Raises on an
+   unreadable file or a body [Marshal] rejects. *)
+let decode path =
+  let raw = In_channel.with_open_bin path In_channel.input_all in
+  let mlen = String.length magic in
+  if
+    String.length raw < mlen + 33
+    || not (String.equal (String.sub raw 0 mlen) magic)
+  then None
+  else
+    let sum = String.sub raw mlen 32 in
+    let body = String.sub raw (mlen + 33) (String.length raw - mlen - 33) in
+    if not (String.equal sum (Digest.to_hex (Digest.string body))) then None
+    else Some (Marshal.from_string body 0 : entry)
+
 let read_disk t digest ~fingerprint =
   match t.dir with
   | None -> None
@@ -194,26 +210,12 @@ let read_disk t digest ~fingerprint =
     if not (Sys.file_exists path) then None
     else
       let parsed =
-        try
-          let raw = In_channel.with_open_bin path In_channel.input_all in
-          let mlen = String.length magic in
-          if
-            String.length raw < mlen + 33
-            || not (String.equal (String.sub raw 0 mlen) magic)
-          then None
-          else
-            let sum = String.sub raw mlen 32 in
-            let body = String.sub raw (mlen + 33) (String.length raw - mlen - 33) in
-            if not (String.equal sum (Digest.to_hex (Digest.string body))) then
-              None
-            else
-              let (entry : entry) = Marshal.from_string body 0 in
-              if
-                String.equal entry.fingerprint fingerprint
-                && lint_ok entry.result.netlist
-              then Some entry
-              else None
-        with _ -> None
+        match decode path with
+        | Some entry
+          when String.equal entry.fingerprint fingerprint
+               && lint_ok entry.result.netlist ->
+          Some entry
+        | _ | (exception _) -> None
       in
       match parsed with
       | Some _ as ok -> ok
@@ -307,30 +309,14 @@ let fsck ?(prune = false) ?(tmp_age_s = 60.0) ~dir () =
     let path = Filename.concat dir name in
     let digest = Filename.chop_suffix name ".dpc" in
     let verdict =
-      try
-        let raw = In_channel.with_open_bin path In_channel.input_all in
-        let mlen = String.length magic in
-        if
-          String.length raw < mlen + 33
-          || not (String.equal (String.sub raw 0 mlen) magic)
-        then `Corrupt
-        else
-          let sum = String.sub raw mlen 32 in
-          let body =
-            String.sub raw (mlen + 33) (String.length raw - mlen - 33)
-          in
-          if not (String.equal sum (Digest.to_hex (Digest.string body))) then
-            `Corrupt
-          else
-            let (entry : entry) = Marshal.from_string body 0 in
-            if
-              not
-                (String.equal digest
-                   (Digest.to_hex (Digest.string entry.fingerprint)))
-            then `Misfiled
-            else if lint_ok entry.result.netlist then `Valid
-            else `Corrupt
-      with _ -> `Corrupt
+      match decode path with
+      | Some entry
+        when not
+               (String.equal digest
+                  (Digest.to_hex (Digest.string entry.fingerprint))) ->
+        `Misfiled
+      | Some entry when lint_ok entry.result.netlist -> `Valid
+      | _ | (exception _) -> `Corrupt
     in
     (* Pruning an entry also drops its companion lock file (inside the
        critical section — unlink-while-held is fine), or the prune

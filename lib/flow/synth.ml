@@ -42,19 +42,6 @@ let reduce_matrix (strategy : Strategy.t) netlist ~width matrix =
       (Dp_baselines.Rows.of_matrix ~width matrix)
   | Conventional -> invalid_arg "Synth.reduce_matrix: not a matrix strategy"
 
-let finish ?reduced_max_arrival strategy netlist ~width out_nets =
-  Netlist.set_output netlist output_name out_nets;
-  {
-    strategy;
-    netlist;
-    output = output_name;
-    width;
-    stats = Stats.of_netlist netlist;
-    tree_switching = Dp_power.Switching.tree_switching netlist;
-    total_switching = Dp_power.Switching.total_switching netlist;
-    reduced_max_arrival;
-  }
-
 let rows_max_arrival netlist (row_a, row_b) =
   Array.fold_left
     (fun acc slot ->
@@ -113,50 +100,6 @@ let check_netlist ~check_level netlist ports =
       in
       widths ports)
 
-let build ?(tech = Dp_tech.Tech.lcb_like) ?(adder = Dp_adders.Adder.Cla)
-    ?(lower_config = Dp_bitmatrix.Lower.default_config) ?width strategy env expr =
-  let width =
-    match width with Some w -> w | None -> Range.natural_width env expr
-  in
-  let netlist = Netlist.create ~tech in
-  let out, reduced_max_arrival =
-    synth_output ~adder ~lower_config strategy netlist env expr ~width
-  in
-  finish ?reduced_max_arrival strategy netlist ~width out
-
-let run ?tech ?adder ?lower_config ?width
-    ?(check_level = Dp_verify.Lint.Off) strategy env expr =
-  let r = build ?tech ?adder ?lower_config ?width strategy env expr in
-  Dp_diag.Diag.get_ok (check_netlist ~check_level r.netlist [ (r.output, r.width) ]);
-  r
-
-(* No exception may escape the [_res] entry points: anything the typed
-   paths don't already cover (a [Failure] from a library call, a stack
-   overflow on a pathological expression, ...) is converted to the
-   [DP-INTERNAL] catch-all so fuzzing and the CLI always see a [Diag.t].
-   [Sys.Break] (ctrl-C) is deliberately re-raised. *)
-let internal_diag strategy exn =
-  Dp_diag.Diag.error
-    (Dp_diag.Diag.errorf ~code:"DP-INTERNAL" ~subsystem:"synth"
-       ~context:[ ("strategy", Strategy.name strategy) ]
-       "unexpected exception escaped the synthesis flow: %s"
-       (Printexc.to_string exn))
-
-let run_res ?tech ?adder ?lower_config ?width ?check_level strategy env expr =
-  match Env.check_covers_res expr env with
-  | Error _ as e -> e
-  | Ok () -> (
-    match run ?tech ?adder ?lower_config ?width ?check_level strategy env expr with
-    | r -> Ok r
-    | exception Dp_diag.Diag.E d -> Error d
-    | exception Invalid_argument msg ->
-      Dp_diag.Diag.error
-        (Dp_diag.Diag.v ~code:"DP-SYNTH001" ~subsystem:"synth"
-           ~context:[ ("strategy", Strategy.name strategy) ]
-           msg)
-    | exception (Sys.Break as e) -> raise e
-    | exception e -> internal_diag strategy e)
-
 type port = { name : string; expr : Ast.t; width : int }
 
 type multi_result = {
@@ -168,49 +111,78 @@ type multi_result = {
   total_switching : float;
 }
 
-(* Synthesize several outputs into ONE netlist.  Inputs and — through the
-   builder's structural hashing — partial-product gates are shared across
-   outputs; each output gets its own FA-tree and final adder.  This is the
-   paper's "applying our algorithm to all arithmetic expressions in a
-   circuit iteratively". *)
-let run_multi ?(tech = Dp_tech.Tech.lcb_like) ?(adder = Dp_adders.Adder.Cla)
+(* The one synthesis core: several outputs into ONE netlist.  Inputs and
+   — through the builder's structural hashing — partial-product gates
+   are shared across outputs; each output gets its own FA-tree and final
+   adder.  This is the paper's "applying our algorithm to all arithmetic
+   expressions in a circuit iteratively"; a single output is the
+   one-port case.  Also returns each port's tree arrival. *)
+let build ?(tech = Dp_tech.Tech.lcb_like) ?(adder = Dp_adders.Adder.Cla)
     ?(lower_config = Dp_bitmatrix.Lower.default_config)
     ?(check_level = Dp_verify.Lint.Off) strategy env ports =
   (match ports with [] -> invalid_arg "Synth.run_multi: no outputs" | _ :: _ -> ());
   let netlist = Netlist.create ~tech in
-  List.iter
-    (fun p ->
-      let out, _ =
-        synth_output ~adder ~lower_config strategy netlist env p.expr
-          ~width:p.width
-      in
-      Netlist.set_output netlist p.name out)
-    ports;
+  let arrivals =
+    List.map
+      (fun p ->
+        let out, arrival =
+          synth_output ~adder ~lower_config strategy netlist env p.expr
+            ~width:p.width
+        in
+        Netlist.set_output netlist p.name out;
+        arrival)
+      ports
+  in
   Dp_diag.Diag.get_ok
     (check_netlist ~check_level netlist
        (List.map (fun p -> (p.name, p.width)) ports));
+  ( {
+      strategy;
+      netlist;
+      ports;
+      stats = Stats.of_netlist netlist;
+      tree_switching = Dp_power.Switching.tree_switching netlist;
+      total_switching = Dp_power.Switching.total_switching netlist;
+    },
+    arrivals )
+
+let run_multi ?tech ?adder ?lower_config ?check_level strategy env ports =
+  fst (build ?tech ?adder ?lower_config ?check_level strategy env ports)
+
+let run ?tech ?adder ?lower_config ?width ?check_level strategy env expr =
+  let width =
+    match width with Some w -> w | None -> Range.natural_width env expr
+  in
+  let m, arrivals =
+    build ?tech ?adder ?lower_config ?check_level strategy env
+      [ { name = output_name; expr; width } ]
+  in
   {
     strategy;
-    netlist;
-    ports;
-    stats = Stats.of_netlist netlist;
-    tree_switching = Dp_power.Switching.tree_switching netlist;
-    total_switching = Dp_power.Switching.total_switching netlist;
+    netlist = m.netlist;
+    output = output_name;
+    width;
+    stats = m.stats;
+    tree_switching = m.tree_switching;
+    total_switching = m.total_switching;
+    reduced_max_arrival = List.hd arrivals;
   }
 
-let run_multi_res ?tech ?adder ?lower_config ?check_level strategy env ports =
-  let covers =
+(* No exception may escape the [_res] entry points: anything the typed
+   paths don't already cover (a [Failure] from a library call, a stack
+   overflow on a pathological expression, ...) is converted to the
+   [DP-INTERNAL] catch-all so fuzzing and the CLI always see a [Diag.t].
+   [Sys.Break] (ctrl-C) is deliberately re-raised.  [exprs] are checked
+   against [env] first ([DP-ENV003]). *)
+let guarded strategy env exprs f =
+  match
     List.fold_left
-      (fun acc (p : port) ->
-        match acc with
-        | Error _ -> acc
-        | Ok () -> Env.check_covers_res p.expr env)
-      (Ok ()) ports
-  in
-  match covers with
+      (fun acc expr -> Result.bind acc (fun () -> Env.check_covers_res expr env))
+      (Ok ()) exprs
+  with
   | Error _ as e -> e
   | Ok () -> (
-    match run_multi ?tech ?adder ?lower_config ?check_level strategy env ports with
+    match f () with
     | r -> Ok r
     | exception Dp_diag.Diag.E d -> Error d
     | exception Invalid_argument msg ->
@@ -219,7 +191,21 @@ let run_multi_res ?tech ?adder ?lower_config ?check_level strategy env ports =
            ~context:[ ("strategy", Strategy.name strategy) ]
            msg)
     | exception (Sys.Break as e) -> raise e
-    | exception e -> internal_diag strategy e)
+    | exception e ->
+      Dp_diag.Diag.error
+        (Dp_diag.Diag.errorf ~code:"DP-INTERNAL" ~subsystem:"synth"
+           ~context:[ ("strategy", Strategy.name strategy) ]
+           "unexpected exception escaped the synthesis flow: %s"
+           (Printexc.to_string e)))
+
+let run_res ?tech ?adder ?lower_config ?width ?check_level strategy env expr =
+  guarded strategy env [ expr ] (fun () ->
+      run ?tech ?adder ?lower_config ?width ?check_level strategy env expr)
+
+let run_multi_res ?tech ?adder ?lower_config ?check_level strategy env ports =
+  guarded strategy env
+    (List.map (fun (p : port) -> p.expr) ports)
+    (fun () -> run_multi ?tech ?adder ?lower_config ?check_level strategy env ports)
 
 (* Try every final-adder architecture and keep the fastest netlist — the
    flow-level analogue of letting downstream logic synthesis restructure
@@ -238,7 +224,9 @@ let run_best_adder ?tech ?lower_config ?width strategy env expr =
         if r.stats.delay < best.stats.delay then r else best)
       first rest
 
-let verify_multi ?(trials = 120) ?env (result : multi_result) =
+(* Random functional equivalence of each port against its expression;
+   the first failing port's name with its mismatch. *)
+let check_ports ~trials ?env netlist ports =
   let signed =
     match env with
     | None -> fun (_ : string) -> false
@@ -248,19 +236,18 @@ let verify_multi ?(trials = 120) ?env (result : multi_result) =
     | [] -> Ok ()
     | p :: rest -> (
       match
-        Dp_sim.Equiv.check_random ~signed ~trials result.netlist p.expr
+        Dp_sim.Equiv.check_random ~signed ~trials netlist p.expr
           ~output:p.name ~width:p.width
       with
       | Ok () -> go rest
       | Error m -> Error (p.name, m))
   in
-  go result.ports
+  go ports
+
+let verify_multi ?(trials = 120) ?env (result : multi_result) =
+  check_ports ~trials ?env result.netlist result.ports
 
 let verify ?(trials = 200) ?env (result : result) expr =
-  let signed =
-    match env with
-    | None -> fun (_ : string) -> false
-    | Some env -> fun x -> Env.mem x env && Env.is_signed x env
-  in
-  Dp_sim.Equiv.check_random ~signed ~trials result.netlist expr
-    ~output:result.output ~width:result.width
+  Result.map_error snd
+    (check_ports ~trials ?env result.netlist
+       [ { name = result.output; expr; width = result.width } ])

@@ -19,7 +19,8 @@ type result = {
 }
 
 (** [run strategy env expr] synthesizes [expr] mod 2^width (default: the
-    natural width).  [adder] picks the final/CPA adder architecture;
+    natural width) — the one-port case of {!run_multi}, its port named
+    ["out"].  [adder] picks the final/CPA adder architecture;
     [lower_config] the coefficient recoding.  Matrix strategies share the
     same lowering; [Conventional] builds its own word-level structure.
 
@@ -93,9 +94,9 @@ val run_best_adder :
   ?width:int -> Strategy.t -> Env.t -> Ast.t -> result
 
 (** Random functional-equivalence check of a result against its source
-    expression.  Pass the environment whenever it declares signed
-    variables, so their bit patterns are interpreted in two's
-    complement. *)
+    expression — the one-port case of {!verify_multi}.  Pass the
+    environment whenever it declares signed variables, so their bit
+    patterns are interpreted in two's complement. *)
 val verify :
   ?trials:int -> ?env:Env.t -> result -> Ast.t ->
   (unit, Dp_sim.Equiv.mismatch) Stdlib.result

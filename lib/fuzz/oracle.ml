@@ -259,24 +259,13 @@ let check_netlist ~config ~ctx case netlist ports =
 (* The full strategy x adder matrix *)
 
 let synth_pair ~config case strategy adder =
-  let env = Case.env case in
-  match case.Case.ports with
-  (* [run_res] hard-codes the output name "out"; any other single port
-     (e.g. a shrunk multi-output case) must go through [run_multi_res]
-     so [check_port] can find its bus by name. *)
-  | [ ("out", expr, width) ] ->
-    Result.map
-      (fun (r : Dp_flow.Synth.result) -> r.netlist)
-      (Dp_flow.Synth.run_res ?tech:config.tech ~adder ~width
-         ~check_level:Dp_verify.Lint.Strict strategy env expr)
-  | ports ->
-    Result.map
-      (fun (r : Dp_flow.Synth.multi_result) -> r.netlist)
-      (Dp_flow.Synth.run_multi_res ?tech:config.tech ~adder
-         ~check_level:Dp_verify.Lint.Strict strategy env
-         (List.map
-            (fun (name, expr, width) -> { Dp_flow.Synth.name; expr; width })
-            ports))
+  Result.map
+    (fun (r : Dp_flow.Synth.multi_result) -> r.netlist)
+    (Dp_flow.Synth.run_multi_res ?tech:config.tech ~adder
+       ~check_level:Dp_verify.Lint.Strict strategy (Case.env case)
+       (List.map
+          (fun (name, expr, width) -> { Dp_flow.Synth.name; expr; width })
+          case.Case.ports))
 
 let check_pair ~config case strategy adder =
   let ctx =

@@ -132,22 +132,9 @@ let ping ~deadline ~id socket =
 (* ------------------------------------------------------------------ *)
 (* Retry loop *)
 
-type retry = {
-  attempts : int;
-  base_backoff_s : float;
-  max_backoff_s : float;
-  per_attempt_timeout_s : float;
-  seed : int;
-}
+type retry = { attempts : int; per_attempt_timeout_s : float; seed : int }
 
-let default_retry =
-  {
-    attempts = 3;
-    base_backoff_s = 0.05;
-    max_backoff_s = 2.0;
-    per_attempt_timeout_s = 30.0;
-    seed = 0;
-  }
+let default_retry = { attempts = 3; per_attempt_timeout_s = 30.0; seed = 0 }
 
 let retryable (d : Diag.t) =
   match d.code with
@@ -177,9 +164,9 @@ let call ?(retry = default_retry) ~socket request =
   let rng = Random.State.make [| retry.seed; 0xc11e |] in
   let attempts = max 1 retry.attempts in
   let backoff k =
-    (* exponential with full jitter: base * 2^k * [0.5, 1.5) *)
-    let raw = retry.base_backoff_s *. (2.0 ** float_of_int k) in
-    let capped = Float.min raw retry.max_backoff_s in
+    (* exponential with full jitter: 50 ms * 2^k, capped at 2 s, times
+       [0.5, 1.5) *)
+    let capped = Float.min (0.05 *. (2.0 ** float_of_int k)) 2.0 in
     capped *. (0.5 +. Random.State.float rng 1.0)
   in
   let rec go k =

@@ -47,13 +47,11 @@ val ping : deadline:float -> id:Json.t -> string -> bool
 
 type retry = {
   attempts : int;  (** total attempts, including the first *)
-  base_backoff_s : float;
-  max_backoff_s : float;
   per_attempt_timeout_s : float;  (** <= 0 disables the attempt deadline *)
   seed : int;  (** jitter PRNG seed *)
 }
 
-(** 3 attempts, 50 ms base / 2 s cap, 30 s per attempt, seed 0. *)
+(** 3 attempts, 30 s per attempt, seed 0. *)
 val default_retry : retry
 
 (** Should this failure be retried?  True for the transport/truncation
@@ -64,9 +62,11 @@ val default_retry : retry
 val retryable : Dp_diag.Diag.t -> bool
 
 (** [call ~retry ~socket request] — a full connect/send/receive attempt
-    per try, with jittered exponential backoff between tries.  An error
-    {e envelope} whose diagnostic is {!retryable} is retried too; the
-    last envelope (or transport error) is returned when attempts run
-    out.  Each attempt opens a fresh connection, so a server that
-    dropped the line mid-response is simply reconnected to. *)
+    per try, with jittered exponential backoff between tries (50 ms
+    doubling per try, capped at 2 s, times a factor in [[0.5, 1.5)]).
+    An error {e envelope} whose diagnostic is {!retryable} is retried
+    too; the last envelope (or transport error) is returned when
+    attempts run out.  Each attempt opens a fresh connection, so a
+    server that dropped the line mid-response is simply reconnected
+    to. *)
 val call : ?retry:retry -> socket:string -> Json.t -> (Json.t, Dp_diag.Diag.t) result

@@ -143,8 +143,11 @@ let handle_line t chaos handle fd line =
     respond chaos fd (Protocol.ok_response ~id [ ("pong", Json.Bool true) ]);
     `Continue
   | Ok { id; req = Protocol.Shutdown } ->
-    respond chaos fd (Protocol.ok_response ~id []);
-    request_shutdown t;
+    (* A lost acknowledgement (torn by chaos, or the peer already gone)
+       must not cancel the shutdown it acknowledges. *)
+    Fun.protect
+      ~finally:(fun () -> request_shutdown t)
+      (fun () -> respond chaos fd (Protocol.ok_response ~id []));
     `Close
   | Ok { id; req } ->
     respond chaos fd (handle ~id req);

@@ -9,7 +9,8 @@
     ([DP-PROTO003]), [ping] (inline, never queued: a pong proves the
     accept loop is alive even while every worker is wedged, which is
     what the shard pool's health check probes) and [shutdown]
-    (acknowledged, then {!request_shutdown}). *)
+    (acknowledged, then {!request_shutdown} — also when the
+    acknowledgement is lost). *)
 
 type t
 

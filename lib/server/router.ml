@@ -17,20 +17,6 @@
 
 module Diag = Dp_diag.Diag
 
-(* Hedged dispatch: when the home shard has not answered within a
-   percentile of recent forward latencies, duplicate the request to the
-   next shard and take whichever answer lands first.  Safe because
-   requests are digest-idempotent — and the straggler, when it does
-   arrive, is byte-compared against the winner as a free cross-shard
-   audit. *)
-type hedge = {
-  percentile : float;  (* of the recent forward-latency window *)
-  min_delay_s : float;  (* never hedge sooner than this *)
-  max_delay_s : float;  (* never wait longer than this to hedge *)
-}
-
-let default_hedge = { percentile = 0.95; min_delay_s = 0.025; max_delay_s = 1.0 }
-
 type config = {
   socket_path : string;
   pool : Shard_pool.t;
@@ -39,7 +25,7 @@ type config = {
   log : string -> unit;
   handle_signals : bool;
   journal : Journal.t option;
-  hedge : hedge option;
+  hedge : bool;
 }
 
 let default_config ~socket_path ~pool =
@@ -51,7 +37,7 @@ let default_config ~socket_path ~pool =
     log = ignore;
     handle_signals = false;
     journal = None;
-    hedge = None;
+    hedge = false;
   }
 
 (* Recent forward latencies, kept as a fixed ring — enough signal for a
@@ -132,7 +118,12 @@ let forward t ~home json =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Hedged dispatch *)
+(* Hedged dispatch: when the home shard has not answered within a
+   percentile of recent forward latencies, duplicate the request to the
+   next shard and take whichever answer lands first.  Safe because
+   requests are digest-idempotent — and the straggler, when it does
+   arrive, is byte-compared against the winner as a free cross-shard
+   audit. *)
 
 (* The bytes that must agree across shards: the ["result"] member alone.
    The envelope's [cached] flag legitimately differs (one shard may
@@ -143,17 +134,17 @@ let result_bytes resp =
   | Some true -> Option.map Json.to_string (Json.member "result" resp)
   | _ -> None
 
-let hedge_delay t (h : hedge) =
+(* The p95 of recent forward latencies, clamped to [25 ms, 1 s]. *)
+let hedge_delay t =
+  let min_delay_s = 0.025 and max_delay_s = 1.0 in
   locked t (fun () ->
       let n = min t.lat_n lat_window in
-      if n < 8 then h.max_delay_s (* not enough signal yet; hedge late *)
+      if n < 8 then max_delay_s (* not enough signal yet; hedge late *)
       else begin
         let xs = Array.sub t.lat 0 n in
         Array.sort compare xs;
-        let idx =
-          min (n - 1) (int_of_float (h.percentile *. float_of_int n))
-        in
-        Float.max h.min_delay_s (Float.min h.max_delay_s xs.(idx))
+        let idx = min (n - 1) (int_of_float (0.95 *. float_of_int n)) in
+        Float.max min_delay_s (Float.min max_delay_s xs.(idx))
       end)
 
 let diverge_error ~home ~hedge_shard =
@@ -173,12 +164,9 @@ let diverge_error ~home ~hedge_shard =
    picked answer.  When the laggard arrives after delivery, a detached
    audit thread still byte-compares and records the divergence. *)
 let forward_hedged t ~home json =
-  match t.config.hedge with
-  | None -> forward t ~home json
-  | Some _ when Shard_pool.shard_count t.config.pool < 2 ->
-    forward t ~home json
-  | Some h ->
-    let n = Shard_pool.shard_count t.config.pool in
+  let n = Shard_pool.shard_count t.config.pool in
+  if (not t.config.hedge) || n < 2 then forward t ~home json
+  else
     let hedge_shard = (home + 1) mod n in
     let m = Mutex.create () in
     let cv = Condition.create () in
@@ -189,7 +177,7 @@ let forward_hedged t ~home json =
           Condition.broadcast cv)
     in
     ignore (Thread.create (fun () -> deliver `Primary (forward t ~home json)) ());
-    let delay = hedge_delay t h in
+    let delay = hedge_delay t in
     let t0 = Unix.gettimeofday () in
     (* No timed condvar wait in the stdlib: poll on a short period until
        the primary lands or the hedge delay expires. *)
@@ -613,13 +601,6 @@ let wait t =
        (Listener.connections t.listener)
        routed failovers forward_errors restarts health_kills fired
        wins div)
-
-(* (fired, wins, diverges) — for the soak report and benches. *)
-let hedge_counters t =
-  locked t (fun () -> (t.hedges_fired, t.hedge_wins, t.diverges))
-
-(* (entries recovered at start, incomplete entries re-dispatched). *)
-let replay_counters t = locked t (fun () -> (t.replayed, t.redispatched))
 
 let run config =
   let t = start config in

@@ -20,7 +20,9 @@
       sub-batches, elements stitched back into request order;
     - [stats] — counters summed across every reporting shard
       (served/errors/cache/supervisor/latency histogram), plus a
-      [router] section (routed/failovers/forward_errors) and the pool's
+      [router] section (routed/failovers/forward_errors, the hedge
+      counters hedges_fired/hedge_wins/diverges and, with a journal,
+      journal.replayed/redispatched) and the pool's summary and
       per-shard detail;
     - malformed lines, [ping] and [shutdown] — answered by the
       {!Listener} front it shares with {!Server}; a shutdown takes the
@@ -51,15 +53,6 @@
     [DP-SRV-DIVERGE] error (or a logged divergence count if the winner
     was already delivered), never a silently picked answer. *)
 
-(** Hedging policy: duplicate a request once its forward has been in
-    flight for the [percentile]-th recent forward latency, clamped to
-    [[min_delay_s, max_delay_s]].  Until enough latencies are recorded
-    the delay is [max_delay_s]. *)
-type hedge = { percentile : float; min_delay_s : float; max_delay_s : float }
-
-(** p95, clamped to [[25 ms, 1 s]]. *)
-val default_hedge : hedge
-
 type config = {
   socket_path : string;
   pool : Shard_pool.t;  (** started by the caller; {!wait} shuts it down *)
@@ -70,7 +63,11 @@ type config = {
   log : string -> unit;
   handle_signals : bool;  (** SIGTERM/SIGINT → graceful shutdown *)
   journal : Journal.t option;  (** durability + crash recovery *)
-  hedge : hedge option;  (** tail-latency hedging + divergence audit *)
+  hedge : bool;
+      (** tail-latency hedging + divergence audit: a request is
+          duplicated once its forward has been in flight for the p95 of
+          recent forward latencies, clamped to [[25 ms, 1 s]] (1 s until
+          enough latencies are recorded) *)
 }
 
 (** lcb_like tech, 60 s forward timeout, no signals, silent log, no
@@ -97,13 +94,6 @@ val request_shutdown : t -> unit
 (** {!Listener.wait}, then shut the pool down too (and close the
     journal). *)
 val wait : t -> unit
-
-(** (hedges fired, hedge wins, divergences). *)
-val hedge_counters : t -> int * int * int
-
-(** (journal entries recovered at start, incomplete entries
-    re-dispatched). *)
-val replay_counters : t -> int * int
 
 (** [start] + [wait]. *)
 val run : config -> unit

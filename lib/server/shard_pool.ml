@@ -139,8 +139,8 @@ let write_state_locked t =
      with Sys_error _ | Unix.Unix_error _ -> (
        try Sys.remove tmp with Sys_error _ -> ()))
 
-(* The recorded pid per shard id from a previous incarnation's state
-   file, if readable. *)
+(* The recorded (id, pid, socket) per shard from a previous
+   incarnation's state file, if readable. *)
 let read_state path =
   if not (Sys.file_exists path) then []
   else
@@ -448,8 +448,6 @@ let signal_shard t i sg =
   match locked t (fun () -> t.shards.(i).pid) with
   | None -> false
   | Some pid -> ( try Unix.kill pid sg; true with Unix.Unix_error _ -> false)
-
-let kill t i = ignore (signal_shard t i Sys.sigkill)
 
 (* Block until every shard answers a ping (all sockets bound and
    accepting), or [timeout_s] passes. *)

@@ -94,11 +94,14 @@ val wait_all_up : ?timeout_s:float -> t -> bool
     a hang only the health check can catch. *)
 val signal_shard : t -> int -> int -> bool
 
-(** Chaos/test hook: SIGKILL the shard's current incarnation. *)
-val kill : t -> int -> unit
-
 (** (total restarts-after-death, total health-check SIGKILLs). *)
 val counters : t -> int * int
+
+(** The (id, pid, socket) of every shard a [state_file] records; [[]]
+    when the file is missing, unreadable or of another schema.  What a
+    pool reattaches to, and what an owner that SIGKILLed the pool's
+    process must reap itself. *)
+val read_state : string -> (int * int * string) list
 
 (** Pool summary plus per-shard detail (state, pid, restarts,
     health_kills, breaker counters) — embedded in the router's

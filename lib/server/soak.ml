@@ -271,7 +271,6 @@ let client_thread config pool tally k =
     in
     let retry =
       {
-        Client.default_retry with
         (* A journaled run SIGKILLs the router mid-flight: the retry
            window must ride out the restart (fork + reattach + replay),
            not just a shard blip. *)
@@ -321,221 +320,199 @@ let fresh_tally () =
   }
 
 (* Run the client fleet against whatever is listening on
-   [config.socket_path] and fold the tally into a report (shard-fault
-   counters are filled in by the sharded driver). *)
-let drive config pool tally =
+   [config.socket_path]: its tally and the wall time it took. *)
+let drive config pool =
+  let tally = fresh_tally () in
   let t0 = Unix.gettimeofday () in
   let threads =
     List.init config.clients (fun k ->
         Thread.create (fun () -> client_thread config pool tally k) ())
   in
   List.iter Thread.join threads;
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  let sorted = Array.of_list tally.latencies_ms in
-  Array.sort compare sorted;
-  let requests = config.clients * config.requests_per_client in
-  {
-    requests;
-    ok = tally.ok;
-    typed_errors = tally.typed_errors;
-    wrong_answers = tally.wrong_answers;
-    violations = tally.violations;
-    error_codes =
-      List.sort compare
-        (Hashtbl.fold (fun c n acc -> (c, n) :: acc) tally.codes []);
-    elapsed_s;
-    p50_ms = percentile sorted 50.0;
-    p99_ms = percentile sorted 99.0;
-    throughput_rps =
-      (if elapsed_s > 0.0 then float_of_int requests /. elapsed_s else 0.0);
-    shard_kills = 0;
-    shard_hangs = 0;
-    shard_restarts = 0;
-    shard_health_kills = 0;
-    router_kills = 0;
-    router_restarts = 0;
-    replays = 0;
-    shard_reattaches = 0;
-    hedges_fired = 0;
-    hedge_wins = 0;
-    diverges = 0;
-    recovery_ms = 0.0;
-  }
-
-let run_single config =
-  let pool = build_pool ~crypto:config.crypto_mix () in
-  let store =
-    Some (Dp_cache.Store.create ~capacity:64 ?dir:config.cache_dir ())
-  in
-  let server_config =
-    {
-      (Server.default_config ~socket_path:config.socket_path) with
-      Server.store;
-      workers = config.workers;
-      chaos = config.chaos;
-      crash_dir = config.crash_dir;
-      guard_responses = true;
-      log = config.log;
-    }
-  in
-  let server = Server.start server_config in
-  let report = drive config pool (fresh_tally ()) in
-  (* Graceful shutdown; [wait] returning means no leaked server threads. *)
-  Server.request_shutdown server;
-  Server.wait server;
-  report
-
-(* The fault pacer both sharded topologies run: a thread that ticks the
-   seeded schedule at [site] every 50 ms while the clients are in
-   flight and hands each fault to [act].  Returns the function that
-   stops and joins it. *)
-let pace chaos ~site act =
-  match chaos with
-  | None -> ignore
-  | Some cc ->
-    let chaos = Chaos.create cc in
-    let stop = ref false and lock = Mutex.create () in
-    let rec go () =
-      if not (Mutex.protect lock (fun () -> !stop)) then begin
-        Option.iter (act chaos) (Chaos.tick chaos ~site);
-        Thread.delay 0.05;
-        go ()
-      end
-    in
-    let th = Thread.create go () in
-    fun () ->
-      Mutex.protect lock (fun () -> stop := true);
-      Thread.join th
+  (tally, Unix.gettimeofday () -. t0)
 
 (* ------------------------------------------------------------------ *)
-(* The forked-shard fleet both sharded topologies run.  Each child is a
-   complete single-process server sharing the soak's disk store
-   directory with its siblings; [handle_signals] makes the pool's
-   SIGTERM a graceful drain.  [state_file] lets a new pool incarnation
-   reattach to shards a crashed one left running. *)
+(* Topologies.  Each is a front on [config.socket_path]; the one loop in
+   [run] drives clients at it, reads its counters with one [stats]
+   request and stops it with one [shutdown] request.  What differs is
+   where its fault pacer ticks and what a fault does there, how it
+   settles before the final read, and how it is reaped. *)
 
-let shard_pool_config ?state_file ~log config =
-  let spawn =
-    Shard_pool.Spawn_fork
-      (fun ~id:_ ~socket_path ->
-        let store =
-          Some (Dp_cache.Store.create ~capacity:64 ?dir:config.cache_dir ())
-        in
-        Server.run
-          {
-            (Server.default_config ~socket_path) with
-            Server.store;
-            workers = config.workers;
-            chaos = config.chaos;
-            crash_dir = config.crash_dir;
-            guard_responses = true;
-            handle_signals = true;
-            log = ignore;
-          })
+type topology = {
+  pacer : (Chaos.config * [ `Worker | `Respond | `Shard | `Router ]) option;
+      (* the fault schedule paced while clients are in flight, and the
+         site it ticks at *)
+  fault : Chaos.t -> Chaos.fault -> unit;
+  settle : unit -> unit;  (* before the final [stats] read *)
+  reap : unit -> unit;  (* after the [shutdown] request *)
+}
+
+(* What the soak counts itself: the faults it delivered, the routers it
+   restarted, and what each restarted router's [stats] reported. *)
+type faults = {
+  mutable shard_kills : int;
+  mutable shard_hangs : int;
+  mutable router_kills : int;
+  mutable router_restarts : int;
+  mutable replays : int;
+  mutable recovery_ms : float list;
+}
+
+let deadline_in s = Unix.gettimeofday () +. s
+
+let call ~attempts socket id req =
+  Client.call
+    ~retry:{ Client.default_retry with attempts; per_attempt_timeout_s = 10.0 }
+    ~socket
+    (Protocol.request_to_json { Protocol.id = Json.Str id; req })
+
+(* The front's [stats] payload ([Null] if it never answers).  Retried: a
+   chaos front tears this response as readily as any other. *)
+let front_stats socket =
+  match call ~attempts:8 socket "soak-stats" Protocol.Stats with
+  | Ok resp -> Option.value (Json.member "stats" resp) ~default:Json.Null
+  | Error _ -> Json.Null
+
+let int_at json path =
+  let rec go j = function
+    | [] -> Json.to_int j
+    | k :: rest -> (
+      match Json.member k j with Some v -> go v rest | None -> None)
   in
+  Option.value (go json path) ~default:0
+
+(* The single server, and every shard child: a complete server on its
+   own store handle over the soak's shared disk directory. *)
+let server_config config ~socket_path ~handle_signals ~log =
   {
-    (Shard_pool.default_config ~shards:config.shards ~spawn
-       ~socket_for:(fun i -> config.socket_path ^ "." ^ string_of_int i))
-    with
-    Shard_pool.health_period_s = 0.1;
-    health_timeout_s = 0.5;
-    health_failures = 2;
-    stable_s = 0.5;
-    poll_period_s = 0.02;
-    (* Generous restart intensity: the soak wants to watch shards come
-       back, so kills within the run must not wedge the breaker open
-       for its whole duration. *)
-    supervisor =
-      {
-        Supervisor.max_crashes = 50;
-        window_s = 5.0;
-        cooldown_s = 0.5;
-        backoff_base_s = 0.02;
-        backoff_max_s = 0.2;
-      };
-    state_file;
+    (Server.default_config ~socket_path) with
+    Server.store =
+      Some (Dp_cache.Store.create ~capacity:64 ?dir:config.cache_dir ());
+    workers = config.workers;
+    chaos = config.chaos;
+    crash_dir = config.crash_dir;
+    guard_responses = true;
+    handle_signals;
     log;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Sharded topology: N forked shard processes under a Shard_pool, a
-   Router in front, the same client fleet and the same invariants —
-   plus a pacer thread delivering shard-level faults (SIGKILL /
-   SIGSTOP) from the seeded shard-chaos schedule while requests are in
-   flight. *)
+let single config =
+  let server =
+    Server.start
+      (server_config config ~socket_path:config.socket_path
+         ~handle_signals:false ~log:config.log)
+  in
+  {
+    pacer = None;
+    fault = (fun _ _ -> ());
+    settle = ignore;
+    (* [wait] returning means no leaked server threads. *)
+    reap = (fun () -> Server.wait server);
+  }
 
-let run_sharded config =
-  let pool = build_pool ~crypto:config.crypto_mix () in
-  let shard_pool = Shard_pool.start (shard_pool_config ~log:config.log config) in
-  if not (Shard_pool.wait_all_up ~timeout_s:30.0 shard_pool) then begin
-    Shard_pool.shutdown shard_pool;
+(* The forked-shard fleet both sharded topologies run, up and answering
+   pings.  Shards handle signals, so the pool's SIGTERM is a graceful
+   drain; [state_file] lets a new pool incarnation reattach to shards a
+   crashed one left running. *)
+let start_pool ?state_file ~log config =
+  let spawn =
+    Shard_pool.Spawn_fork
+      (fun ~id:_ ~socket_path ->
+        Server.run
+          (server_config config ~socket_path ~handle_signals:true ~log:ignore))
+  in
+  let pool =
+    Shard_pool.start
+      {
+        (Shard_pool.default_config ~shards:config.shards ~spawn
+           ~socket_for:(fun i -> config.socket_path ^ "." ^ string_of_int i))
+        with
+        Shard_pool.health_period_s = 0.1;
+        health_timeout_s = 0.5;
+        health_failures = 2;
+        stable_s = 0.5;
+        poll_period_s = 0.02;
+        (* Generous restart intensity: the soak wants to watch shards
+           come back, so kills within the run must not wedge the breaker
+           open for its whole duration. *)
+        supervisor =
+          {
+            Supervisor.max_crashes = 50;
+            window_s = 5.0;
+            cooldown_s = 0.5;
+            backoff_base_s = 0.02;
+            backoff_max_s = 0.2;
+          };
+        state_file;
+        log;
+      }
+  in
+  if not (Shard_pool.wait_all_up ~timeout_s:30.0 pool) then begin
+    Shard_pool.shutdown pool;
     Diag.fail
       (Diag.v ~code:"DP-SRV-SHARD-DOWN" ~subsystem:"server"
          "sharded soak: shards never came up")
   end;
+  pool
+
+let router_config config ~pool ~journal ~handle_signals ~log =
+  {
+    (Router.default_config ~socket_path:config.socket_path ~pool) with
+    Router.forward_timeout_s = 20.0;
+    journal;
+    hedge = config.hedge;
+    handle_signals;
+    log;
+  }
+
+(* N forked shards under a Router in this process, and a pacer that
+   SIGKILLs / SIGSTOPs a seeded shard while requests are in flight.
+   Faults count only when the signal landed. *)
+let sharded config faults =
+  let pool = start_pool ~log:config.log config in
   let router =
     Router.start
-      {
-        (Router.default_config ~socket_path:config.socket_path
-           ~pool:shard_pool)
-        with
-        Router.forward_timeout_s = 20.0;
-        hedge = (if config.hedge then Some Router.default_hedge else None);
-        log = config.log;
-      }
+      (router_config config ~pool ~journal:None ~handle_signals:false
+         ~log:config.log)
   in
-  (* Shard faults land while clients are in flight.  Kills count only
-     when the signal landed. *)
-  let kills = ref 0 and hangs = ref 0 in
-  let signal chaos sg count what =
+  let signal chaos sg what =
     let v = Chaos.pick chaos config.shards in
-    if Shard_pool.signal_shard shard_pool v sg then begin
-      incr count;
-      config.log (Printf.sprintf "soak: %s shard %d" what v)
-    end
+    let landed = Shard_pool.signal_shard pool v sg in
+    if landed then config.log (Printf.sprintf "soak: %s shard %d" what v);
+    landed
   in
-  let stop_faults =
-    pace config.shard_chaos ~site:`Shard (fun chaos -> function
-      | Chaos.Kill_shard -> signal chaos Sys.sigkill kills "SIGKILLed"
-      | Chaos.Hang_shard -> signal chaos Sys.sigstop hangs "SIGSTOPped"
-      | _ -> ())
-  in
-  let report = drive config pool (fresh_tally ()) in
-  stop_faults ();
-  (* A kill that landed in the run's last moments may still be waiting
-     out its restart backoff or the breaker cooldown: let the pool bring
-     every shard back, within a bound, before its restarts are counted. *)
-  ignore (Shard_pool.wait_all_up ~timeout_s:10.0 shard_pool : bool);
-  let restarts, health_kills = Shard_pool.counters shard_pool in
-  let hedges_fired, hedge_wins, diverges = Router.hedge_counters router in
-  (* Graceful teardown: the router acknowledges nothing further, then
-     takes the whole pool down (SIGCONT+SIGTERM, bounded drain,
-     SIGKILL stragglers) — a leaked shard process would hang [wait],
-     which the CI step timeout converts into a failure. *)
-  Router.request_shutdown router;
-  Router.wait router;
   {
-    report with
-    shard_kills = !kills;
-    shard_hangs = !hangs;
-    shard_restarts = restarts;
-    shard_health_kills = health_kills;
-    hedges_fired;
-    hedge_wins;
-    diverges;
+    pacer = Option.map (fun cc -> (cc, `Shard)) config.shard_chaos;
+    fault =
+      (fun chaos -> function
+        | Chaos.Kill_shard ->
+          if signal chaos Sys.sigkill "SIGKILLed" then
+            faults.shard_kills <- faults.shard_kills + 1
+        | Chaos.Hang_shard ->
+          if signal chaos Sys.sigstop "SIGSTOPped" then
+            faults.shard_hangs <- faults.shard_hangs + 1
+        | _ -> ());
+    (* A kill that landed in the run's last moments may still be waiting
+       out its restart backoff or the breaker cooldown: let the pool
+       bring every shard back, within a bound, before its restarts are
+       read. *)
+    settle =
+      (fun () -> ignore (Shard_pool.wait_all_up ~timeout_s:10.0 pool : bool));
+    (* The router takes the whole pool down (SIGCONT+SIGTERM, bounded
+       drain, SIGKILL stragglers) — a leaked shard process would hang
+       [wait], which the CI step timeout converts into a failure. *)
+    reap = (fun () -> Router.wait router);
   }
 
 (* ------------------------------------------------------------------ *)
 (* Journaled topology: the router (owning the shard pool) runs in a
    child process so the soak can SIGKILL it mid-flight — the durability
    contract under test.  The journal and the pool's shard state file
-   live in [journal_dir]: each new router incarnation replays the one
-   and reattaches to the still-live fleet via the other, so a router
-   kill costs a blip, not the shards.  Shard-level fault pacing is
+   live in [dir]: each new router incarnation replays the one and
+   reattaches to the still-live fleet via the other, so a router kill
+   costs a blip, not the shards.  Shard-level fault pacing is
    unavailable here (the pool lives in the child); network faults still
    reach the shard servers via [config.chaos]. *)
-
-let deadline_in s = Unix.gettimeofday () +. s
 
 let wait_router_up ~socket ~timeout_s =
   let deadline = deadline_in timeout_s in
@@ -550,17 +527,12 @@ let wait_router_up ~socket ~timeout_s =
   in
   go ()
 
-let int_at json path =
-  let rec go j = function
-    | [] -> Json.to_int j
-    | k :: rest -> (
-      match Json.member k j with Some v -> go v rest | None -> None)
-  in
-  Option.value (go json path) ~default:0
+let kill_and_reap pid =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
-let run_journaled config dir =
+let journaled config faults dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let pool = build_pool ~crypto:config.crypto_mix () in
   let state_file = Filename.concat dir "shards.json" in
   let fork_router () =
     match Unix.fork () with
@@ -571,37 +543,14 @@ let run_journaled config dir =
       (try ignore (Unix.sigprocmask Unix.SIG_SETMASK [])
        with Invalid_argument _ -> ());
       (try
-         let shard_pool =
-           Shard_pool.start (shard_pool_config ~state_file ~log:ignore config)
-         in
-         if not (Shard_pool.wait_all_up ~timeout_s:30.0 shard_pool) then
-           Unix._exit 1;
+         let pool = start_pool ~state_file ~log:ignore config in
          let journal = Journal.open_ ~dir ~log:ignore () in
          Router.run
-           {
-             (Router.default_config ~socket_path:config.socket_path
-                ~pool:shard_pool)
-             with
-             Router.forward_timeout_s = 20.0;
-             journal = Some journal;
-             hedge = (if config.hedge then Some Router.default_hedge else None);
-             handle_signals = true;
-             log = ignore;
-           };
+           (router_config config ~pool ~journal:(Some journal)
+              ~handle_signals:true ~log:ignore);
          Unix._exit 0
        with _ -> Unix._exit 1)
     | pid -> pid
-  in
-  let router_stats () =
-    let req =
-      Protocol.request_to_json
-        { Protocol.id = Json.Str "soak-stats"; req = Protocol.Stats }
-    in
-    match
-      Client.once ~deadline:(deadline_in 10.0) ~socket:config.socket_path req
-    with
-    | Ok resp -> Json.member "stats" resp
-    | Error _ -> None
   in
   (* Forking from a process with live threads can (rarely) leave the
      child wedged before its accept loop: the socket is bound, nobody
@@ -609,145 +558,114 @@ let run_journaled config dir =
      every spawn is supervised — if the incarnation never answers a
      ping, SIGKILL it (closing its listener, which unblocks pending
      connects) and fork again. *)
-  let spawn_router_up ~timeout_s ~tries =
+  let spawn_router_up ~timeout_s =
     let rec go k =
       let pid = fork_router () in
       if wait_router_up ~socket:config.socket_path ~timeout_s then Some pid
       else begin
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+        kill_and_reap pid;
         config.log
           (Printf.sprintf
              "soak: router pid %d never came up; killed the incarnation" pid);
-        if k + 1 >= tries then None else go (k + 1)
+        if k + 1 >= 3 then None else go (k + 1)
       end
     in
     go 0
   in
   let router_pid =
-    match spawn_router_up ~timeout_s:30.0 ~tries:3 with
+    match spawn_router_up ~timeout_s:30.0 with
     | Some pid -> ref pid
     | None ->
       Diag.fail
         (Diag.v ~code:"DP-SRV-SHARD-DOWN" ~subsystem:"server"
            "journaled soak: router never came up")
   in
-  let kills = ref 0 and restarts = ref 0 and replays = ref 0 in
-  let recovery_samples = ref [] in
-  let kill_router () =
-    let pid = !router_pid in
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-    incr kills;
-    config.log (Printf.sprintf "soak: SIGKILLed router pid %d" pid);
-    let t0 = Unix.gettimeofday () in
-    (* A healthy incarnation answers in well under a second (shards are
-       adopted, not respawned), so a short wait keeps a wedged fork
-       cheap. *)
-    match spawn_router_up ~timeout_s:10.0 ~tries:3 with
+  (* A healthy incarnation answers in well under a second (shards are
+     adopted, not respawned), so a short wait keeps a wedged fork cheap.
+     Replay runs before the new incarnation accepts, so its stats
+     already carry the final counts; harvest now — the next kill would
+     erase them. *)
+  let restart ~killed_at =
+    match spawn_router_up ~timeout_s:10.0 with
     | None -> ()
-    | Some new_pid -> (
-      router_pid := new_pid;
-      incr restarts;
-      recovery_samples :=
-        ((Unix.gettimeofday () -. t0) *. 1000.0) :: !recovery_samples;
-      (* Replay runs before the new incarnation accepts, so its stats
-         already carry the final counts; harvest now — the next kill
-         would erase them. *)
-      match router_stats () with
-      | Some s ->
-        replays := !replays + int_at s [ "router"; "journal"; "replayed" ]
-      | None -> ())
-  in
-  let stop_faults =
-    pace config.router_chaos ~site:`Router (fun _ -> function
-      | Chaos.Kill_router -> kill_router ()
-      | _ -> ())
-  in
-  let report = drive config pool (fresh_tally ()) in
-  stop_faults ();
-  (* The pacer restarts within the same tick it kills, so the router
-     should be answering; if its last restart failed, respawn once so a
-     live incarnation fields the final stats and the shutdown. *)
-  if not (wait_router_up ~socket:config.socket_path ~timeout_s:5.0) then begin
-    match spawn_router_up ~timeout_s:10.0 ~tries:3 with
     | Some pid ->
       router_pid := pid;
-      incr restarts
-    | None -> ()
-  end;
-  let hedges_fired, hedge_wins, diverges, reattaches =
-    match router_stats () with
-    | Some s ->
-      ( int_at s [ "router"; "hedges_fired" ],
-        int_at s [ "router"; "hedge_wins" ],
-        int_at s [ "router"; "diverges" ],
-        int_at s [ "shard_pool"; "adopted" ] )
-    | None -> (0, 0, 0, 0)
-  in
-  (* Graceful teardown through the protocol: the router acknowledges,
-     then takes the fleet down (adopted shards included) and exits. *)
-  let shutdown_req =
-    Protocol.request_to_json
-      { Protocol.id = Json.Str "soak-shutdown"; req = Protocol.Shutdown }
-  in
-  ignore
-    (Client.once ~deadline:(deadline_in 10.0) ~socket:config.socket_path
-       shutdown_req);
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec reap () =
-    match Unix.waitpid [ Unix.WNOHANG ] !router_pid with
-    | 0, _ ->
-      if Unix.gettimeofday () > deadline then begin
-        (try Unix.kill !router_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] !router_pid) with Unix.Unix_error _ -> ()
-      end
-      else begin
-        Thread.delay 0.05;
-        reap ()
-      end
-    | _ -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  reap ();
-  (* Belt and braces against leaked shards: a clean pool shutdown
-     removes the state file, so any survivor it still records must be
-     killed here. *)
-  (if Sys.file_exists state_file then
-     match
-       Json.of_string
-         (String.trim
-            (In_channel.with_open_bin state_file In_channel.input_all))
-     with
-     | Ok doc ->
-       (match Json.member "shards" doc |> Fun.flip Option.bind Json.to_list with
-       | Some shards ->
-         List.iter
-           (fun sh ->
-             match Json.member "pid" sh |> Fun.flip Option.bind Json.to_int with
-             | Some pid -> (
-               try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-             | None -> ())
-           shards
-       | None -> ());
-       (try Sys.remove state_file with Sys_error _ -> ())
-     | Error _ | (exception Sys_error _) -> ());
-  let recovery_ms =
-    match !recovery_samples with
-    | [] -> 0.0
-    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+      faults.router_restarts <- faults.router_restarts + 1;
+      Option.iter
+        (fun t0 ->
+          faults.recovery_ms <-
+            ((Unix.gettimeofday () -. t0) *. 1000.0) :: faults.recovery_ms)
+        killed_at;
+      faults.replays <-
+        faults.replays
+        + int_at
+            (front_stats config.socket_path)
+            [ "router"; "journal"; "replayed" ]
   in
   {
-    report with
-    router_kills = !kills;
-    router_restarts = !restarts;
-    replays = !replays;
-    shard_reattaches = reattaches;
-    hedges_fired;
-    hedge_wins;
-    diverges;
-    recovery_ms;
+    pacer = Option.map (fun cc -> (cc, `Router)) config.router_chaos;
+    fault =
+      (fun _ -> function
+        | Chaos.Kill_router ->
+          let pid = !router_pid in
+          kill_and_reap pid;
+          faults.router_kills <- faults.router_kills + 1;
+          config.log (Printf.sprintf "soak: SIGKILLed router pid %d" pid);
+          restart ~killed_at:(Some (Unix.gettimeofday ()))
+        | _ -> ());
+    (* The pacer restarts within the same tick it kills, so the router
+       should be answering; if its last restart failed, respawn once so a
+       live incarnation fields the final stats and the shutdown. *)
+    settle =
+      (fun () ->
+        if not (wait_router_up ~socket:config.socket_path ~timeout_s:5.0) then
+          restart ~killed_at:None);
+    reap =
+      (fun () ->
+        (* The router acknowledged the shutdown and takes the fleet down
+           (adopted shards included) before it exits. *)
+        let deadline = deadline_in 30.0 in
+        let rec wait_exit () =
+          match Unix.waitpid [ Unix.WNOHANG ] !router_pid with
+          | 0, _ when Unix.gettimeofday () > deadline -> kill_and_reap !router_pid
+          | 0, _ ->
+            Thread.delay 0.05;
+            wait_exit ()
+          | _ | (exception Unix.Unix_error _) -> ()
+        in
+        wait_exit ();
+        (* Belt and braces against leaked shards: a clean pool shutdown
+           removes the state file, so any survivor it still records must
+           be killed here. *)
+        List.iter
+          (fun (_, pid, _) ->
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          (Shard_pool.read_state state_file);
+        try Sys.remove state_file with Sys_error _ -> ());
   }
+
+(* ------------------------------------------------------------------ *)
+
+(* The topology's fault pacer: a thread that ticks the seeded schedule
+   every 50 ms while the clients are in flight and hands each fault to
+   [fault].  Returns the function that stops and joins it. *)
+let pace topology =
+  match topology.pacer with
+  | None -> ignore
+  | Some (cc, site) ->
+    let chaos = Chaos.create cc in
+    let stop = ref false and lock = Mutex.create () in
+    let rec go () =
+      if not (Mutex.protect lock (fun () -> !stop)) then begin
+        Option.iter (topology.fault chaos) (Chaos.tick chaos ~site);
+        Thread.delay 0.05;
+        go ()
+      end
+    in
+    let th = Thread.create go () in
+    fun () ->
+      Mutex.protect lock (fun () -> stop := true);
+      Thread.join th
 
 (* A topology field that the chosen topology would silently ignore is a
    bad config, refused before anything starts. *)
@@ -768,6 +686,63 @@ let check_topology config =
 
 let run config =
   check_topology config;
-  match config.journal_dir with
-  | Some dir -> run_journaled config dir
-  | None -> if config.shards >= 2 then run_sharded config else run_single config
+  let pool = build_pool ~crypto:config.crypto_mix () in
+  let faults =
+    {
+      shard_kills = 0;
+      shard_hangs = 0;
+      router_kills = 0;
+      router_restarts = 0;
+      replays = 0;
+      recovery_ms = [];
+    }
+  in
+  let topology =
+    match config.journal_dir with
+    | Some dir -> journaled config faults dir
+    | None ->
+      if config.shards >= 2 then sharded config faults else single config
+  in
+  let stop_faults = pace topology in
+  let tally, elapsed_s = drive config pool in
+  stop_faults ();
+  topology.settle ();
+  let stats = front_stats config.socket_path in
+  (* No retry: a lost acknowledgement still shuts the front down, and a
+     second attempt would find no socket. *)
+  ignore (call ~attempts:1 config.socket_path "soak-shutdown" Protocol.Shutdown);
+  topology.reap ();
+  let sorted = Array.of_list tally.latencies_ms in
+  Array.sort compare sorted;
+  let requests = config.clients * config.requests_per_client in
+  let at = int_at stats in
+  {
+    requests;
+    ok = tally.ok;
+    typed_errors = tally.typed_errors;
+    wrong_answers = tally.wrong_answers;
+    violations = tally.violations;
+    error_codes =
+      List.sort compare
+        (Hashtbl.fold (fun c n acc -> (c, n) :: acc) tally.codes []);
+    elapsed_s;
+    p50_ms = percentile sorted 50.0;
+    p99_ms = percentile sorted 99.0;
+    throughput_rps =
+      (if elapsed_s > 0.0 then float_of_int requests /. elapsed_s else 0.0);
+    shard_kills = faults.shard_kills;
+    shard_hangs = faults.shard_hangs;
+    shard_restarts = at [ "shard_pool"; "restarts" ];
+    shard_health_kills = at [ "shard_pool"; "health_kills" ];
+    router_kills = faults.router_kills;
+    router_restarts = faults.router_restarts;
+    replays = faults.replays;
+    shard_reattaches = at [ "shard_pool"; "adopted" ];
+    hedges_fired = at [ "router"; "hedges_fired" ];
+    hedge_wins = at [ "router"; "hedge_wins" ];
+    diverges = at [ "router"; "diverges" ];
+    recovery_ms =
+      (match faults.recovery_ms with
+      | [] -> 0.0
+      | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l));
+  }

@@ -1,4 +1,4 @@
-(** Chaos soak: hammer an in-process (optionally chaos-injected) server
+(** Chaos soak: hammer a (optionally chaos-injected) serving topology
     from N concurrent client threads and assert the protocol's safety
     properties hold under fire:
 
@@ -10,8 +10,17 @@
       injected result corruption can never surface as silently wrong
       data);
     - {b no leaked workers} — the run ends with a graceful shutdown and
-      joins every server thread; a leak hangs the soak, which the CI
-      job's timeout converts into a failure.
+      joins every server thread (and reaps every process); a leak hangs
+      the soak, which the CI job's timeout converts into a failure.
+
+    One loop runs every topology — a single in-process server, a router
+    over forked shards, or a forked journaled router.  It starts the
+    front on [socket_path], runs the clients while the topology's fault
+    pacer delivers its seeded schedule, lets the front settle, reads its
+    counters with one [stats] request and stops it with one [shutdown]
+    request on the same socket, then joins or reaps whatever the
+    topology started.  A topology differs only in where its pacer ticks
+    and what a fault does there, how it settles and how it is reaped.
 
     Requests are drawn deterministically (by [seed]) from a fixed pool
     of expressions whose expected records are precomputed; a slice of
@@ -56,14 +65,18 @@ type config = {
           the router child, refork it, measure recovery); journaled runs
           only *)
   hedge : bool;
-      (** enable {!Router.default_hedge} hedged dispatch; sharded runs
-          only *)
+      (** enable the router's hedged dispatch ({!Router.config}'s
+          [hedge]); sharded runs only *)
   log : string -> unit;
 }
 
 (** 4 clients x 50 requests, 2 workers, no chaos, unsharded, seed 0. *)
 val default_config : socket_path:string -> config
 
+(** Every topology counter comes from one of two places: the soak's own
+    count of the faults it delivered and the routers it restarted, or
+    the front's final [stats] reply, whose [router] and [shard_pool]
+    sections a single server does not have (so they read 0 there). *)
 type report = {
   requests : int;  (** total requests sent *)
   ok : int;  (** [ok:true] envelopes with a byte-correct record *)
@@ -77,20 +90,21 @@ type report = {
   throughput_rps : float;
   shard_kills : int;  (** SIGKILLs delivered by shard chaos (0 unsharded) *)
   shard_hangs : int;  (** SIGSTOPs delivered by shard chaos *)
-  shard_restarts : int;  (** pool restarts after shard deaths *)
-  shard_health_kills : int;  (** hung shards reaped by the health check *)
+  shard_restarts : int;  (** pool restarts after shard deaths ([stats]) *)
+  shard_health_kills : int;
+      (** hung shards reaped by the health check ([stats]) *)
   router_kills : int;  (** router SIGKILLs delivered by router chaos *)
   router_restarts : int;  (** router incarnations that came back up *)
   replays : int;
       (** journal entries recovered across restarts (completed entries
-          counted + incomplete entries re-dispatched), summed over every
-          post-kill incarnation *)
+          counted + incomplete entries re-dispatched), summed over the
+          [stats] of every restarted incarnation *)
   shard_reattaches : int;
       (** shards the final incarnation's pool adopted (still-live
-          processes) instead of respawning *)
-  hedges_fired : int;  (** duplicate dispatches issued by hedging *)
-  hedge_wins : int;  (** requests answered by the duplicate *)
-  diverges : int;  (** cross-shard byte mismatches — must be 0 *)
+          processes) instead of respawning ([stats]) *)
+  hedges_fired : int;  (** duplicate dispatches issued by hedging ([stats]) *)
+  hedge_wins : int;  (** requests answered by the duplicate ([stats]) *)
+  diverges : int;  (** cross-shard byte mismatches — must be 0 ([stats]) *)
   recovery_ms : float;  (** mean SIGKILL → router-answers-again latency *)
 }
 
@@ -100,8 +114,8 @@ val pp_report : report Fmt.t
 
 (** Start the server (or, with [shards >= 2], the shard pool and
     router; with [journal_dir] also set, the forked journaled router),
-    run the soak, shut everything down, join (and reap) every thread
-    and process.
+    run the soak, read the front's [stats], stop it with [shutdown],
+    join (and reap) every thread and process.
     @raise Invalid_argument, naming the field, before starting anything
     when the topology would ignore a field: [journal_dir], [hedge] or
     [shard_chaos] with [shards < 2], [shard_chaos] with [journal_dir],

@@ -475,9 +475,7 @@ let server_torn_response_is_typed () =
   let r1 = rpc socket (synth_json ~id:1 ()) in
   checkb "sanity ok" true (get_bool [ "ok" ] r1 = Some true);
   (* the retrying client reconnects through the torn attempt *)
-  let retry =
-    { S.Client.default_retry with attempts = 3; base_backoff_s = 0.001 }
-  in
+  let retry = { S.Client.default_retry with attempts = 3 } in
   (match S.Client.call ~retry ~socket (synth_json ~id:2 ()) with
   | Error d -> faild d
   | Ok r -> checkb "retry recovered" true (get_bool [ "ok" ] r = Some true));
@@ -581,7 +579,26 @@ let soak_chaos_holds_invariants () =
   checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
   checki "zero protocol violations" 0 report.S.Soak.violations;
   checkb "soak passes" true (S.Soak.passed report);
-  checkb "some requests succeeded" true (report.S.Soak.ok > 0)
+  checkb "some requests succeeded" true (report.S.Soak.ok > 0);
+  (* a single server's stats carry no shard or router section *)
+  List.iter
+    (fun (name, n) -> checki (name ^ " on a single server") 0 n)
+    S.Soak.
+      [
+        ("shard_kills", report.shard_kills);
+        ("shard_hangs", report.shard_hangs);
+        ("shard_restarts", report.shard_restarts);
+        ("shard_health_kills", report.shard_health_kills);
+        ("router_kills", report.router_kills);
+        ("router_restarts", report.router_restarts);
+        ("replays", report.replays);
+        ("shard_reattaches", report.shard_reattaches);
+        ("hedges_fired", report.hedges_fired);
+        ("hedge_wins", report.hedge_wins);
+        ("diverges", report.diverges);
+      ];
+  checkb "no recovery time on a single server" true
+    (report.S.Soak.recovery_ms = 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Liveness probe and EPIPE-safe writes *)
@@ -789,6 +806,23 @@ let wait_for ?(timeout_s = 15.0) ~msg pred =
     end
   in
   go ()
+
+(* Every response line is torn, the shutdown acknowledgement included:
+   the client sees the tear, and the server must shut down all the
+   same.  The socket file going away is the observable; the wait for
+   it is bounded, so a server that keeps serving fails the test
+   instead of hanging it. *)
+let server_shutdown_survives_a_lost_ack () =
+  let configure c =
+    { c with S.Server.chaos = Some (chaos_only ~every:1 S.Chaos.Truncate_response) }
+  in
+  with_server ~configure @@ fun socket _ ->
+  (match rpc_res socket (Json.Obj [ ("id", Json.Int 1); ("op", Json.Str "shutdown") ]) with
+  | Ok r -> Alcotest.failf "expected a torn acknowledgement, got %s" (Json.to_string r)
+  | Error d ->
+    check Alcotest.string "truncation code" "DP-PROTO003" d.Dp_diag.Diag.code);
+  wait_for ~timeout_s:5.0 ~msg:"the server kept serving after a lost shutdown ack"
+    (fun () -> not (Sys.file_exists socket))
 
 let home_params rt =
   match
@@ -1034,6 +1068,51 @@ let soak_sharded_kill_chaos_holds_invariants () =
   checkb "kills were followed by restarts" true
     (report.S.Soak.shard_restarts >= report.S.Soak.shard_kills - 1)
 
+(* The report's hedge fields come from the router's [stats]: a hung
+   home shard makes the router duplicate its requests to the next shard,
+   and both answers must agree byte for byte. *)
+let soak_hedged_hangs_hold_invariants () =
+  (* One hang a second at most (every 20th 50 ms tick): with both shards
+     stopped, nothing answers until the health check reaps one, so a
+     denser schedule mostly measures stalls.  Scale the run until a
+     hedge has fired, as the kill soak does. *)
+  let rec attempt tries per_client =
+    let config =
+      {
+        (S.Soak.default_config ~socket_path:(fresh_socket ())) with
+        S.Soak.clients = 4;
+        requests_per_client = per_client;
+        seed = 19;
+        workers = 1;
+        shards = 2;
+        hedge = true;
+        shard_chaos =
+          Some
+            {
+              S.Chaos.default_config with
+              seed = 19;
+              every = 20;
+              faults = [ S.Chaos.Hang_shard ];
+            };
+        cache_dir = Some (fresh_dir "soak-hedge-cache");
+      }
+    in
+    let report = S.Soak.run config in
+    checki "all requests accounted for" (4 * per_client)
+      report.S.Soak.requests;
+    checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
+    checki "zero protocol violations" 0 report.S.Soak.violations;
+    checki "zero divergences" 0 report.S.Soak.diverges;
+    checkb "soak passes" true (S.Soak.passed report);
+    if report.S.Soak.hedges_fired >= 1 then report
+    else if tries >= 3 then
+      Alcotest.failf "no hedge fired after %d runs (%d hangs landed)" tries
+        report.S.Soak.shard_hangs
+    else attempt (tries + 1) (per_client * 2)
+  in
+  let report = attempt 1 200 in
+  checkb "hangs landed" true (report.S.Soak.shard_hangs >= 1)
+
 (* ------------------------------------------------------------------ *)
 (* Resource governance: admission control and the per-request governor *)
 
@@ -1137,6 +1216,8 @@ let suite =
     case "server: deadline expires in the queue" server_deadline_expires_in_queue;
     case "server: torn response is typed; retry recovers"
       server_torn_response_is_typed;
+    case "server: shutdown with a lost acknowledgement still stops"
+      server_shutdown_survives_a_lost_ack;
     case "server: corrupted cache entry is a miss under load"
       server_corrupt_cache_entry_is_a_miss;
     case "server: SIGTERM drains and flushes the histogram"
@@ -1159,6 +1240,8 @@ let suite =
       router_aggregates_stats;
     case "soak: sharded run with shard kills holds the invariants"
       soak_sharded_kill_chaos_holds_invariants;
+    case "soak: sharded run with hedged hangs holds the invariants"
+      soak_hedged_hangs_hold_invariants;
     case "soak: unused topology flags refused"
       soak_refuses_ignored_topology_fields;
     case "server: admission rejects oversized requests"
