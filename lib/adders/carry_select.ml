@@ -2,12 +2,11 @@ open Dp_netlist
 
 let block_size = 4
 
+(* The [if_false] leg is built first, which numbers its cells first. *)
 let mux netlist ~sel ~if_true ~if_false =
-  Netlist.or_n netlist
-    [
-      Netlist.and_n netlist [ sel; if_true ];
-      Netlist.and_n netlist [ Netlist.not_ netlist sel; if_false ];
-    ]
+  let low = Netlist.and2 netlist (Netlist.not_ netlist sel) if_false in
+  let high = Netlist.and2 netlist sel if_true in
+  Netlist.or2 netlist high low
 
 let ripple_block netlist ~a ~b ~lo ~hi ~carry_in =
   let sums = Array.make (hi - lo) carry_in in

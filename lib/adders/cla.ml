@@ -5,7 +5,7 @@ let group_size = 4
 let build ?cin netlist ~a ~b =
   let width = Array.length a in
   if Array.length b <> width then invalid_arg "Cla.build: width mismatch";
-  let generate = Array.init width (fun i -> Netlist.and_n netlist [ a.(i); b.(i) ]) in
+  let generate = Array.init width (fun i -> Netlist.and2 netlist a.(i) b.(i)) in
   let propagate = Array.init width (fun i -> Netlist.xor2 netlist a.(i) b.(i)) in
   let sums = Array.make width (Netlist.const netlist false) in
   let carry_in =

@@ -5,7 +5,7 @@ let build ?cin netlist ~a ~b =
   if Array.length b <> width then invalid_arg "Kogge_stone.build: width mismatch";
   let cin = match cin with None -> Netlist.const netlist false | Some c -> c in
   let p0 = Array.init width (fun i -> Netlist.xor2 netlist a.(i) b.(i)) in
-  let g = Array.init width (fun i -> Netlist.and_n netlist [ a.(i); b.(i) ]) in
+  let g = Array.init width (fun i -> Netlist.and2 netlist a.(i) b.(i)) in
   let p = Array.copy p0 in
   (* prefix combine: after the pass for distance d, g.(i) is the generate of
      the window [i-2d+1 .. i] (clamped at 0) *)
@@ -14,9 +14,8 @@ let build ?cin netlist ~a ~b =
     let g' = Array.copy g and p' = Array.copy p in
     for i = !distance to width - 1 do
       let j = i - !distance in
-      g'.(i) <-
-        Netlist.or_n netlist [ g.(i); Netlist.and_n netlist [ p.(i); g.(j) ] ];
-      p'.(i) <- Netlist.and_n netlist [ p.(i); p.(j) ]
+      g'.(i) <- Netlist.or2 netlist g.(i) (Netlist.and2 netlist p.(i) g.(j));
+      p'.(i) <- Netlist.and2 netlist p.(i) p.(j)
     done;
     Array.blit g' 0 g 0 width;
     Array.blit p' 0 p 0 width;
@@ -28,7 +27,6 @@ let build ?cin netlist ~a ~b =
       if i = 0 then Netlist.xor2 netlist p0.(0) cin
       else
         let carry =
-          Netlist.or_n netlist
-            [ g.(i - 1); Netlist.and_n netlist [ p.(i - 1); cin ] ]
+          Netlist.or2 netlist g.(i - 1) (Netlist.and2 netlist p.(i - 1) cin)
         in
         Netlist.xor2 netlist p0.(i) carry)

@@ -100,7 +100,7 @@ let mul_words ctx ~w a b =
         (fun j bj ->
           if i + j < w then
             Dp_bitmatrix.Matrix.add matrix ~weight:(i + j)
-              (Netlist.and_n ctx.netlist [ ai; bj ]))
+              (Netlist.and2 ctx.netlist ai bj))
         b)
     a;
   match ctx.config.multiplier with

@@ -68,12 +68,14 @@ let lower_product ?(negate = false) ?(shift = 0) netlist matrix ~multiplicand
     for i = 0 to n do
       let w = base + i in
       if in_range w then begin
-        let terms = ref [] in
-        if i < n then
-          terms := Netlist.and_n netlist [ multiplicand.(i); one ] :: !terms;
-        if i > 0 then
-          terms := Netlist.and_n netlist [ multiplicand.(i - 1); two ] :: !terms;
-        let b = Netlist.or_n netlist !terms in
+        let b =
+          if i = 0 then Netlist.and2 netlist multiplicand.(0) one
+          else if i = n then Netlist.and2 netlist multiplicand.(n - 1) two
+          else
+            let by_one = Netlist.and2 netlist multiplicand.(i) one in
+            let by_two = Netlist.and2 netlist multiplicand.(i - 1) two in
+            Netlist.or2 netlist by_two by_one
+        in
         Matrix.add matrix ~weight:w (Netlist.xor2 netlist b neg)
       end
     done;

@@ -45,6 +45,11 @@ let unpack key =
   let a = key lsr 32 and b = key land 0xFFFF_FFFF in
   if b = 0 then [ a ] else [ a; b - 1 ]
 
+(* The AND of a packed support, built without its list. *)
+let and_packed netlist key =
+  let a = key lsr 32 and b = key land 0xFFFF_FFFF in
+  if b = 0 then a else Netlist.and2 netlist a (b - 1)
+
 (* Lexicographic order of sorted net lists, the order supports are
    emitted in. *)
 let rec compare_support a b =
@@ -173,24 +178,28 @@ let lower ?(config = default_config) netlist env expr ~width =
         | [] | [ _ ] | _ :: _ :: _ -> assert false
       else expand_monomial mono coeff)
     (Sop.terms sop);
-  let emit supp m =
-    let digits =
-      match config.recoding with
-      | Csd -> Csd.recode m
-      | Binary -> Csd.binary m
-    in
-    List.iter
-      (fun (d : Csd.digit) ->
+  (* [build supp] is the support's AND, built once, at its first digit
+     in range: a support with no digit in range adds no cell. *)
+  let emit build supp m =
+    let rec go net = function
+      | [] -> ()
+      | (d : Csd.digit) :: rest ->
         checkpoint ();
-        if d.weight < width then
-          let net = Netlist.and_n netlist supp in
+        if d.weight >= width then go net rest
+        else
+          let net = if net < 0 then build supp else net in
           if d.sign > 0 then Matrix.add matrix ~weight:d.weight net
           else begin
             (* -b*2^w  =  ~b*2^w - 2^w *)
             Matrix.add matrix ~weight:d.weight (Netlist.not_ netlist net);
             k := !k - (1 lsl d.weight)
-          end)
-      digits
+          end;
+          go net rest
+    in
+    go (-1)
+      (match config.recoding with
+      | Csd -> Csd.recode m
+      | Binary -> Csd.binary m)
   in
   (* Emit in ascending support order (see [compare_support]): it numbers
      the AND cells, and so fixes the Verilog bytes. *)
@@ -207,7 +216,8 @@ let lower ?(config = default_config) netlist env expr ~width =
      (* keys are distinct; the merge sort is just faster than
         [Array.sort]'s heap sort *)
      Array.stable_sort Int.compare keys;
-     Array.iter (fun key -> emit (unpack key) !(Int_tbl.find packed key)) keys
+     let build = and_packed netlist in
+     Array.iter (fun key -> emit build key !(Int_tbl.find packed key)) keys
    end
    else
      let nonzero tbl fold key =
@@ -215,7 +225,7 @@ let lower ?(config = default_config) netlist env expr ~width =
      in
      nonzero packed Int_tbl.fold unpack @ nonzero wide Hashtbl.fold Fun.id
      |> List.sort (fun (a, _) (b, _) -> compare_support a b)
-     |> List.iter (fun (supp, m) -> emit supp m));
+     |> List.iter (fun (supp, m) -> emit (Netlist.and_n netlist) supp m));
   let k_bits = !k land Eval.mask width in
   for j = 0 to width - 1 do
     if (k_bits lsr j) land 1 = 1 then

@@ -124,7 +124,7 @@ let insert t digest entry =
 (* Bump the version whenever a type reachable from [entry] changes
    (e.g. [Netlist.t]'s fields): the checksum only guards the bytes, and
    [Marshal.from_string] would read an older layout as the new type. *)
-let magic = "dpsyn-cache/3\n"
+let magic = "dpsyn-cache/4\n"
 
 let entry_path dir digest = Filename.concat dir (digest ^ ".dpc")
 

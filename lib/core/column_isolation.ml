@@ -4,16 +4,17 @@ open Dp_netlist
    FA/HA — primary inputs, constants and partial-product gates qualify;
    sums and carries do not. *)
 let is_original netlist net =
-  match Netlist.driver netlist net with
-  | Netlist.From_cell { cell; port = _ } -> (
-    match (Netlist.cell netlist cell).kind with
-    | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha | Dp_tech.Cell_kind.C42
-    | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73 ->
-      false
-    | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
-    | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
-    | Dp_tech.Cell_kind.Buf -> true)
-  | Netlist.From_input _ | Netlist.From_const _ -> true
+  let cell = Netlist.driving_cell netlist net in
+  cell < 0
+  ||
+  match Netlist.cell_kind netlist cell with
+  | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha | Dp_tech.Cell_kind.C42
+  | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73 ->
+    false
+  | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
+  | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not | Dp_tech.Cell_kind.Buf
+    ->
+    true
 
 let reduce_column netlist addends =
   (* The Fig. 2(b) strategy: FA inputs are chosen earliest-first, but only

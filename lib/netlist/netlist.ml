@@ -7,6 +7,72 @@ type driver =
 
 type cell = { kind : Dp_tech.Cell_kind.t; inputs : net array }
 
+(* Growable int and float columns.  [get], [set] and [push] are inlined
+   into the builders, so an annotation travels from one float column to
+   another without being boxed on the way. *)
+module Ints = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = Array.make 64 0; len = 0 }
+
+  let grow v =
+    let data = Array.make (2 * Array.length v.data) 0 in
+    Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+
+  let[@inline] get v i =
+    if i < 0 || i >= v.len then invalid_arg "Netlist: index out of bounds";
+    Array.unsafe_get v.data i
+
+  let[@inline] set v i x =
+    if i < 0 || i >= v.len then invalid_arg "Netlist: index out of bounds";
+    Array.unsafe_set v.data i x
+
+  let[@inline] push v x =
+    if v.len = Array.length v.data then grow v;
+    Array.unsafe_set v.data v.len x;
+    v.len <- v.len + 1
+end
+
+module Floats = struct
+  type t = { mutable data : Float.Array.t; mutable len : int }
+
+  let create () = { data = Float.Array.make 64 0.0; len = 0 }
+
+  let grow v =
+    let data = Float.Array.make (2 * Float.Array.length v.data) 0.0 in
+    Float.Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+
+  let[@inline] get v i =
+    if i < 0 || i >= v.len then invalid_arg "Netlist: index out of bounds";
+    Float.Array.unsafe_get v.data i
+
+  let[@inline] set v i x =
+    if i < 0 || i >= v.len then invalid_arg "Netlist: index out of bounds";
+    Float.Array.unsafe_set v.data i x
+
+  let[@inline] push v x =
+    if v.len = Float.Array.length v.data then grow v;
+    Float.Array.unsafe_set v.data v.len x;
+    v.len <- v.len + 1
+end
+
+(* [Float.max] and [Float.min], inlined so that their operands stay
+   unboxed.  [fmax neg_infinity x] is [x], bit for bit, so the builders
+   below start the worst-pin fold of [add_cell] at the first pin. *)
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
+let[@inline] fmin (x : float) y =
+  if y < x || (Float.sign_bit y && not (Float.sign_bit x)) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
 type t = {
   tech : Dp_tech.Tech.t;
   (* One int per net.  A cell output holds its driving cell's id, and its
@@ -14,12 +80,23 @@ type t = {
      consecutive nets, port 0 first.  An input, a constant or a
      [Mutate.set_driver] override holds [-1 - i], where [i] indexes
      [side_drivers]. *)
-  net_codes : int Vec.t;
-  side_drivers : driver Vec.t;
-  arrival : float Vec.t;
-  prob : float Vec.t;
-  cells : cell Vec.t;
-  first_outputs : net Vec.t;
+  net_codes : Ints.t;
+  mutable side_drivers : driver array;
+  mutable side_count : int;
+  arrival : Floats.t;
+  prob : Floats.t;
+  (* One entry per cell in each of [kinds] ([Dp_tech.Cell_kind.code]),
+     [first_pins], [pin_counts] and [first_outputs].  Cell [i]'s pins are
+     [pins.(first_pins.(i) + k)] for [k < pin_counts.(i)]; a [Mutate]
+     override appends the cell's new pins to [pins]. *)
+  kinds : Ints.t;
+  first_pins : Ints.t;
+  pin_counts : Ints.t;
+  first_outputs : Ints.t;
+  pins : Ints.t;
+  (* [Tech.delay] of the two-port adders and the one-port gates the
+     builders below write directly, looked up once (see [delay_slots]). *)
+  delays : Float.Array.t;
   mutable inputs : (string * net array) list;  (* reverse declaration order *)
   mutable outputs : (string * net array) list;  (* reverse declaration order *)
   (* name -> bus indices over [inputs]/[outputs]; the lists keep the
@@ -28,7 +105,7 @@ type t = {
   output_index : (string, net array) Hashtbl.t;
   mutable const_false : net option;
   mutable const_true : net option;
-  not_cache : (net, net) Hashtbl.t;
+  not_cache : net Int_tbl.t;
   (* Structural hashing of AND/OR gates: two-input gates (partial
      products, prefix and carry logic) by their packed pair
      [(lo lsl 31) lor hi] (net ids stay below 2^31), wider ones by their
@@ -37,32 +114,62 @@ type t = {
   or2_cache : net Int_tbl.t;
   and_cache : (net list, net) Hashtbl.t;
   or_cache : (net list, net) Hashtbl.t;
-  (* The ambient governor at creation time, if any.  [add_cell] is the
-     one chokepoint every construction path funnels through (lowering,
-     reduction, baselines, adders), so polling it here bounds every
-     builder without per-algorithm plumbing.  Mutable only so the serve
-     boundary can detach it: a netlist that outlives its request (cache
-     entry, marshalled copy) must not resurrect a stale governor. *)
+  (* The ambient governor at creation time, if any.  Every cell is opened
+     through [open_cell], the one chokepoint every construction path
+     funnels through (lowering, reduction, baselines, adders), so polling
+     it there bounds every builder without per-algorithm plumbing.
+     Mutable only so the serve boundary can detach it: a netlist that
+     outlives its request (cache entry, marshalled copy) must not
+     resurrect a stale governor. *)
   mutable gov : Dp_gov.Gov.t option;
 }
+
+let fa_code = Dp_tech.Cell_kind.code Fa
+let ha_code = Dp_tech.Cell_kind.code Ha
+let and2_code = Dp_tech.Cell_kind.code (And_n 2)
+let or2_code = Dp_tech.Cell_kind.code (Or_n 2)
+let xor2_code = Dp_tech.Cell_kind.code (Xor_n 2)
+let not_code = Dp_tech.Cell_kind.code Not
+
+(* Slots of [delays]. *)
+let d_fa_sum = 0
+let d_fa_carry = 1
+let d_ha_sum = 2
+let d_ha_carry = 3
+let d_and2 = 4
+let d_or2 = 5
+let d_xor2 = 6
+let d_not = 7
+
+let delay_slots : (Dp_tech.Cell_kind.t * int) array =
+  [| (Fa, 0); (Fa, 1); (Ha, 0); (Ha, 1); (And_n 2, 0); (Or_n 2, 0);
+     (Xor_n 2, 0); (Not, 0) |]
 
 let create ~tech =
   {
     tech;
     gov = Dp_gov.Gov.ambient ();
-    net_codes = Vec.create ~dummy:0;
-    side_drivers = Vec.create ~dummy:(From_const false);
-    arrival = Vec.create ~dummy:0.0;
-    prob = Vec.create ~dummy:0.0;
-    cells = Vec.create ~dummy:{ kind = Dp_tech.Cell_kind.Buf; inputs = [||] };
-    first_outputs = Vec.create ~dummy:0;
+    net_codes = Ints.create ();
+    side_drivers = Array.make 16 (From_const false);
+    side_count = 0;
+    arrival = Floats.create ();
+    prob = Floats.create ();
+    kinds = Ints.create ();
+    first_pins = Ints.create ();
+    pin_counts = Ints.create ();
+    first_outputs = Ints.create ();
+    pins = Ints.create ();
+    delays =
+      Float.Array.map_from_array
+        (fun (kind, port) -> Dp_tech.Tech.delay tech kind ~port)
+        delay_slots;
     inputs = [];
     outputs = [];
     input_index = Hashtbl.create 16;
     output_index = Hashtbl.create 16;
     const_false = None;
     const_true = None;
-    not_cache = Hashtbl.create 64;
+    not_cache = Int_tbl.create 64;
     and2_cache = Int_tbl.create 64;
     or2_cache = Int_tbl.create 64;
     and_cache = Hashtbl.create 64;
@@ -72,59 +179,81 @@ let create ~tech =
 let tech t = t.tech
 let gov t = t.gov
 let detach_gov t = t.gov <- None
-let net_count t = Vec.length t.net_codes
-let cell_count t = Vec.length t.cells
+let net_count t = t.net_codes.len
+let cell_count t = t.kinds.len
+
+let[@inline] side_driver t code = t.side_drivers.(-1 - code)
 
 (* [driving_cell] and [driving_port] are the decoders of [net_codes];
    [driver] builds its record from them. *)
-let driving_cell t n =
-  let code = Vec.get t.net_codes n in
+let[@inline] driving_cell t n =
+  let code = Ints.get t.net_codes n in
   if code >= 0 then code
   else
-    match Vec.get t.side_drivers (-1 - code) with
+    match side_driver t code with
     | From_cell { cell; port = _ } -> cell
     | From_input _ | From_const _ -> -1
 
-let driving_port t n =
-  let code = Vec.get t.net_codes n in
-  if code >= 0 then n - Vec.get t.first_outputs code
+let[@inline] driving_port t n =
+  let code = Ints.get t.net_codes n in
+  if code >= 0 then n - Ints.get t.first_outputs code
   else
-    match Vec.get t.side_drivers (-1 - code) with
+    match side_driver t code with
     | From_cell { cell = _; port } -> port
     | From_input _ | From_const _ -> -1
 
 let driver t n =
   let cell = driving_cell t n in
   if cell >= 0 then From_cell { cell; port = driving_port t n }
-  else Vec.get t.side_drivers (-1 - Vec.get t.net_codes n)
+  else side_driver t (Ints.get t.net_codes n)
 
-let arrival t n = Vec.get t.arrival n
-let prob t n = Vec.get t.prob n
-let q t n = prob t n -. 0.5
-let cell t i = Vec.get t.cells i
-let output_net t cell ~port = Vec.get t.first_outputs cell + port
+let[@inline] arrival t n = Floats.get t.arrival n
+let[@inline] prob t n = Floats.get t.prob n
+let[@inline] q t n = prob t n -. 0.5
+
+let[@inline] cell_code t i = Ints.get t.kinds i
+let[@inline] cell_kind t i = Dp_tech.Cell_kind.of_code (cell_code t i)
+let[@inline] pin_count t i = Ints.get t.pin_counts i
+
+let[@inline] pin t i k =
+  if k < 0 || k >= Ints.get t.pin_counts i then
+    invalid_arg "Netlist.pin: no such pin";
+  Ints.get t.pins (Ints.get t.first_pins i + k)
+
+let cell t i =
+  { kind = cell_kind t i; inputs = Array.init (pin_count t i) (pin t i) }
+
+let[@inline] output_net t cell ~port = Ints.get t.first_outputs cell + port
 
 let cell_output_nets t i =
-  let first = Vec.get t.first_outputs i in
+  let first = Ints.get t.first_outputs i in
   Array.init
-    (Dp_tech.Cell_kind.output_count (cell t i).kind)
+    (Dp_tech.Cell_kind.output_count (cell_kind t i))
     (fun port -> first + port)
 
-let push_net t ~code ~arrival ~prob =
-  (* The incremental probability formulas (paper Sec. 4.2) can round a
-     few ulps outside [0,1] at extreme input probabilities; clamp here so
-     every stored annotation honours the invariant the lint enforces. *)
-  let prob = Float.max 0.0 (Float.min 1.0 prob) in
-  let n = Vec.push t.net_codes code in
-  let n' = Vec.push t.arrival arrival in
-  let n'' = Vec.push t.prob prob in
-  assert (n = n' && n = n'');
+(* The incremental probability formulas (paper Sec. 4.2) can round a few
+   ulps outside [0,1] at extreme input probabilities; clamp here so every
+   stored annotation honours the invariant the lint enforces. *)
+let[@inline] push_net t ~code ~arrival ~prob =
+  let n = t.net_codes.len in
+  Ints.push t.net_codes code;
+  Floats.push t.arrival arrival;
+  Floats.push t.prob (fmax 0.0 (fmin 1.0 prob));
   n
 
 (* A net whose driver is not a cell. *)
+let push_side t d =
+  if t.side_count = Array.length t.side_drivers then begin
+    let a = Array.make (2 * t.side_count) d in
+    Array.blit t.side_drivers 0 a 0 t.side_count;
+    t.side_drivers <- a
+  end;
+  t.side_drivers.(t.side_count) <- d;
+  t.side_count <- t.side_count + 1;
+  -t.side_count
+
 let new_net t ~driver ~arrival ~prob =
-  let code = -1 - Vec.push t.side_drivers driver in
-  push_net t ~code ~arrival ~prob
+  push_net t ~code:(push_side t driver) ~arrival ~prob
 
 let add_input ?arrival ?prob t name ~width =
   if Hashtbl.mem t.input_index name then
@@ -156,69 +285,97 @@ let const t b =
     n
 
 (* The const/plain tests read the int code; only a net no cell drives
-   consults its side driver, which is stored, never built. *)
+   consults its side driver. *)
 let const_value t n =
-  let code = Vec.get t.net_codes n in
+  let code = Ints.get t.net_codes n in
   if code >= 0 then None
   else
-    match Vec.get t.side_drivers (-1 - code) with
+    match side_driver t code with
     | From_const v -> Some v
     | From_input _ | From_cell _ -> None
 
 let is_const t n b =
-  let code = Vec.get t.net_codes n in
+  let code = Ints.get t.net_codes n in
   code < 0
   &&
-  match Vec.get t.side_drivers (-1 - code) with
+  match side_driver t code with
   | From_const v -> Bool.equal v b
   | From_input _ | From_cell _ -> false
 
-let is_plain t n =
-  let code = Vec.get t.net_codes n in
+let[@inline] is_plain t n =
+  let code = Ints.get t.net_codes n in
   code >= 0
   ||
-  match Vec.get t.side_drivers (-1 - code) with
+  match side_driver t code with
   | From_const _ -> false
   | From_input _ | From_cell _ -> true
 
-(* Instantiate a cell, creating one net per output (consecutive, port 0
-   first) with arrival/probability computed incrementally from the
-   technology and the formulas of the paper's Secs. 3.1 and 4.2.  Returns
-   the port-0 net. *)
-let add_cell t kind inputs ~out_probs =
+(* Start a cell: poll the governor, then record its kind, where its pins
+   will go and its first output net.  The caller pushes the pins and one
+   net per output port (consecutive, port 0 first), with arrival and
+   probability computed incrementally from the technology and the
+   formulas of the paper's Secs. 3.1 and 4.2. *)
+let[@inline] open_cell t code ~pin_count =
   (* Checkpoint before publishing anything: an abort here leaves the
      netlist exactly as it was after the previous complete cell. *)
   (match t.gov with
-  | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Netlist ~cells:(Vec.length t.cells) g
+  | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Netlist ~cells:t.kinds.len g
   | None -> ());
+  let id = t.kinds.len in
+  Ints.push t.kinds code;
+  Ints.push t.first_pins t.pins.len;
+  Ints.push t.pin_counts pin_count;
+  Ints.push t.first_outputs t.net_codes.len;
+  id
+
+(* A one-input, one-output cell of delay slot [d]. *)
+let[@inline] cell1 t code ~d a ~p =
+  let at = arrival t a +. Float.Array.unsafe_get t.delays d in
+  let id = open_cell t code ~pin_count:1 in
+  Ints.push t.pins a;
+  push_net t ~code:id ~arrival:at ~prob:p
+
+(* A two-input, one-output cell on [a], [b]; both pins reach the output
+   with delay slot [d0]. *)
+let[@inline] cell2 t code ~d0 a b ~p0 =
+  let d = Float.Array.unsafe_get t.delays d0 in
+  let at = fmax (arrival t a +. d) (arrival t b +. d) in
+  let id = open_cell t code ~pin_count:2 in
+  Ints.push t.pins a;
+  Ints.push t.pins b;
+  push_net t ~code:id ~arrival:at ~prob:p0
+
+(* Instantiate a cell of any kind from its pin array and per-port
+   probabilities: the wide gates, the buffer and the counters.  Returns
+   the port-0 net. *)
+let add_cell t kind inputs ~out_probs =
   let arity = Dp_tech.Cell_kind.arity kind in
   if Array.length inputs <> arity then
     invalid_arg "Netlist.add_cell: arity mismatch";
-  let cell_id = Vec.push t.cells { kind; inputs } in
-  let first = Vec.length t.net_codes in
-  let id' = Vec.push t.first_outputs first in
-  assert (id' = cell_id);
+  let id = open_cell t (Dp_tech.Cell_kind.code kind) ~pin_count:arity in
+  Array.iter (Ints.push t.pins) inputs;
   (* Per-port arrival: worst over the pins that actually reach the port.
      For conventional cells every pin reaches every port with the port's
      one delay, so this reduces to max-input-arrival + delay; the
      counters' pin-resolved model makes e.g. a 4:2's carry-out ignore its
      late carry-in pin entirely. *)
   let counter = Dp_tech.Cell_kind.is_counter kind in
+  let first = t.net_codes.len in
   for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
     let worst = ref neg_infinity in
     if counter then
       for pin = 0 to arity - 1 do
         match Dp_tech.Tech.pin_delay t.tech kind ~pin ~port with
-        | Some d -> worst := Float.max !worst (arrival t inputs.(pin) +. d)
+        | Some d -> worst := fmax !worst (arrival t inputs.(pin) +. d)
         | None -> ()
       done
     else begin
       let d = Dp_tech.Tech.delay t.tech kind ~port in
       for pin = 0 to arity - 1 do
-        worst := Float.max !worst (arrival t inputs.(pin) +. d)
+        worst := fmax !worst (arrival t inputs.(pin) +. d)
       done
     end;
-    ignore (push_net t ~code:cell_id ~arrival:!worst ~prob:out_probs.(port))
+    ignore (push_net t ~code:id ~arrival:!worst ~prob:out_probs.(port))
   done;
   first
 
@@ -231,85 +388,85 @@ let not_ t a =
   match const_value t a with
   | Some b -> const t (not b)
   | None -> (
-    match Hashtbl.find_opt t.not_cache a with
+    match Int_tbl.find_opt t.not_cache a with
     | Some n -> n
     | None ->
       let c = port0_cell t a in
       let n =
-        if c >= 0 && Dp_tech.Cell_kind.equal (cell t c).kind Not then
+        if c >= 0 && cell_code t c = not_code then
           (* double negation: reuse the NOT's input *)
-          (cell t c).inputs.(0)
-        else
-          add_cell t Dp_tech.Cell_kind.Not [| a |]
-            ~out_probs:[| 1.0 -. prob t a |]
+          pin t c 0
+        else cell1 t not_code ~d:d_not a ~p:(1.0 -. prob t a)
       in
-      Hashtbl.add t.not_cache a n;
+      Int_tbl.add t.not_cache a n;
       n)
 
 let buf t a = add_cell t Dp_tech.Cell_kind.Buf [| a |] ~out_probs:[| prob t a |]
 
-(* Two-input gate on distinct non-constant nets, hashed on the packed
-   pair. *)
-let gate2 t ~cache ~kind_of ~prob2 a b =
+(* Two-input AND ([or_] false) or OR on distinct non-constant nets,
+   hashed on the packed pair. *)
+let[@inline] gate2 t ~or_ a b =
   let lo = Int.min a b and hi = Int.max a b in
   let key = (lo lsl 31) lor hi in
+  let cache = if or_ then t.or2_cache else t.and2_cache in
   match Int_tbl.find_opt cache key with
   | Some n -> n
   | None ->
-    let p = prob2 (prob t lo) (prob t hi) in
-    let n = add_cell t (kind_of 2) [| lo; hi |] ~out_probs:[| p |] in
+    let pa = prob t lo and pb = prob t hi in
+    let n =
+      if or_ then
+        cell2 t or2_code ~d0:d_or2 lo hi
+          ~p0:(1.0 -. ((1.0 *. (1.0 -. pa)) *. (1.0 -. pb)))
+      else cell2 t and2_code ~d0:d_and2 lo hi ~p0:((1.0 *. pa) *. pb)
+    in
     Int_tbl.add cache key n;
     n
 
-(* Shared n-ary gate construction: constant folding, duplicate removal,
-   structural hashing on the sorted input list.  Every gate that comes
-   down to two distinct inputs goes through [gate2], whatever list it
-   was asked for; two non-constant nets get there without building any
-   list.  [prob2 pa pb] equals [prob_of [pa; pb]] bit for bit. *)
-let nary t ~cache ~cache2 ~kind_of ~unit_const ~absorbing_const ~prob_of ~prob2
-    nets =
-  match nets with
-  | [ a; b ] when is_plain t a && is_plain t b ->
-    if a = b then a else gate2 t ~cache:cache2 ~kind_of ~prob2 a b
-  | _ -> (
-    let nets = List.filter (fun n -> not (is_const t n unit_const)) nets in
-    if List.exists (fun n -> is_const t n absorbing_const) nets then
-      const t absorbing_const
-    else
-      match List.sort_uniq Int.compare nets with
-      | [] -> const t unit_const
-      | [ n ] -> n
-      | [ a; b ] -> gate2 t ~cache:cache2 ~kind_of ~prob2 a b
-      | nets -> (
-        match Hashtbl.find_opt cache nets with
-        | Some n -> n
-        | None ->
-          let arity = List.length nets in
-          let p = prob_of (List.map (prob t) nets) in
-          let n =
-            add_cell t (kind_of arity) (Array.of_list nets) ~out_probs:[| p |]
-          in
-          Hashtbl.add cache nets n;
-          n))
-
 let and_prob ps = List.fold_left ( *. ) 1.0 ps
-let and_prob2 pa pb = (1.0 *. pa) *. pb
 let or_prob ps = 1.0 -. List.fold_left (fun acc p -> acc *. (1.0 -. p)) 1.0 ps
-let or_prob2 pa pb = 1.0 -. ((1.0 *. (1.0 -. pa)) *. (1.0 -. pb))
 
-let and_n t nets =
-  nary t ~cache:t.and_cache ~cache2:t.and2_cache
-    ~kind_of:(fun n -> Dp_tech.Cell_kind.And_n n)
-    ~unit_const:true ~absorbing_const:false
-    ~prob_of:and_prob ~prob2:and_prob2 nets
+(* Shared n-ary AND/OR construction: constant folding, duplicate removal,
+   structural hashing on the sorted input list.  Every gate that comes
+   down to two distinct inputs goes through [gate2]. *)
+let nary t ~or_ nets =
+  let nets = List.filter (fun n -> not (is_const t n (not or_))) nets in
+  if List.exists (fun n -> is_const t n or_) nets then const t or_
+  else
+    match List.sort_uniq Int.compare nets with
+    | [] -> const t (not or_)
+    | [ n ] -> n
+    | [ a; b ] -> gate2 t ~or_ a b
+    | nets -> (
+      let cache = if or_ then t.or_cache else t.and_cache in
+      match Hashtbl.find_opt cache nets with
+      | Some n -> n
+      | None ->
+        let arity = List.length nets in
+        let ps = List.map (prob t) nets in
+        let kind, p =
+          if or_ then (Dp_tech.Cell_kind.Or_n arity, or_prob ps)
+          else (Dp_tech.Cell_kind.And_n arity, and_prob ps)
+        in
+        let n = add_cell t kind (Array.of_list nets) ~out_probs:[| p |] in
+        Hashtbl.add cache nets n;
+        n)
 
-let or_n t nets =
-  nary t ~cache:t.or_cache ~cache2:t.or2_cache
-    ~kind_of:(fun n -> Dp_tech.Cell_kind.Or_n n)
-    ~unit_const:false ~absorbing_const:true
-    ~prob_of:or_prob ~prob2:or_prob2 nets
+(* Two non-constant nets take no list; anything else folds as [nary]
+   folds. *)
+let[@inline] gate2_of t ~or_ a b =
+  if is_plain t a && is_plain t b then if a = b then a else gate2 t ~or_ a b
+  else nary t ~or_ [ a; b ]
 
-let xor2_prob pa pb = pa +. pb -. (2.0 *. pa *. pb)
+let and2 t a b = gate2_of t ~or_:false a b
+let or2 t a b = gate2_of t ~or_:true a b
+
+let and_n t = function
+  | [ a; b ] -> and2 t a b
+  | nets -> nary t ~or_:false nets
+
+let or_n t = function
+  | [ a; b ] -> or2 t a b
+  | nets -> nary t ~or_:true nets
 
 let rec xor2 t a b =
   match const_value t a, const_value t b with
@@ -322,8 +479,8 @@ let rec xor2 t a b =
     if a = b then const t false
     else
       let a, b = if a <= b then a, b else b, a in
-      add_cell t (Dp_tech.Cell_kind.Xor_n 2) [| a; b |]
-        ~out_probs:[| xor2_prob (prob t a) (prob t b) |]
+      let pa = prob t a and pb = prob t b in
+      cell2 t xor2_code ~d0:d_xor2 a b ~p0:(pa +. pb -. (2.0 *. pa *. pb))
 
 and xor_n t nets =
   match nets with
@@ -335,9 +492,15 @@ let ha_cell t a b =
   let qa = q t a and qb = q t b in
   let p_sum = 0.5 -. (2.0 *. qa *. qb) in
   let p_carry = 0.25 +. (qa *. qb) +. (0.5 *. (qa +. qb)) in
-  let sum =
-    add_cell t Dp_tech.Cell_kind.Ha [| a; b |] ~out_probs:[| p_sum; p_carry |]
-  in
+  let aa = arrival t a and ab = arrival t b in
+  let ds = Float.Array.unsafe_get t.delays d_ha_sum in
+  let dc = Float.Array.unsafe_get t.delays d_ha_carry in
+  let id = open_cell t ha_code ~pin_count:2 in
+  Ints.push t.pins a;
+  Ints.push t.pins b;
+  let sum = push_net t ~code:id ~arrival:(fmax (aa +. ds) (ab +. ds)) ~prob:p_sum in
+  ignore
+    (push_net t ~code:id ~arrival:(fmax (aa +. dc) (ab +. dc)) ~prob:p_carry);
   sum, sum + 1
 
 (* Half adder with constant elimination: HA(x,0) = (x, 0); HA(x,1) = (~x, x). *)
@@ -357,10 +520,22 @@ let fa_cell t a b c =
      q(c) = 0.5 (qx + qy + qz) - 2 qx qy qz. *)
   let p_sum = 0.5 +. (4.0 *. qx *. qy *. qz) in
   let p_carry = 0.5 +. (0.5 *. (qx +. qy +. qz)) -. (2.0 *. qx *. qy *. qz) in
+  let aa = arrival t a and ab = arrival t b and ac = arrival t c in
+  let ds = Float.Array.unsafe_get t.delays d_fa_sum in
+  let dc = Float.Array.unsafe_get t.delays d_fa_carry in
+  let id = open_cell t fa_code ~pin_count:3 in
+  Ints.push t.pins a;
+  Ints.push t.pins b;
+  Ints.push t.pins c;
   let sum =
-    add_cell t Dp_tech.Cell_kind.Fa [| a; b; c |]
-      ~out_probs:[| p_sum; p_carry |]
+    push_net t ~code:id
+      ~arrival:(fmax (fmax (aa +. ds) (ab +. ds)) (ac +. ds))
+      ~prob:p_sum
   in
+  ignore
+    (push_net t ~code:id
+       ~arrival:(fmax (fmax (aa +. dc) (ab +. dc)) (ac +. dc))
+       ~prob:p_carry);
   sum, sum + 1
 
 (* Full adder.  Constant inputs degrade it: FA(x,y,0) = HA(x,y) and
@@ -384,7 +559,7 @@ let fa t a b c =
     | [ x; y ], 0 -> ha t x y
     | [ x; y ], _ ->
       (* sum = ~(x^y), carry = x|y *)
-      not_ t (xor2 t x y), or_n t [ x; y ]
+      not_ t (xor2 t x y), or2 t x y
     | _ :: _ :: _ :: _, _ -> fa_cell t a b c
 
 (* ------------------------------------------------------------------ *)
@@ -412,6 +587,8 @@ let popcount_bit_probs t nets =
         if c land (1 lsl b) <> 0 then acc := !acc +. dist.(c)
       done;
       !acc)
+
+let xor2_prob pa pb = pa +. pb -. (2.0 *. pa *. pb)
 
 let maj3_prob pa pb pc =
   (pa *. pb) +. (pa *. pc) +. (pb *. pc) -. (2.0 *. pa *. pb *. pc)
@@ -481,24 +658,49 @@ let find_output t name =
   | Some nets -> nets
   | None -> invalid_arg (Printf.sprintf "Netlist.find_output: no output %s" name)
 
-let iter_cells f t = Vec.iteri f t.cells
-let fold_cells f acc t = Vec.fold f acc t.cells
+let iter_cells f t =
+  for i = 0 to cell_count t - 1 do
+    f i (cell t i)
+  done
 
+let fold_cells f acc t =
+  let acc = ref acc in
+  for i = 0 to cell_count t - 1 do
+    acc := f !acc (cell t i)
+  done;
+  !acc
+
+(* Summed in cell order, as a left fold over the cells would, from a
+   table of each kind's area. *)
 let area t =
-  fold_cells (fun acc c -> acc +. Dp_tech.Tech.area t.tech c.kind) 0.0 t
+  let top = ref (-1) in
+  for i = 0 to cell_count t - 1 do
+    top := Int.max !top (Ints.get t.kinds i)
+  done;
+  let table =
+    Float.Array.init (!top + 1) (fun code ->
+        Dp_tech.Tech.area t.tech (Dp_tech.Cell_kind.of_code code))
+  in
+  let total = ref 0.0 in
+  for i = 0 to cell_count t - 1 do
+    total := !total +. Float.Array.get table (Ints.get t.kinds i)
+  done;
+  !total
 
 module Mutate = struct
-  let set_driver t n d =
-    Vec.set t.net_codes n (-1 - Vec.length t.side_drivers);
-    ignore (Vec.push t.side_drivers d)
-  let set_prob t n p = Vec.set t.prob n p
-  let set_cell t i c = Vec.set t.cells i c
+  let set_driver t n d = Ints.set t.net_codes n (push_side t d)
+  let set_prob t n p = Floats.set t.prob n p
+
+  let set_cell t i c =
+    Ints.set t.kinds i (Dp_tech.Cell_kind.code c.kind);
+    Ints.set t.first_pins i t.pins.len;
+    Ints.set t.pin_counts i (Array.length c.inputs);
+    Array.iter (Ints.push t.pins) c.inputs
 
   let set_cell_input t ~cell ~pin net =
-    let c = Vec.get t.cells cell in
-    let inputs = Array.copy c.inputs in
-    inputs.(pin) <- net;
-    Vec.set t.cells cell { c with inputs }
+    if pin < 0 || pin >= pin_count t cell then
+      invalid_arg "Netlist.Mutate.set_cell_input: no such pin";
+    Ints.set t.pins (Ints.get t.first_pins cell + pin) net
 end
 
 let max_output_arrival t =

@@ -16,7 +16,16 @@
     folding, duplicate-input removal, double-negation elimination, and
     structural hashing of NOT/AND/OR gates.  A full adder with a constant
     input degrades to a half adder (and further to plain gates), which is
-    how the pseudo-zero addend of algorithm SC_LP turns into an HA. *)
+    how the pseudo-zero addend of algorithm SC_LP turns into an HA.
+
+    The netlist is one flat arena: each net is an int code plus an
+    arrival and a probability in float columns, and each cell is a kind
+    code ({!Dp_tech.Cell_kind.code}), a first pin and a pin count into one
+    pin column, and a first output net.  The two- and three-input
+    builders ({!and2}, {!or2}, {!xor2}, {!ha}, {!fa}) write a new cell's
+    annotations straight into those columns; readers take a cell's kind
+    and pins by index ({!cell_kind}, {!pin}) and never build a {!cell}
+    record. *)
 
 type net = int
 
@@ -25,7 +34,10 @@ type driver =
   | From_const of bool
   | From_cell of { cell : int; port : int }
 
+(** A cell decoded from the arena by {!cell}: its kind and its input
+    nets by pin. *)
 type cell = { kind : Dp_tech.Cell_kind.t; inputs : net array }
+
 type t
 
 (** Captures the calling thread's ambient {!Dp_gov.Gov} governor (if one
@@ -71,6 +83,21 @@ val prob : t -> net -> float
 (** [prob t n -. 0.5] — the paper's q-value. *)
 val q : t -> net -> float
 
+(** {2 Cells by index} *)
+
+(** The kind of cell [i], decoded from its code without allocating. *)
+val cell_kind : t -> int -> Dp_tech.Cell_kind.t
+
+(** The number of input pins of cell [i]: its kind's arity, unless a
+    {!Mutate.set_cell} override gave it another. *)
+val pin_count : t -> int -> int
+
+(** [pin t i k] is the net on input pin [k] of cell [i].
+    @raise Invalid_argument unless [0 <= k < pin_count t i]. *)
+val pin : t -> int -> int -> net
+
+(** Cell [i] as a freshly built record.  For cross-checks and tools off
+    the request path; the readers on it use {!cell_kind} and {!pin}. *)
 val cell : t -> int -> cell
 
 (** Output nets of a cell, indexed by port. *)
@@ -94,6 +121,12 @@ val is_const : t -> net -> bool -> bool
 val const_value : t -> net -> bool option
 val not_ : t -> net -> net
 val buf : t -> net -> net
+
+(** Two-input AND and OR: [and2 t a b] is [and_n t [a; b]], and [or2]
+    likewise, without building the list. *)
+val and2 : t -> net -> net -> net
+
+val or2 : t -> net -> net -> net
 val and_n : t -> net list -> net
 val or_n : t -> net list -> net
 val xor2 : t -> net -> net -> net
@@ -142,7 +175,9 @@ val outputs : t -> (string * net array) list
 (** @raise Invalid_argument if absent. *)
 val find_output : t -> string -> net array
 
+(** Every cell in id order, each decoded as {!cell} decodes it. *)
 val iter_cells : (int -> cell -> unit) -> t -> unit
+
 val fold_cells : ('acc -> cell -> 'acc) -> 'acc -> t -> 'acc
 
 (** Raw, invariant-{e breaking} setters.  They bypass every builder
@@ -154,13 +189,18 @@ val fold_cells : ('acc -> cell -> 'acc) -> 'acc -> t -> 'acc
 module Mutate : sig
   val set_driver : t -> net -> driver -> unit
   val set_prob : t -> net -> float -> unit
+
+  (** Retype and rewire cell [i]; its new pins are appended to the pin
+      column. *)
   val set_cell : t -> int -> cell -> unit
 
-  (** Rewire one input pin of a cell. *)
+  (** Rewire one input pin of a cell.
+      @raise Invalid_argument if the cell has no such pin. *)
   val set_cell_input : t -> cell:int -> pin:int -> net -> unit
 end
 
-(** Total cell area under the netlist's technology. *)
+(** Total cell area under the netlist's technology, summed in cell order
+    from a table of each kind's area. *)
 val area : t -> float
 
 (** Latest arrival over all declared output nets. *)

@@ -12,25 +12,24 @@ type t = {
 
 let kind_counts netlist =
   let table = Hashtbl.create 16 in
-  Netlist.iter_cells
-    (fun _ (c : Netlist.cell) ->
-      let prev = Option.value (Hashtbl.find_opt table c.kind) ~default:0 in
-      Hashtbl.replace table c.kind (prev + 1))
-    netlist;
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    let kind = Netlist.cell_kind netlist id in
+    let prev = Option.value (Hashtbl.find_opt table kind) ~default:0 in
+    Hashtbl.replace table kind (prev + 1)
+  done;
   Hashtbl.fold (fun kind count acc -> (kind, count) :: acc) table []
   |> List.sort (fun (a, _) (b, _) ->
          String.compare (Dp_tech.Cell_kind.name a) (Dp_tech.Cell_kind.name b))
 
 let of_netlist netlist =
   let fa = ref 0 and ha = ref 0 and counters = ref 0 and gates = ref 0 in
-  Netlist.iter_cells
-    (fun _ (c : Netlist.cell) ->
-      match c.kind with
-      | Dp_tech.Cell_kind.Fa -> incr fa
-      | Ha -> incr ha
-      | C42 | C53 | C63 | C73 -> incr counters
-      | And_n _ | Or_n _ | Xor_n _ | Not | Buf -> incr gates)
-    netlist;
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    match Netlist.cell_kind netlist id with
+    | Dp_tech.Cell_kind.Fa -> incr fa
+    | Ha -> incr ha
+    | C42 | C53 | C63 | C73 -> incr counters
+    | And_n _ | Or_n _ | Xor_n _ | Not | Buf -> incr gates
+  done;
   {
     nets = Netlist.net_count netlist;
     cells = Netlist.cell_count netlist;
@@ -57,17 +56,13 @@ let net_name netlist net =
   | Netlist.From_cell _ -> Printf.sprintf "n%d" net
 
 let pp_cells ppf netlist =
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      let outs = Netlist.cell_output_nets netlist id in
-      let pp_net ppf n = Fmt.string ppf (net_name netlist n) in
-      let pp_out ppf n =
-        Fmt.pf ppf "%a@%.2f" pp_net n (Netlist.arrival netlist n)
-      in
-      Fmt.pf ppf "%a(%a) -> %a@."
-        Dp_tech.Cell_kind.pp c.kind
-        Fmt.(array ~sep:(any ", ") pp_net)
-        c.inputs
-        Fmt.(array ~sep:(any ", ") pp_out)
-        outs)
-    netlist
+  let pp_net ppf n = Fmt.string ppf (net_name netlist n) in
+  let pp_out ppf n = Fmt.pf ppf "%a@%.2f" pp_net n (Netlist.arrival netlist n) in
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    Fmt.pf ppf "%a(%a) -> %a@." Dp_tech.Cell_kind.pp
+      (Netlist.cell_kind netlist id)
+      Fmt.(list ~sep:(any ", ") pp_net)
+      (List.init (Netlist.pin_count netlist id) (Netlist.pin netlist id))
+      Fmt.(array ~sep:(any ", ") pp_out)
+      (Netlist.cell_output_nets netlist id)
+  done

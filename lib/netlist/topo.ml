@@ -1,13 +1,14 @@
 let check netlist =
   (* Builder invariant: cells only consume already-existing nets, so every
-     input net id is smaller than every output net id of the same cell. *)
+     input net id is smaller than every output net id of the same cell
+     (port 0's, the smallest). *)
   let ok = ref true in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      let outs = Netlist.cell_output_nets netlist id in
-      let min_out = Array.fold_left min max_int outs in
-      Array.iter (fun input -> if input >= min_out then ok := false) c.inputs)
-    netlist;
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    let min_out = Netlist.output_net netlist id ~port:0 in
+    for k = 0 to Netlist.pin_count netlist id - 1 do
+      if Netlist.pin netlist id k >= min_out then ok := false
+    done
+  done;
   !ok
 
 let levels netlist =
@@ -18,10 +19,9 @@ let levels netlist =
   for net = 0 to n - 1 do
     let cell = Netlist.driving_cell netlist net in
     if cell >= 0 then begin
-      let inputs = (Netlist.cell netlist cell).inputs in
       let max_in = ref 0 in
-      for pin = 0 to Array.length inputs - 1 do
-        max_in := Int.max !max_in level.(inputs.(pin))
+      for k = 0 to Netlist.pin_count netlist cell - 1 do
+        max_in := Int.max !max_in level.(Netlist.pin netlist cell k)
       done;
       level.(net) <- !max_in + 1
     end
@@ -47,19 +47,19 @@ let critical_path netlist ~from =
     match Netlist.driver netlist net with
     | Netlist.From_input _ | Netlist.From_const _ -> acc
     | Netlist.From_cell { cell; port } ->
-      let c = Netlist.cell netlist cell in
+      let kind = Netlist.cell_kind netlist cell in
       let worst = ref None and worst_at = ref neg_infinity in
-      Array.iteri
-        (fun pin input ->
-          match Dp_tech.Tech.pin_delay tech c.kind ~pin ~port with
-          | Some d ->
-            let at = Netlist.arrival netlist input +. d in
-            if !worst = None || at > !worst_at then begin
-              worst := Some input;
-              worst_at := at
-            end
-          | None -> ())
-        c.inputs;
+      for pin = 0 to Netlist.pin_count netlist cell - 1 do
+        let input = Netlist.pin netlist cell pin in
+        match Dp_tech.Tech.pin_delay tech kind ~pin ~port with
+        | Some d ->
+          let at = Netlist.arrival netlist input +. d in
+          if !worst = None || at > !worst_at then begin
+            worst := Some input;
+            worst_at := at
+          end
+        | None -> ()
+      done;
       (match !worst with None -> acc | Some input -> walk input acc)
   in
   walk from []

@@ -181,13 +181,12 @@ let gate_primitive (kind : Dp_tech.Cell_kind.t) =
 (* An upper bound on the length of a cell's instance line when every
    number has at most [d] digits and every pin reads a cell or constant
    reference of at most [ref_max] bytes. *)
-let line_bound ~d ~ref_max (c : Netlist.cell) =
-  let pins = Array.length c.inputs in
-  match c.kind with
+let line_bound ~d ~ref_max (kind : Dp_tech.Cell_kind.t) ~pins =
+  match kind with
   | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha | Dp_tech.Cell_kind.C42
   | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73 ->
     16 + d + (pins * (7 + ref_max))
-    + (Dp_tech.Cell_kind.output_count c.kind * (8 + d))
+    + (Dp_tech.Cell_kind.output_count kind * (8 + d))
   | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
   | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not | Dp_tech.Cell_kind.Buf ->
     16 + (2 * d) + (pins * (2 + ref_max))
@@ -207,44 +206,44 @@ let body netlist outs =
         acc + (Array.length nets * (String.length name + 16 + d + ref_max)))
       1024 outs
   in
-  let size =
-    Netlist.fold_cells
-      (fun acc (c : Netlist.cell) ->
-        acc + line_bound ~d ~ref_max c
-        + (Dp_tech.Cell_kind.output_count c.kind * (10 + d)))
-      size netlist
-  in
+  let cells = Netlist.cell_count netlist in
+  let size = ref size in
+  for id = 0 to cells - 1 do
+    let kind = Netlist.cell_kind netlist id in
+    size :=
+      !size
+      + line_bound ~d ~ref_max kind ~pins:(Netlist.pin_count netlist id)
+      + (Dp_tech.Cell_kind.output_count kind * (10 + d))
+  done;
   (* Input references may outgrow [ref_max]; then the buffer doubles. *)
-  let o = create size in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      let first = Netlist.output_net netlist id ~port:0 in
-      let count = Dp_tech.Cell_kind.output_count c.kind in
-      reserve o (count * (10 + d));
-      for port = 0 to count - 1 do
-        str o "  wire n";
-        num o (first + port);
-        str o ";\n"
-      done)
-    netlist;
+  let o = create !size in
+  for id = 0 to cells - 1 do
+    let first = Netlist.output_net netlist id ~port:0 in
+    let count = Dp_tech.Cell_kind.output_count (Netlist.cell_kind netlist id) in
+    reserve o (count * (10 + d));
+    for port = 0 to count - 1 do
+      str o "  wire n";
+      num o (first + port);
+      str o ";\n"
+    done
+  done;
   let used_fa = ref false and used_ha = ref false in
   let used_c42 = ref false and used_c53 = ref false in
   let used_c63 = ref false and used_c73 = ref false in
   (* [head] is the line up to the instance number, e.g. ["  DP_FA u"] *)
-  let instance head id (c : Netlist.cell) in_names out_names =
-    let i = c.inputs in
+  let instance head id kind ~pins in_names out_names =
     let first = Netlist.output_net netlist id ~port:0 in
-    let line = line_bound ~d ~ref_max c in
+    let line = line_bound ~d ~ref_max kind ~pins in
     reserve o line;
     str o head;
     num o id;
     str o " (";
-    for k = 0 to Array.length i - 1 do
+    for k = 0 to pins - 1 do
       if k > 0 then str o ", ";
       chr o '.';
       str o in_names.(k);
       chr o '(';
-      net_ref o netlist ~line i.(k);
+      net_ref o netlist ~line (Netlist.pin netlist id k);
       chr o ')'
     done;
     for k = 0 to Array.length out_names - 1 do
@@ -256,46 +255,46 @@ let body netlist outs =
     done;
     str o ");\n"
   in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      match c.kind with
-      | Dp_tech.Cell_kind.Fa ->
-        used_fa := true;
-        instance "  DP_FA u" id c fa_inputs sum_carry
-      | Dp_tech.Cell_kind.Ha ->
-        used_ha := true;
-        instance "  DP_HA u" id c ha_inputs sum_carry
-      | Dp_tech.Cell_kind.C53 ->
-        used_c53 := true;
-        instance "  DP_C53 u" id c counter_inputs counter_outputs
-      | Dp_tech.Cell_kind.C63 ->
-        used_c63 := true;
-        instance "  DP_C63 u" id c counter_inputs counter_outputs
-      | Dp_tech.Cell_kind.C73 ->
-        used_c73 := true;
-        instance "  DP_C73 u" id c counter_inputs counter_outputs
-      | Dp_tech.Cell_kind.C42 ->
-        used_c42 := true;
-        instance "  DP_C42 u" id c c42_inputs c42_outputs
-      | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
-      | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
-      | Dp_tech.Cell_kind.Buf ->
-        let i = c.inputs in
-        let line = line_bound ~d ~ref_max c in
-        reserve o line;
-        str o "  ";
-        str o (gate_primitive c.kind);
-        str o " u";
-        num o id;
-        str o " (n";
-        num o (Netlist.output_net netlist id ~port:0);
-        str o ", ";
-        for k = 0 to Array.length i - 1 do
-          if k > 0 then str o ", ";
-          net_ref o netlist ~line i.(k)
-        done;
-        str o ");\n")
-    netlist;
+  for id = 0 to cells - 1 do
+    let kind = Netlist.cell_kind netlist id in
+    let pins = Netlist.pin_count netlist id in
+    match kind with
+    | Dp_tech.Cell_kind.Fa ->
+      used_fa := true;
+      instance "  DP_FA u" id kind ~pins fa_inputs sum_carry
+    | Dp_tech.Cell_kind.Ha ->
+      used_ha := true;
+      instance "  DP_HA u" id kind ~pins ha_inputs sum_carry
+    | Dp_tech.Cell_kind.C53 ->
+      used_c53 := true;
+      instance "  DP_C53 u" id kind ~pins counter_inputs counter_outputs
+    | Dp_tech.Cell_kind.C63 ->
+      used_c63 := true;
+      instance "  DP_C63 u" id kind ~pins counter_inputs counter_outputs
+    | Dp_tech.Cell_kind.C73 ->
+      used_c73 := true;
+      instance "  DP_C73 u" id kind ~pins counter_inputs counter_outputs
+    | Dp_tech.Cell_kind.C42 ->
+      used_c42 := true;
+      instance "  DP_C42 u" id kind ~pins c42_inputs c42_outputs
+    | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
+    | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
+    | Dp_tech.Cell_kind.Buf ->
+      let line = line_bound ~d ~ref_max kind ~pins in
+      reserve o line;
+      str o "  ";
+      str o (gate_primitive kind);
+      str o " u";
+      num o id;
+      str o " (n";
+      num o (Netlist.output_net netlist id ~port:0);
+      str o ", ";
+      for k = 0 to pins - 1 do
+        if k > 0 then str o ", ";
+        net_ref o netlist ~line (Netlist.pin netlist id k)
+      done;
+      str o ");\n"
+  done;
   List.iter
     (fun (name, nets) ->
       Array.iteri

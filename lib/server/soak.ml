@@ -430,6 +430,10 @@ let start_pool ?state_file ~log config =
         Shard_pool.health_period_s = 0.1;
         health_timeout_s = 0.5;
         health_failures = 2;
+        (* A forked shard binds its socket within milliseconds; the 5 s
+           default would let a shard hung soon after a restart stall
+           every request routed to it until it is 5 s old. *)
+        startup_grace_s = 0.3;
         stable_s = 0.5;
         poll_period_s = 0.02;
         (* Generous restart intensity: the soak wants to watch shards

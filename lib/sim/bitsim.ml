@@ -30,11 +30,11 @@ let fa64 a b c =
 
 let ha64 a b = (Int64.logxor a b, Int64.logand a b)
 
-(* Writes the packed word of each output port [p] of [c] to
-   [out.(p)]. *)
-let eval_cell (c : Netlist.cell) (values : int64 array) out =
-  let v i = values.(c.inputs.(i)) in
-  match c.kind with
+(* Writes the packed word of each output port [p] of cell [id], of kind
+   [kind], to [out.(p)]. *)
+let eval_cell netlist id kind (values : int64 array) out =
+  let v k = values.(Netlist.pin netlist id k) in
+  match kind with
   | Dp_tech.Cell_kind.Fa ->
     let sum, carry = fa64 (v 0) (v 1) (v 2) in
     out.(0) <- sum;
@@ -46,7 +46,7 @@ let eval_cell (c : Netlist.cell) (values : int64 array) out =
   | Dp_tech.Cell_kind.(C42 | C53 | C63 | C73) ->
     let s0, s1, s2 =
       Dp_tech.Recipe.eval
-        (Dp_tech.Recipe.of_kind c.kind)
+        (Dp_tech.Recipe.of_kind kind)
         ~pin:v ~fa:fa64 ~ha:ha64
     in
     out.(0) <- s0;
@@ -73,9 +73,10 @@ let eval_cell (c : Netlist.cell) (values : int64 array) out =
   | Dp_tech.Cell_kind.Not -> out.(0) <- Int64.lognot (v 0)
   | Dp_tech.Cell_kind.Buf -> out.(0) <- v 0
 
-let inputs_below (c : Netlist.cell) net =
-  let rec from pin =
-    pin >= Array.length c.inputs || (c.inputs.(pin) < net && from (pin + 1))
+let inputs_below netlist id net =
+  let rec from k =
+    k >= Netlist.pin_count netlist id
+    || (Netlist.pin netlist id k < net && from (k + 1))
   in
   from 0
 
@@ -101,10 +102,10 @@ let run netlist ~assign =
     let cell = Netlist.driving_cell netlist net in
     if cell >= 0 then begin
       if cell <> !evaluated then begin
-        let c = Netlist.cell netlist cell in
-        eval_cell c values ports;
-        evaluated := if inputs_below c net then cell else -1;
-        port_count := Dp_tech.Cell_kind.output_count c.kind
+        let kind = Netlist.cell_kind netlist cell in
+        eval_cell netlist cell kind values ports;
+        evaluated := if inputs_below netlist cell net then cell else -1;
+        port_count := Dp_tech.Cell_kind.output_count kind
       end;
       let port = Netlist.driving_port netlist net in
       if port >= !port_count then

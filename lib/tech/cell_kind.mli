@@ -44,5 +44,16 @@ val output_count : t -> int
     [C73]. *)
 val is_counter : t -> bool
 
+(** A dense int code per kind, which is how a netlist stores it: the
+    six adder kinds and [Not]/[Buf] take 0-7, and an [n]-input gate
+    [8 + 3n], [9 + 3n] or [10 + 3n] for AND, OR and XOR.
+    @raise Invalid_argument on a negative gate width. *)
+val code : t -> int
+
+(** The inverse of {!code}.  The kinds of gates up to 64 inputs wide are
+    shared values, so decoding them allocates nothing.
+    @raise Invalid_argument on a negative code. *)
+val of_code : int -> t
+
 val name : t -> string
 val pp : t Fmt.t

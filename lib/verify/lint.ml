@@ -80,23 +80,24 @@ let run nl =
   let valid n = n >= 0 && n < ncount in
   (* Per-cell signature and ordering checks. *)
   for c = 0 to ccount - 1 do
-    let { Netlist.kind; inputs } = Netlist.cell nl c in
+    let kind = Netlist.cell_kind nl c in
+    let pins = Netlist.pin_count nl c in
     let arity = Dp_tech.Cell_kind.arity kind in
-    if Array.length inputs <> arity then
+    if pins <> arity then
       add Arity_violation (Cell c) "%s has %d inputs, expected %d"
-        (Dp_tech.Cell_kind.name kind) (Array.length inputs) arity;
+        (Dp_tech.Cell_kind.name kind) pins arity;
     (match kind with
     | Dp_tech.Cell_kind.And_n n | Or_n n | Xor_n n ->
       if n < 2 then
         add Arity_violation (Cell c) "%s: n-ary gate with n = %d < 2"
           (Dp_tech.Cell_kind.name kind) n
     | Fa | Ha | C42 | C53 | C63 | C73 | Not | Buf -> ());
-    Array.iteri
-      (fun pin n ->
-        if not (valid n) then
-          add Dangling_ref (Cell c) "input pin %d references nonexistent net %d"
-            pin n)
-      inputs;
+    for pin = 0 to pins - 1 do
+      let n = Netlist.pin nl c pin in
+      if not (valid n) then
+        add Dangling_ref (Cell c) "input pin %d references nonexistent net %d"
+          pin n
+    done;
     (* A cell's output nets follow from its kind, so only their range can
        be wrong. *)
     let min_out = ref max_int in
@@ -107,13 +108,13 @@ let run nl =
           port n;
       min_out := min !min_out n
     done;
-    Array.iteri
-      (fun pin n ->
-        if valid n && n >= !min_out then
-          add Topo_violation (Cell c)
-            "input pin %d consumes net %d, not older than output net %d" pin n
-            !min_out)
-      inputs
+    for pin = 0 to pins - 1 do
+      let n = Netlist.pin nl c pin in
+      if valid n && n >= !min_out then
+        add Topo_violation (Cell c)
+          "input pin %d consumes net %d, not older than output net %d" pin n
+          !min_out
+    done
   done;
   (* Per-net driver and annotation checks. *)
   let port_driver = Hashtbl.create 97 in
@@ -125,7 +126,7 @@ let run nl =
         add Bad_driver (Net n) "driven by nonexistent cell %d" cell
       else begin
         let ports =
-          Dp_tech.Cell_kind.output_count (Netlist.cell nl cell).Netlist.kind
+          Dp_tech.Cell_kind.output_count (Netlist.cell_kind nl cell)
         in
         if port < 0 || port >= ports then
           add Bad_driver (Net n) "driven by cell %d port %d, which has %d ports"
@@ -160,19 +161,14 @@ let run nl =
      always also violates net ordering, but the distinct finding tells the
      user the netlist is unevaluable rather than merely misordered). *)
   let deps c =
-    let { Netlist.inputs; _ } = Netlist.cell nl c in
-    Array.fold_right
-      (fun n acc ->
-        if valid n then
-          match Netlist.driver nl n with
-          | Netlist.From_cell { cell; port = _ }
-            when cell >= 0 && cell < ccount ->
-            cell :: acc
-          | Netlist.From_cell _ | Netlist.From_input _ | Netlist.From_const _
-            ->
-            acc
-        else acc)
-      inputs []
+    let acc = ref [] in
+    for pin = Netlist.pin_count nl c - 1 downto 0 do
+      let n = Netlist.pin nl c pin in
+      if valid n then
+        let cell = Netlist.driving_cell nl n in
+        if cell >= 0 && cell < ccount then acc := cell :: !acc
+    done;
+    !acc
   in
   let color = Array.make (max ccount 1) 0 in
   for root = 0 to ccount - 1 do
@@ -220,13 +216,11 @@ let run nl =
   let mark_stack = ref [] in
   let push_net n =
     if valid n then
-      match Netlist.driver nl n with
-      | Netlist.From_cell { cell; port = _ } when cell >= 0 && cell < ccount ->
-        if not reached.(cell) then begin
-          reached.(cell) <- true;
-          mark_stack := cell :: !mark_stack
-        end
-      | Netlist.From_cell _ | Netlist.From_input _ | Netlist.From_const _ -> ()
+      let cell = Netlist.driving_cell nl n in
+      if cell >= 0 && cell < ccount && not reached.(cell) then begin
+        reached.(cell) <- true;
+        mark_stack := cell :: !mark_stack
+      end
   in
   List.iter (fun (_, nets) -> Array.iter push_net nets) outputs;
   while !mark_stack <> [] do
@@ -234,12 +228,14 @@ let run nl =
     | [] -> ()
     | c :: rest ->
       mark_stack := rest;
-      Array.iter push_net (Netlist.cell nl c).inputs
+      for pin = 0 to Netlist.pin_count nl c - 1 do
+        push_net (Netlist.pin nl c pin)
+      done
   done;
   for c = 0 to ccount - 1 do
     if not reached.(c) then
       add Unreachable_cell (Cell c) "%s feeds no declared output"
-        (Dp_tech.Cell_kind.name (Netlist.cell nl c).kind)
+        (Dp_tech.Cell_kind.name (Netlist.cell_kind nl c))
   done;
   List.rev !findings
 

@@ -250,9 +250,9 @@ let old_format_version_is_corrupt () =
   let path = Filename.concat dir (o.digest ^ ".dpc") in
   let raw = In_channel.with_open_bin path In_channel.input_all in
   let eol = String.index raw '\n' in
-  check Alcotest.string "current version" "dpsyn-cache/3" (String.sub raw 0 eol);
+  check Alcotest.string "current version" "dpsyn-cache/4" (String.sub raw 0 eol);
   Out_channel.with_open_bin path (fun oc ->
-      output_string oc "dpsyn-cache/2";
+      output_string oc "dpsyn-cache/3";
       output_string oc (String.sub raw eol (String.length raw - eol)));
   let r = C.Store.fsck ~dir () in
   checki "fsck: corrupt" 1 r.C.Store.fsck_corrupt;

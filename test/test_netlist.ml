@@ -462,3 +462,4 @@ let suite =
     case "topo: levels = driver-based reference under every injected fault"
       test_topo_levels_reference_injected;
   ]
+  @ Test_arena.suite

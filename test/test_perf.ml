@@ -642,6 +642,60 @@ let sc_random_deterministic () =
   check Alcotest.(list int) "same seed, same carries" carries1 carries2;
   check_identical "sc_random determinism" nl1 nl2
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets of the flat netlist arena, in minor words per call.
+   The record-based builders allocated 39 words per [fa] and 35 per fresh
+   two-input AND, and [Stats.of_netlist] about 50k words per crypto
+   netlist; the arena writes annotations straight into its float columns.
+   Minor words are counted, not time, so the budgets hold on any machine
+   and under both build profiles. *)
+
+let words_per_call ~calls f =
+  let before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let builder_allocation () =
+  let nl = mk_netlist () in
+  let calls = 4096 in
+  let a = Netlist.add_input nl "a" ~width:(3 * calls) in
+  let b = Netlist.add_input nl "b" ~width:calls in
+  let fa =
+    words_per_call ~calls (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (Netlist.fa nl a.(3 * i) a.((3 * i) + 1) a.((3 * i) + 2))
+        done)
+  in
+  let ha =
+    words_per_call ~calls (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (Netlist.ha nl a.(3 * i) b.(i))
+        done)
+  in
+  let and2 =
+    words_per_call ~calls (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (Netlist.and2 nl a.((3 * i) + 1) b.(i))
+        done)
+  in
+  let within what budget words =
+    if words > budget then
+      Alcotest.failf "%s allocates %.1f minor words per call (budget %.0f)"
+        what words budget
+  in
+  within "fa" 10.0 fa;
+  within "ha" 10.0 ha;
+  within "fresh and2" 10.0 and2;
+  checki "one cell per call" (3 * calls) (Netlist.cell_count nl)
+
+let stats_allocation () =
+  let d = Dp_designs.Crypto.mul_mod_diag in
+  let r = Dp_flow.Synth.run Dp_flow.Strategy.Fa_aot d.env d.expr ~width:d.width in
+  let words = words_per_call ~calls:1 (fun () -> ignore (Stats.of_netlist r.netlist)) in
+  if words >= 1000.0 then
+    Alcotest.failf "Stats.of_netlist allocates %.0f minor words on %d cells"
+      words (Netlist.cell_count r.netlist)
+
 let suite =
   [
     mk_prop "sc_t heap = reference on random columns" sc_t_column_identity;
@@ -657,4 +711,6 @@ let suite =
       tallest_column_identity;
     case "netlist name index" netlist_name_index;
     case "sc_random one-pass selection" sc_random_deterministic;
+    case "netlist: fa/ha/and2 allocation budget" builder_allocation;
+    case "stats: allocation budget on MulModDiag256" stats_allocation;
   ]

@@ -41,10 +41,13 @@ let total_input_bits e =
     (fun acc v -> acc + List.assoc v vars_pool)
     0 (Ast.vars e)
 
-(* keep expressions whose SOP stays small so lowering is fast *)
+(* Keep expressions whose SOP stays small so lowering is fast.  The
+   expansion is bounded ([Helpers.bounded_sop]): expanding a deep product
+   of sums in full before checking its size can run for minutes. *)
 let tractable e =
-  match Sop.of_expr e with
-  | sop -> Sop.term_count sop <= 40 && Sop.max_degree sop <= 6
+  match bounded_sop ~max_terms:256 e with
+  | Some sop -> Sop.term_count sop <= 40 && Sop.max_degree sop <= 6
+  | None -> false
   | exception _ -> false
 
 let mk_prop name gen prop =
@@ -99,9 +102,11 @@ let prop_fa_random_equivalent =
   mk_prop "FA_random netlist ≡ expression" gen_expr
     (equivalence_property (Dp_flow.Strategy.Fa_random 7))
 
-(* SOP normalization agrees with the interpreter on random expressions *)
+(* SOP normalization agrees with the interpreter on random expressions
+   whose expansion stays bounded *)
 let prop_sop_eval =
   mk_prop "SOP eval = AST eval" gen_expr (fun e ->
+      QCheck2.assume (bounded_sop ~max_terms:256 e <> None);
       let assign v = match v with "a" -> 5 | "b" -> 2 | _ -> 7 in
       Sop.eval assign (Sop.of_expr e) = Eval.eval assign e)
 

@@ -1,4 +1,5 @@
-(** Minimal growable array (OCaml 5.1 has no [Dynarray]). *)
+(** Minimal growable array (OCaml 5.1 has no [Dynarray]); the reference
+    netlist builder's store. *)
 
 type 'a t
 
