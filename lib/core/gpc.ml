@@ -79,10 +79,7 @@ let reduce_column (k1, k2) ~cohort netlist addends =
     | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Reduce g
     | None -> ()
   in
-  (* One heap serves both phases: drained, it sorts the column for the
-     split; refilled, it selects for the fill. *)
-  let pool = Net_heap.of_list ~k1 ~k2 netlist addends in
-  let sorted = Net_heap.drain pool in
+  let sorted = Net_queue.drain (Net_queue.of_list ~k1 ~k2 netlist addends) in
   (* Constants never enter a counter: the builders would degrade the cell
      around them (wasting pins), and a const's 0.0 arrival would anchor
      the SC_T cohort window below every real signal.  They ride the FA/HA
@@ -111,34 +108,37 @@ let reduce_column (k1, k2) ~cohort netlist addends =
     else pool, fills, ones, twos
   in
   let cohort_size =
-    (* the heap order puts cohort members first for both strategy
+    (* the pool order puts cohort members first for both strategy
        orders, so the cohort is a prefix of [eligible] *)
     List.length (List.filter in_cohort eligible)
   in
   let leftovers, fills, ones, twos = split eligible cohort_size [] [] [] in
-  List.iter (Net_heap.push pool) consts;
-  List.iter (Net_heap.push pool) leftovers;
-  List.iter (Net_heap.push pool) fills;
+  (* The fill pool is sorted afresh: the counter sums arrive out of
+     order, and pushed one at a time they would each shift the FIFO. *)
+  let pool =
+    Net_queue.of_list ~k1 ~k2 netlist
+      (List.rev_append consts (List.rev_append fills leftovers))
+  in
   (* [ones]/[twos] stay accumulated in reverse until the single final
      List.rev, so carries come out in allocation order. *)
   let rec fill ones =
     poll ();
-    let n = Net_heap.length pool in
+    let n = Net_queue.length pool in
     if n >= 4 then begin
-      let x = Net_heap.pop pool in
-      let y = Net_heap.pop pool in
-      let z = Net_heap.pop pool in
+      let x = Net_queue.pop pool in
+      let y = Net_queue.pop pool in
+      let z = Net_queue.pop pool in
       let sum, carry = Netlist.fa netlist x y z in
-      Net_heap.push pool sum;
+      Net_queue.push pool sum;
       fill (carry :: ones)
     end
     else if n = 3 then begin
-      let x = Net_heap.pop pool in
-      let y = Net_heap.pop pool in
+      let x = Net_queue.pop pool in
+      let y = Net_queue.pop pool in
       let sum, carry = Netlist.ha netlist x y in
-      [ sum; Net_heap.pop pool ], List.rev (carry :: ones), List.rev twos
+      [ sum; Net_queue.pop pool ], List.rev (carry :: ones), List.rev twos
     end
-    else Net_heap.drain pool, List.rev ones, List.rev twos
+    else Net_queue.drain pool, List.rev ones, List.rev twos
   in
   fill ones
 
@@ -154,7 +154,7 @@ let arrival_cohort netlist x0 =
   fun x -> Netlist.arrival netlist x <= cut
 
 let reduce_column_t ?(tie_break = Sc_t.Arrival_only) netlist addends =
-  reduce_column (Sc_t.heap_keys tie_break) ~cohort:(arrival_cohort netlist)
+  reduce_column (Sc_t.queue_keys tie_break) ~cohort:(arrival_cohort netlist)
     netlist addends
 
 (* SC_LP packs counters regardless of arrival: the power objective wants
@@ -163,7 +163,7 @@ let reduce_column_t ?(tie_break = Sc_t.Arrival_only) netlist addends =
 let any_cohort _ _ = true
 
 let reduce_column_lp ?(tie_break = Sc_lp.Q_only) netlist addends =
-  reduce_column (Sc_lp.heap_keys tie_break) ~cohort:any_cohort netlist addends
+  reduce_column (Sc_lp.queue_keys tie_break) ~cohort:any_cohort netlist addends
 
 let certify netlist = Dp_counters.Certify.ensure (Netlist.tech netlist)
 

@@ -21,12 +21,11 @@ let compare_nets netlist tie_break x y =
     in
     if by_arrival <> 0 then by_arrival else Int.compare x y
 
-(* The same order as [Net_heap] keys: k1 = -|q| (ascending -|q| is
-   descending |q|, and -0.0 = 0.0 under [Float.compare]), k2 = 0 under
-   [Q_only] or arrival under [Prefer_early], net id last. *)
-let heap_keys = function
-  | Q_only -> (Net_heap.Neg_abs_q, Net_heap.Zero)
-  | Prefer_early -> (Net_heap.Neg_abs_q, Net_heap.Arrival)
+(* The same order as [Net_queue] keys: k1 = descending |q|, k2 = 0
+   under [Q_only] or arrival under [Prefer_early], net id last. *)
+let queue_keys = function
+  | Q_only -> (Net_queue.Neg_abs_q, Net_queue.Zero)
+  | Prefer_early -> (Net_queue.Neg_abs_q, Net_queue.Arrival)
 
 (* Algorithm SC_LP (Sec. 4.3): if the column population is odd, a
    pseudo-addend of constant 0 joins the pool to model the HA (|q| of the
@@ -35,11 +34,13 @@ let heap_keys = function
    new FA.  The builder degrades an FA with a constant input to an HA.
    The pool size stays even, so it lands on exactly two.
 
-   Like SC_T, each step only needs the three extrema of the pool, so a
-   min-heap keyed by descending |q| replaces a sort per step.  Its order
-   is total (net id last), so the result is decision-identical to a
-   sort-per-step reducer under [compare_nets] — including the kept-pair
-   order, [last sum; leftover] rather than re-sorted. *)
+   Like SC_T, each step only needs the three extrema of the pool, and
+   each new sum's |q| is at most the one before it, so the column is
+   sorted once by descending |q| and the sums queue behind it
+   ([Net_queue]).  The order is total (net id last), so the result is
+   decision-identical to a sort-per-step reducer under [compare_nets] —
+   including the kept-pair order, [last sum; leftover] rather than
+   re-sorted. *)
 let reduce_column ?(tie_break = Q_only) netlist addends =
   match addends with
   | [] | [ _ ] | [ _; _ ] -> addends, []
@@ -49,24 +50,24 @@ let reduce_column ?(tie_break = Q_only) netlist addends =
         Netlist.const netlist false :: addends
       else addends
     in
-    let k1, k2 = heap_keys tie_break in
-    let pool = Net_heap.of_list ~k1 ~k2 netlist even_pool in
+    let k1, k2 = queue_keys tie_break in
+    let pool = Net_queue.of_list ~k1 ~k2 netlist even_pool in
     let gov = Netlist.gov netlist in
     (* The pool size is even and >= 4, and each step removes two, so the
-       step that leaves one heap element is always reached. *)
+       step that leaves one pool element is always reached. *)
     let rec go carries =
       (match gov with
       | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Reduce g
       | None -> ());
-      let x = Net_heap.pop pool in
-      let y = Net_heap.pop pool in
-      let z = Net_heap.pop pool in
+      let x = Net_queue.pop pool in
+      let y = Net_queue.pop pool in
+      let z = Net_queue.pop pool in
       let sum, carry = Netlist.fa netlist x y z in
       let carries = carry :: carries in
-      if Net_heap.length pool = 1 then
-        [ sum; Net_heap.pop pool ], List.rev carries
+      if Net_queue.length pool = 1 then
+        [ sum; Net_queue.pop pool ], List.rev carries
       else begin
-        Net_heap.push pool sum;
+        Net_queue.push pool sum;
         go carries
       end
     in

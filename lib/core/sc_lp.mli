@@ -19,12 +19,13 @@ type tie_break =
     net id). *)
 val compare_nets : Netlist.t -> tie_break -> Netlist.net -> Netlist.net -> int
 
-(** The {!Net_heap} keys whose order equals [compare_nets] — shared with
+(** The {!Net_queue} keys whose order equals [compare_nets] — shared with
     the counter-aware {!Gpc} strategies. *)
-val heap_keys : tie_break -> Net_heap.key * Net_heap.key
+val queue_keys : tie_break -> Net_queue.key * Net_queue.key
 
-(** Heap-based selection (O(n log n) per column): the three largest-|q|
-    addends feed each FA, popped from a {!Net_heap}. *)
+(** Queue-based selection (one O(n log n) sort per column, then O(1) per
+    step): the three largest-|q| addends feed each FA, popped from a
+    {!Net_queue}. *)
 val reduce_column :
   ?tie_break:tie_break -> Netlist.t -> Netlist.net list ->
   Netlist.net list * Netlist.net list

@@ -21,12 +21,12 @@ let compare_nets netlist tie_break x y =
     in
     if by_q <> 0 then by_q else Int.compare x y
 
-(* The same order as [Net_heap] keys: k1 = arrival, k2 = 0 under
-   [Arrival_only] or -|q| under [Prefer_high_q] (ascending -|q| is
-   descending |q|, and -0.0 = 0.0 under [Float.compare]), net id last. *)
-let heap_keys = function
-  | Arrival_only -> (Net_heap.Arrival, Net_heap.Zero)
-  | Prefer_high_q -> (Net_heap.Arrival, Net_heap.Neg_abs_q)
+(* The same order as [Net_queue] keys: k1 = arrival, k2 = 0 under
+   [Arrival_only] or descending |q| under [Prefer_high_q], net id
+   last. *)
+let queue_keys = function
+  | Arrival_only -> (Net_queue.Arrival, Net_queue.Zero)
+  | Prefer_high_q -> (Net_queue.Arrival, Net_queue.Neg_abs_q)
 
 (* When exactly three addends remain, the paper's footnote 1 allocates an
    HA on the two earliest so the column keeps exactly two addends.  One
@@ -49,33 +49,35 @@ let finish_three policy netlist x y z carries =
    leaves); when exactly three remain, finish per [three_policy].
 
    The greedy selection is Huffman-like: each step only ever needs the
-   three minima of the pool, so a binary min-heap replaces a sort per
-   step.  The heap's order is total (net id last), so its pop sequence
-   equals the sorted order of [compare_nets]; the test suite diffs whole
-   netlists against the sort-per-step reducer to check it. *)
+   three minima of the pool, and each new sum arrives no earlier than
+   the one before it, so the column is sorted once and the sums queue
+   behind it ([Net_queue]).  The order is total (net id last), so the
+   pop sequence equals the sorted order of [compare_nets]; the test
+   suite diffs whole netlists against the sort-per-step reducer to
+   check it. *)
 let reduce_column ?(tie_break = Arrival_only) ?(three_policy = Ha_finish)
     netlist addends =
-  let k1, k2 = heap_keys tie_break in
-  let pool = Net_heap.of_list ~k1 ~k2 netlist addends in
+  let k1, k2 = queue_keys tie_break in
+  let pool = Net_queue.of_list ~k1 ~k2 netlist addends in
   let gov = Netlist.gov netlist in
   let rec go carries =
     (match gov with
     | Some g -> Dp_gov.Gov.check ~site:Dp_gov.Gov.Reduce g
     | None -> ());
-    if Net_heap.length pool > 3 then begin
-      let x = Net_heap.pop pool in
-      let y = Net_heap.pop pool in
-      let z = Net_heap.pop pool in
+    if Net_queue.length pool > 3 then begin
+      let x = Net_queue.pop pool in
+      let y = Net_queue.pop pool in
+      let z = Net_queue.pop pool in
       let sum, carry = Netlist.fa netlist x y z in
-      Net_heap.push pool sum;
+      Net_queue.push pool sum;
       go (carry :: carries)
     end
-    else if Net_heap.length pool = 3 then begin
-      let x = Net_heap.pop pool in
-      let y = Net_heap.pop pool in
-      let z = Net_heap.pop pool in
+    else if Net_queue.length pool = 3 then begin
+      let x = Net_queue.pop pool in
+      let y = Net_queue.pop pool in
+      let z = Net_queue.pop pool in
       finish_three three_policy netlist x y z carries
     end
-    else Net_heap.drain pool, List.rev carries
+    else Net_queue.drain pool, List.rev carries
   in
   go []

@@ -27,13 +27,14 @@ type three_policy =
 (** The SC_T total order (arrival, then optionally |q|, then net id). *)
 val compare_nets : Netlist.t -> tie_break -> Netlist.net -> Netlist.net -> int
 
-(** The {!Net_heap} keys whose order equals [compare_nets] — shared with
+(** The {!Net_queue} keys whose order equals [compare_nets] — shared with
     the counter-aware {!Gpc} strategies. *)
-val heap_keys : tie_break -> Net_heap.key * Net_heap.key
+val queue_keys : tie_break -> Net_queue.key * Net_queue.key
 
-(** Heap-based selection (O(n log n) per column): the three minima feed
-    each FA, popped from a {!Net_heap} keyed by arrival, then -|q| (under
-    [Prefer_high_q]), then net id. *)
+(** Queue-based selection (one O(n log n) sort per column, then O(1) per
+    step): the three minima feed each FA, popped from a {!Net_queue}
+    ordered by arrival, then descending |q| (under [Prefer_high_q]), then
+    net id. *)
 val reduce_column :
   ?tie_break:tie_break -> ?three_policy:three_policy ->
   Netlist.t -> Netlist.net list ->

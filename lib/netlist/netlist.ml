@@ -95,7 +95,8 @@ type t = {
   first_outputs : Ints.t;
   pins : Ints.t;
   (* [Tech.delay] of the two-port adders and the one-port gates the
-     builders below write directly, looked up once (see [delay_slots]). *)
+     builders below write directly, then [Tech.pin_delay] of the
+     counters, looked up once (see [delay_slots] and [counter_slot]). *)
   delays : Float.Array.t;
   mutable inputs : (string * net array) list;  (* reverse declaration order *)
   mutable outputs : (string * net array) list;  (* reverse declaration order *)
@@ -145,6 +146,38 @@ let delay_slots : (Dp_tech.Cell_kind.t * int) array =
   [| (Fa, 0); (Fa, 1); (Ha, 0); (Ha, 1); (And_n 2, 0); (Or_n 2, 0);
      (Xor_n 2, 0); (Not, 0) |]
 
+(* Past the slots above, [delays] holds each counter's delay from [pin]
+   to [port], nan where the pin does not reach the port.  The counters'
+   kind codes are consecutive, C42 first; each takes 3 ports of up to 7
+   pins. *)
+let counter_kinds : Dp_tech.Cell_kind.t array = [| C42; C53; C63; C73 |]
+let c42_code = Dp_tech.Cell_kind.code C42
+
+let[@inline] counter_slot code ~pin ~port =
+  Array.length delay_slots + ((((code - c42_code) * 3) + port) * 7) + pin
+
+let delay_table tech =
+  let gates = Array.length delay_slots in
+  let table =
+    Float.Array.make (gates + (Array.length counter_kinds * 3 * 7)) nan
+  in
+  Array.iteri
+    (fun i (kind, port) ->
+      Float.Array.set table i (Dp_tech.Tech.delay tech kind ~port))
+    delay_slots;
+  Array.iter
+    (fun kind ->
+      let code = Dp_tech.Cell_kind.code kind in
+      for port = 0 to 2 do
+        for pin = 0 to Dp_tech.Cell_kind.arity kind - 1 do
+          match Dp_tech.Tech.pin_delay tech kind ~pin ~port with
+          | Some d -> Float.Array.set table (counter_slot code ~pin ~port) d
+          | None -> ()
+        done
+      done)
+    counter_kinds;
+  table
+
 let create ~tech =
   {
     tech;
@@ -159,10 +192,7 @@ let create ~tech =
     pin_counts = Ints.create ();
     first_outputs = Ints.create ();
     pins = Ints.create ();
-    delays =
-      Float.Array.map_from_array
-        (fun (kind, port) -> Dp_tech.Tech.delay tech kind ~port)
-        delay_slots;
+    delays = delay_table tech;
     inputs = [];
     outputs = [];
     input_index = Hashtbl.create 16;
@@ -210,6 +240,11 @@ let driver t n =
 let[@inline] arrival t n = Floats.get t.arrival n
 let[@inline] prob t n = Floats.get t.prob n
 let[@inline] q t n = prob t n -. 0.5
+
+let[@inline] compare_arrival t a b = Float.compare (arrival t a) (arrival t b)
+
+let[@inline] compare_abs_q t a b =
+  Float.compare (Float.abs (q t a)) (Float.abs (q t b))
 
 let[@inline] cell_code t i = Ints.get t.kinds i
 let[@inline] cell_kind t i = Dp_tech.Cell_kind.of_code (cell_code t i)
@@ -345,38 +380,47 @@ let[@inline] cell2 t code ~d0 a b ~p0 =
   Ints.push t.pins b;
   push_net t ~code:id ~arrival:at ~prob:p0
 
-(* Instantiate a cell of any kind from its pin array and per-port
-   probabilities: the wide gates, the buffer and the counters.  Returns
-   the port-0 net. *)
-let add_cell t kind inputs ~out_probs =
+(* Instantiate a one-output gate of any kind from its pin array: the
+   wide gates and the buffer.  Returns the output net. *)
+let add_cell t kind inputs ~prob =
   let arity = Dp_tech.Cell_kind.arity kind in
   if Array.length inputs <> arity then
     invalid_arg "Netlist.add_cell: arity mismatch";
   let id = open_cell t (Dp_tech.Cell_kind.code kind) ~pin_count:arity in
   Array.iter (Ints.push t.pins) inputs;
-  (* Per-port arrival: worst over the pins that actually reach the port.
-     For conventional cells every pin reaches every port with the port's
-     one delay, so this reduces to max-input-arrival + delay; the
-     counters' pin-resolved model makes e.g. a 4:2's carry-out ignore its
-     late carry-in pin entirely. *)
-  let counter = Dp_tech.Cell_kind.is_counter kind in
-  let first = t.net_codes.len in
-  for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
-    let worst = ref neg_infinity in
-    if counter then
-      for pin = 0 to arity - 1 do
-        match Dp_tech.Tech.pin_delay t.tech kind ~pin ~port with
-        | Some d -> worst := fmax !worst (arrival t inputs.(pin) +. d)
-        | None -> ()
-      done
-    else begin
-      let d = Dp_tech.Tech.delay t.tech kind ~port in
-      for pin = 0 to arity - 1 do
-        worst := fmax !worst (arrival t inputs.(pin) +. d)
-      done
-    end;
-    ignore (push_net t ~code:id ~arrival:!worst ~prob:out_probs.(port))
+  (* Every pin reaches the output with the gate's one delay. *)
+  let d = Dp_tech.Tech.delay t.tech kind ~port:0 in
+  let worst = ref neg_infinity in
+  for pin = 0 to arity - 1 do
+    worst := fmax !worst (arrival t inputs.(pin) +. d)
   done;
+  push_net t ~code:id ~arrival:!worst ~prob
+
+(* One output of counter [id] (kind [code], pins [nets]): its arrival is
+   the worst over the pins that reach [port], through the pin-resolved
+   delays of [counter_slot]; a 4:2's carry-out ignores its late carry-in
+   pin entirely. *)
+let[@inline] counter_port t id code nets ~port ~p =
+  let worst = ref neg_infinity in
+  for pin = 0 to Array.length nets - 1 do
+    let d = Float.Array.get t.delays (counter_slot code ~pin ~port) in
+    if not (Float.is_nan d) then
+      worst := fmax !worst (arrival t (Array.unsafe_get nets pin) +. d)
+  done;
+  ignore (push_net t ~code:id ~arrival:!worst ~prob:p)
+
+(* A counter cell on [nets] (its arity, checked by the caller), with
+   port probabilities [p0], [p1], [p2].  Returns the port-0 net. *)
+let[@inline] counter_cell t kind nets ~p0 ~p1 ~p2 =
+  let code = Dp_tech.Cell_kind.code kind in
+  let id = open_cell t code ~pin_count:(Array.length nets) in
+  for pin = 0 to Array.length nets - 1 do
+    Ints.push t.pins (Array.unsafe_get nets pin)
+  done;
+  let first = t.net_codes.len in
+  counter_port t id code nets ~port:0 ~p:p0;
+  counter_port t id code nets ~port:1 ~p:p1;
+  counter_port t id code nets ~port:2 ~p:p2;
   first
 
 (* The cell whose port 0 drives [n], or -1. *)
@@ -401,7 +445,7 @@ let not_ t a =
       Int_tbl.add t.not_cache a n;
       n)
 
-let buf t a = add_cell t Dp_tech.Cell_kind.Buf [| a |] ~out_probs:[| prob t a |]
+let buf t a = add_cell t Dp_tech.Cell_kind.Buf [| a |] ~prob:(prob t a)
 
 (* Two-input AND ([or_] false) or OR on distinct non-constant nets,
    hashed on the packed pair. *)
@@ -447,7 +491,7 @@ let nary t ~or_ nets =
           if or_ then (Dp_tech.Cell_kind.Or_n arity, or_prob ps)
           else (Dp_tech.Cell_kind.And_n arity, and_prob ps)
         in
-        let n = add_cell t kind (Array.of_list nets) ~out_probs:[| p |] in
+        let n = add_cell t kind (Array.of_list nets) ~prob:p in
         Hashtbl.add cache nets n;
         n)
 
@@ -565,38 +609,47 @@ let fa t a b c =
 (* ------------------------------------------------------------------ *)
 (* Generalized parallel counters (monolithic cells).                   *)
 
-(* 1-probabilities of the binary digits of popcount over independent
-   inputs, by convolving the Bernoulli count distribution.  [Dp_power.Prob]
-   recomputes the same quantities by minterm enumeration as an independent
+(* The distribution of the popcount of independent inputs, by
+   convolving their Bernoulli counts: [dist.(c)] is the probability that
+   exactly [c] of [nets] are 1.  [bit_prob] reads off the probability
+   that binary digit [b] of the count is 1.  [Dp_power.Prob] recomputes
+   the same quantities by minterm enumeration as an independent
    cross-check; both carry the paper's independence assumption. *)
-let popcount_bit_probs t nets =
+let popcount_distribution t nets =
   let m = Array.length nets in
-  let dist = Array.make (m + 1) 0.0 in
-  dist.(0) <- 1.0;
-  Array.iteri
-    (fun i n ->
-      let p = prob t n in
-      for c = i + 1 downto 1 do
-        dist.(c) <- (dist.(c) *. (1.0 -. p)) +. (dist.(c - 1) *. p)
-      done;
-      dist.(0) <- dist.(0) *. (1.0 -. p))
-    nets;
-  Array.init 3 (fun b ->
-      let acc = ref 0.0 in
-      for c = 0 to m do
-        if c land (1 lsl b) <> 0 then acc := !acc +. dist.(c)
-      done;
-      !acc)
+  let dist = Float.Array.make (m + 1) 0.0 in
+  Float.Array.set dist 0 1.0;
+  for i = 0 to m - 1 do
+    let p = prob t nets.(i) in
+    for c = i + 1 downto 1 do
+      Float.Array.set dist c
+        ((Float.Array.get dist c *. (1.0 -. p))
+        +. (Float.Array.get dist (c - 1) *. p))
+    done;
+    Float.Array.set dist 0 (Float.Array.get dist 0 *. (1.0 -. p))
+  done;
+  dist
 
-let xor2_prob pa pb = pa +. pb -. (2.0 *. pa *. pb)
+let[@inline] bit_prob dist b =
+  let acc = ref 0.0 in
+  for c = 0 to Float.Array.length dist - 1 do
+    if c land (1 lsl b) <> 0 then acc := !acc +. Float.Array.get dist c
+  done;
+  !acc
 
-let maj3_prob pa pb pc =
+let[@inline] xor2_prob pa pb = pa +. pb -. (2.0 *. pa *. pb)
+
+let[@inline] maj3_prob pa pb pc =
   (pa *. pb) +. (pa *. pc) +. (pb *. pc) -. (2.0 *. pa *. pb *. pc)
 
-let xor3_prob pa pb pc = xor2_prob (xor2_prob pa pb) pc
+let[@inline] xor3_prob pa pb pc = xor2_prob (xor2_prob pa pb) pc
 
 let has_const_input t nets =
-  Array.exists (fun n -> const_value t n <> None) nets
+  let found = ref false in
+  for i = 0 to Array.length nets - 1 do
+    if not (is_plain t nets.(i)) then found := true
+  done;
+  !found
 
 let check_arity kind nets =
   if Array.length nets <> Dp_tech.Cell_kind.arity kind then
@@ -619,7 +672,11 @@ let pure_counter t kind nets =
   check_arity kind nets;
   if has_const_input t nets then counter_body t kind nets
   else
-    let s0 = add_cell t kind nets ~out_probs:(popcount_bit_probs t nets) in
+    let dist = popcount_distribution t nets in
+    let s0 =
+      counter_cell t kind nets ~p0:(bit_prob dist 0) ~p1:(bit_prob dist 1)
+        ~p2:(bit_prob dist 2)
+    in
     (s0, s0 + 1, s0 + 2)
 
 let c53 t nets = pure_counter t Dp_tech.Cell_kind.C53 nets
@@ -637,10 +694,10 @@ let c42 t nets =
     let p1 = prob t x1 and p2 = prob t x2 and p3 = prob t x3 in
     let p4 = prob t x4 and pc = prob t cin in
     let pu = xor3_prob p1 p2 p3 in
-    let out_probs =
-      [| xor3_prob pu p4 pc; maj3_prob pu p4 pc; maj3_prob p1 p2 p3 |]
+    let sum =
+      counter_cell t Dp_tech.Cell_kind.C42 nets ~p0:(xor3_prob pu p4 pc)
+        ~p1:(maj3_prob pu p4 pc) ~p2:(maj3_prob p1 p2 p3)
     in
-    let sum = add_cell t Dp_tech.Cell_kind.C42 nets ~out_probs in
     (sum, sum + 1, sum + 2)
 
 let set_output t name nets =

@@ -83,6 +83,13 @@ val prob : t -> net -> float
 (** [prob t n -. 0.5] — the paper's q-value. *)
 val q : t -> net -> float
 
+(** [Float.compare] of two nets' arrivals.  It returns an int, so a
+    caller in another module compares annotations without boxing them. *)
+val compare_arrival : t -> net -> net -> int
+
+(** [Float.compare] of two nets' |q|. *)
+val compare_abs_q : t -> net -> net -> int
+
 (** {2 Cells by index} *)
 
 (** The kind of cell [i], decoded from its code without allocating. *)

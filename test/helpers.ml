@@ -35,6 +35,62 @@ let mk_column ?probs netlist arrivals =
   let prob = match probs with None -> Array.make width 0.5 | Some p -> p in
   Array.to_list (Netlist.add_input netlist "col" ~width ~arrival:arrivals ~prob)
 
+(* Random columns for the reducer identity properties.  Arrivals come
+   from a tiny integer set and probabilities from a tiny symmetric set
+   (|q| of 0.2 and 0.8 coincide), so ties occur constantly.  Constants
+   and repeated nets join the fresh inputs: an FA with a constant input
+   folds to an existing net or to an HA, whose sum can order before the
+   sums pushed earlier. *)
+type addend =
+  | Fresh of float * float  (** a new input bit: arrival, probability *)
+  | Const of bool
+  | Again of int  (** fresh input [k mod n] of the column's [n], again *)
+
+let gen_column_spec =
+  QCheck2.Gen.(
+    list_size (int_range 1 40)
+      (frequency
+         [
+           ( 8,
+             map2
+               (fun a p -> Fresh (a, p))
+               (map float_of_int (int_range 0 4))
+               (oneofl [ 0.05; 0.2; 0.5; 0.8; 0.95 ]) );
+           (1, map (fun b -> Const b) bool);
+           (1, map (fun k -> Again k) (int_range 0 39));
+         ]))
+
+let print_column_spec spec =
+  String.concat "; "
+    (List.map
+       (function
+         | Fresh (a, p) -> Printf.sprintf "@%g p%g" a p
+         | Const b -> Printf.sprintf "const %b" b
+         | Again k -> Printf.sprintf "again %d" k)
+       spec)
+
+let build_column netlist spec =
+  let fresh =
+    List.filter_map
+      (function Fresh (a, p) -> Some (a, p) | Const _ | Again _ -> None)
+      spec
+  in
+  let inputs =
+    Netlist.add_input netlist "col" ~width:(List.length fresh)
+      ~arrival:(Array.of_list (List.map fst fresh))
+      ~prob:(Array.of_list (List.map snd fresh))
+  in
+  let n = Array.length inputs and next = ref 0 in
+  List.map
+    (function
+      | Fresh _ ->
+        incr next;
+        inputs.(!next - 1)
+      | Const b -> Netlist.const netlist b
+      | Again k ->
+        if n = 0 then Netlist.const netlist false else inputs.(k mod n))
+    spec
+
 (* ------------------------------------------------------------------ *)
 (* Pure float models of FA allocation, used to brute-force the paper's
    optimality claims without building netlists. *)

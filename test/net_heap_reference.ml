@@ -1,6 +1,13 @@
+(* The binary min-heap that [Dp_core.Net_queue] replaced, kept verbatim
+   as its reference: the two must pop the same nets under any
+   interleaving of pushes and pops (see [Test_perf]).  Each net's keys
+   are read once, when it enters the heap, and cached in float arrays;
+   the order is [(k1, k2, net id)] under [Float.compare].  Not used
+   outside the tests. *)
+
 open Dp_netlist
 
-type key = Zero | Arrival | Neg_abs_q
+type key = Dp_core.Net_queue.key = Zero | Arrival | Neg_abs_q
 
 (* Slot [i] holds net [nets.(i)] with its cached keys [k1.(i)] and
    [k2.(i)]; the three arrays move together. *)

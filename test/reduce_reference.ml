@@ -1,9 +1,9 @@
 (* The sort-per-step column reducers, kept verbatim as the oracles for
-   the heap-based [Dp_core.Sc_t], [Dp_core.Sc_lp] and [Dp_core.Gpc]
+   the queue-based [Dp_core.Sc_t], [Dp_core.Sc_lp] and [Dp_core.Gpc]
    reducers (see [Test_perf] and [Test_counters]): every step re-sorts
    the whole pool with the strategy's [compare_nets], so the nets they
-   pick are the sequence the heap must pop.  Not used outside the
-   tests. *)
+   pick are the sequence the [Dp_core.Net_queue] must pop.  Not used
+   outside the tests. *)
 
 open Dp_netlist
 

@@ -209,8 +209,9 @@ let test_closed_forms_match_model () =
     techs
 
 (* ------------------------------------------------------------------ *)
-(* GPC column reduction: heap and sort-per-step reference make identical
-   decisions (same counters, same FA/HA order, same carries) *)
+(* GPC column reduction: the queue-based reducer and the sort-per-step
+   reference make identical decisions (same counters, same FA/HA order,
+   same carries) *)
 
 let cell_trace nl =
   let acc = ref [] in
@@ -226,8 +227,8 @@ let run_column ?probs arrivals f =
   let kept, ones, twos = f nl col in
   (kept, ones, twos, cell_trace nl)
 
-let check_identical label ?probs arrivals heap reference =
-  let a = run_column ?probs arrivals heap in
+let check_identical label ?probs arrivals queue reference =
+  let a = run_column ?probs arrivals queue in
   let b = run_column ?probs arrivals reference in
   checkb label true (a = b)
 
@@ -239,7 +240,7 @@ let spread_arrivals =
 let spread_probs =
   [| 0.5; 0.1; 0.9; 0.5; 0.3; 0.7; 0.5; 0.2; 0.8; 0.4; 0.6; 0.5; 0.5 |]
 
-let test_gpc_heap_vs_reference_fixed () =
+let test_gpc_queue_vs_reference_fixed () =
   List.iter
     (fun tb ->
       check_identical "sc_t_gpc column" ~probs:spread_probs spread_arrivals
@@ -255,36 +256,32 @@ let test_gpc_heap_vs_reference_fixed () =
           Reduce_reference.Gpc.reduce_column_lp ~tie_break:tb nl col))
     [ Sc_lp.Q_only; Sc_lp.Prefer_early ]
 
-let test_gpc_heap_vs_reference_random () =
-  let rng = Random.State.make [| 0xC7 |] in
-  for case = 0 to 39 do
-    let n = 3 + Random.State.int rng 14 in
-    let arrivals =
-      Array.init n (fun _ -> Float.of_int (Random.State.int rng 12) /. 8.0)
-    in
-    let probs =
-      Array.init n (fun _ ->
-          Float.of_int (Random.State.int rng 101) /. 100.0)
-    in
-    List.iter
-      (fun tb ->
-        check_identical
-          (Fmt.str "random column %d (t)" case)
-          ~probs arrivals
-          (fun nl col -> Gpc.reduce_column_t ~tie_break:tb nl col)
-          (fun nl col ->
-            Reduce_reference.Gpc.reduce_column_t ~tie_break:tb nl col))
-      [ Sc_t.Arrival_only; Sc_t.Prefer_high_q ];
-    List.iter
-      (fun tb ->
-        check_identical
-          (Fmt.str "random column %d (lp)" case)
-          ~probs arrivals
-          (fun nl col -> Gpc.reduce_column_lp ~tie_break:tb nl col)
-          (fun nl col ->
-            Reduce_reference.Gpc.reduce_column_lp ~tie_break:tb nl col))
-      [ Sc_lp.Q_only; Sc_lp.Prefer_early ]
-  done
+(* Random columns from [Helpers.gen_column_spec]: tie-heavy fresh inputs,
+   constants (which ride the fill) and repeated nets (which can fill two
+   pins of one counter). *)
+let gpc_queue_vs_reference_random =
+  let run spec f =
+    let nl = mk_netlist () in
+    let kept, ones, twos = f nl (build_column nl spec) in
+    (kept, ones, twos, cell_trace nl)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"gpc: queue = reference on random columns"
+       ~count:150 ~print:print_column_spec gen_column_spec (fun spec ->
+         List.for_all
+           (fun tb ->
+             run spec (fun nl col -> Gpc.reduce_column_t ~tie_break:tb nl col)
+             = run spec (fun nl col ->
+                   Reduce_reference.Gpc.reduce_column_t ~tie_break:tb nl col))
+           [ Sc_t.Arrival_only; Sc_t.Prefer_high_q ]
+         && List.for_all
+              (fun tb ->
+                run spec (fun nl col ->
+                    Gpc.reduce_column_lp ~tie_break:tb nl col)
+                = run spec (fun nl col ->
+                      Reduce_reference.Gpc.reduce_column_lp ~tie_break:tb nl
+                        col))
+              [ Sc_lp.Q_only; Sc_lp.Prefer_early ]))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-flow determinism: two runs of a counter strategy emit the same
@@ -347,9 +344,8 @@ let suite =
     case "certify: concurrent first GPC synth" test_certify_concurrent_first_use;
     case "model: closed forms equal recipe model" test_closed_forms_match_model;
     case "gpc: heap equals reference (fixed column)"
-      test_gpc_heap_vs_reference_fixed;
-    case "gpc: heap equals reference (random columns)"
-      test_gpc_heap_vs_reference_random;
+      test_gpc_queue_vs_reference_fixed;
+    gpc_queue_vs_reference_random;
     case "gpc: strategies deterministic and place counters"
       test_gpc_run_deterministic;
     case "gpc: exhaustive equivalence on a small design"

@@ -1,9 +1,10 @@
-(* Tests for the performance PR: the heap-based SC_T/SC_LP must make
+(* Tests for the performance work: the queue-based SC_T/SC_LP must make
    byte-identical decisions to the retained sort-per-step references, the
    64-lane bit-parallel simulator must agree with the scalar simulator and
-   the bignum reference, and the supporting structures (Net_heap, the
-   netlist name index, the one-pass FA_random selection) keep their
-   contracts. *)
+   the bignum reference, the supporting structures (Net_queue against the
+   binary heap it replaced, the netlist name index, the one-pass
+   FA_random selection) keep their contracts, and the builders and
+   reducers stay within their allocation budgets. *)
 
 open Dp_netlist
 open Helpers
@@ -64,27 +65,9 @@ let check_identical what a b =
   | Some why -> Alcotest.failf "%s: netlists diverge (%s)" what why
 
 (* ------------------------------------------------------------------ *)
-(* Decision identity on random single columns, across every tie-break and
-   three-policy.  Arrivals come from a tiny integer set and probabilities
-   from a tiny symmetric set (|q| of 0.2 and 0.8 coincide) so ties — the
-   only place a heap could legally reorder — occur constantly. *)
-
-let gen_column_spec =
-  QCheck2.Gen.(
-    list_size (int_range 1 40)
-      (pair
-         (map float_of_int (int_range 0 4))
-         (oneofl [ 0.05; 0.2; 0.5; 0.8; 0.95 ])))
-
-let print_column_spec spec =
-  String.concat "; "
-    (List.map (fun (a, p) -> Printf.sprintf "@%g p%g" a p) spec)
-
-let build_column netlist spec =
-  let arrival = Array.of_list (List.map fst spec) in
-  let prob = Array.of_list (List.map snd spec) in
-  Array.to_list
-    (Netlist.add_input netlist "col" ~width:(List.length spec) ~arrival ~prob)
+(* Decision identity on random single columns ([Helpers.gen_column_spec]:
+   tie-heavy fresh inputs, constants and repeated nets), across every
+   tie-break and three-policy. *)
 
 let sc_t_combos =
   [
@@ -103,42 +86,42 @@ let sc_lp_combos =
 let sc_t_column_identity spec =
   List.iter
     (fun (label, tie_break, three_policy) ->
-      let nl_heap = mk_netlist () in
-      let kept_h, carries_h =
-        Dp_core.Sc_t.reduce_column ~tie_break ~three_policy nl_heap
-          (build_column nl_heap spec)
+      let nl_queue = mk_netlist () in
+      let kept_q, carries_q =
+        Dp_core.Sc_t.reduce_column ~tie_break ~three_policy nl_queue
+          (build_column nl_queue spec)
       in
       let nl_ref = mk_netlist () in
       let kept_r, carries_r =
         Reduce_reference.Sc_t.reduce_column ~tie_break ~three_policy nl_ref
           (build_column nl_ref spec)
       in
-      if kept_h <> kept_r then
+      if kept_q <> kept_r then
         Alcotest.failf "sc_t %s: kept lists differ" label;
-      if carries_h <> carries_r then
+      if carries_q <> carries_r then
         Alcotest.failf "sc_t %s: carry lists differ" label;
-      check_identical ("sc_t " ^ label) nl_heap nl_ref)
+      check_identical ("sc_t " ^ label) nl_queue nl_ref)
     sc_t_combos;
   true
 
 let sc_lp_column_identity spec =
   List.iter
     (fun (label, tie_break) ->
-      let nl_heap = mk_netlist () in
-      let kept_h, carries_h =
-        Dp_core.Sc_lp.reduce_column ~tie_break nl_heap
-          (build_column nl_heap spec)
+      let nl_queue = mk_netlist () in
+      let kept_q, carries_q =
+        Dp_core.Sc_lp.reduce_column ~tie_break nl_queue
+          (build_column nl_queue spec)
       in
       let nl_ref = mk_netlist () in
       let kept_r, carries_r =
         Reduce_reference.Sc_lp.reduce_column ~tie_break nl_ref
           (build_column nl_ref spec)
       in
-      if kept_h <> kept_r then
+      if kept_q <> kept_r then
         Alcotest.failf "sc_lp %s: kept lists differ" label;
-      if carries_h <> carries_r then
+      if carries_q <> carries_r then
         Alcotest.failf "sc_lp %s: carry lists differ" label;
-      check_identical ("sc_lp " ^ label) nl_heap nl_ref)
+      check_identical ("sc_lp " ^ label) nl_queue nl_ref)
     sc_lp_combos;
   true
 
@@ -149,7 +132,7 @@ let mk_prop name prop =
 
 (* ------------------------------------------------------------------ *)
 (* Whole-matrix identity on fuzz-generated expressions: FA_AOT/FA_ALP
-   (heap inside) versus an explicit sweep with the reference reducers,
+   (queue inside) versus an explicit sweep with the reference reducers,
    over the same lowered matrix. *)
 
 let fuzz_cases n =
@@ -165,9 +148,9 @@ let matrix_identity () =
         (fun (port, expr, width) ->
           List.iter
             (fun (label, tie_break, three_policy) ->
-              let nl_heap = mk_netlist () in
-              let m = Dp_bitmatrix.Lower.lower nl_heap env expr ~width in
-              Dp_core.Fa_aot.allocate ~tie_break ~three_policy nl_heap m;
+              let nl_queue = mk_netlist () in
+              let m = Dp_bitmatrix.Lower.lower nl_queue env expr ~width in
+              Dp_core.Fa_aot.allocate ~tie_break ~three_policy nl_queue m;
               let nl_ref = mk_netlist () in
               let m = Dp_bitmatrix.Lower.lower nl_ref env expr ~width in
               Dp_core.Reduce.sweep nl_ref m ~reducer:(fun nl col ->
@@ -175,20 +158,20 @@ let matrix_identity () =
                     nl col);
               check_identical
                 (Printf.sprintf "fa_aot %s on %s" label port)
-                nl_heap nl_ref)
+                nl_queue nl_ref)
             sc_t_combos;
           List.iter
             (fun (label, tie_break) ->
-              let nl_heap = mk_netlist () in
-              let m = Dp_bitmatrix.Lower.lower nl_heap env expr ~width in
-              Dp_core.Fa_alp.allocate ~tie_break nl_heap m;
+              let nl_queue = mk_netlist () in
+              let m = Dp_bitmatrix.Lower.lower nl_queue env expr ~width in
+              Dp_core.Fa_alp.allocate ~tie_break nl_queue m;
               let nl_ref = mk_netlist () in
               let m = Dp_bitmatrix.Lower.lower nl_ref env expr ~width in
               Dp_core.Reduce.sweep nl_ref m ~reducer:(fun nl col ->
                   Reduce_reference.Sc_lp.reduce_column ~tie_break nl col);
               check_identical
                 (Printf.sprintf "fa_alp %s on %s" label port)
-                nl_heap nl_ref)
+                nl_queue nl_ref)
             sc_lp_combos)
         case_.ports)
     (fuzz_cases 25)
@@ -449,24 +432,25 @@ let monte_carlo_matches_scalar () =
     want_probs
 
 (* ------------------------------------------------------------------ *)
-(* Net_heap: drains in [compare_nets] order under every strategy's key
-   pair, pops track a sorted model under arbitrary push/pop
-   interleavings, and errors on empty.  The nets tie constantly: three
+(* Net_queue and the binary heap it replaced ([Net_heap_reference]):
+   both drain in [compare_nets] order under every strategy's key pair,
+   pop the same nets as a sorted model under arbitrary push/pop
+   interleavings, and error on empty.  The nets tie constantly: three
    arrivals, probabilities whose |q| coincide in pairs, p = 0.5 nets
-   (-|q| = -0.0) and both constants (|q| = 0.5). *)
+   (|q| = 0) and both constants (|q| = 0.5). *)
 
-let heap_orders =
+let queue_orders =
   List.map
     (fun tb ->
-      ((fun nl -> Dp_core.Sc_t.compare_nets nl tb), Dp_core.Sc_t.heap_keys tb))
+      ((fun nl -> Dp_core.Sc_t.compare_nets nl tb), Dp_core.Sc_t.queue_keys tb))
     [ Dp_core.Sc_t.Arrival_only; Dp_core.Sc_t.Prefer_high_q ]
   @ List.map
       (fun tb ->
         ( (fun nl -> Dp_core.Sc_lp.compare_nets nl tb),
-          Dp_core.Sc_lp.heap_keys tb ))
+          Dp_core.Sc_lp.queue_keys tb ))
       [ Dp_core.Sc_lp.Q_only; Dp_core.Sc_lp.Prefer_early ]
 
-let heap_drain_sorts =
+let queue_drain_sorts =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"net_heap drain = sort" ~count:200
        ~print:print_column_spec gen_column_spec (fun spec ->
@@ -477,59 +461,83 @@ let heap_drain_sorts =
          in
          List.for_all
            (fun (cmp, (k1, k2)) ->
-             Dp_core.Net_heap.drain (Dp_core.Net_heap.of_list ~k1 ~k2 nl nets)
-             = List.sort (cmp nl) nets)
-           heap_orders))
+             let sorted = List.sort (cmp nl) nets in
+             Dp_core.Net_queue.drain (Dp_core.Net_queue.of_list ~k1 ~k2 nl nets)
+             = sorted
+             && Net_heap_reference.drain
+                  (Net_heap_reference.of_list ~k1 ~k2 nl nets)
+                = sorted)
+           queue_orders))
 
-let heap_pool nl =
+let queue_pool nl =
   let spec =
     List.concat_map
-      (fun a -> List.map (fun p -> (a, p)) [ 0.05; 0.2; 0.5; 0.8; 0.95 ])
+      (fun a -> List.map (fun p -> Fresh (a, p)) [ 0.05; 0.2; 0.5; 0.8; 0.95 ])
       [ 0.0; 1.0; 2.0 ]
   in
   Array.of_list
     ((Netlist.const nl false :: build_column nl (spec @ spec))
     @ [ Netlist.const nl true ])
 
-let heap_model =
+(* Each case starts from [of_list] over a random sub-multiset of the pool,
+   so pops alternate between the sorted run and the FIFO of pushes, and
+   pushes land before, at and after the FIFO's tail. *)
+let queue_model =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"net_heap pop tracks sorted model" ~count:200
-       ~print:QCheck2.Print.(list (option int))
+       ~print:QCheck2.Print.(pair (list int) (list (option int)))
        (* [Some i] pushes net i of the pool, [None] pops (ignored when
           empty). *)
-       QCheck2.Gen.(list_size (int_range 0 300) (option (int_range 0 31)))
-       (fun ops ->
+       QCheck2.Gen.(
+         pair
+           (list_size (int_range 0 40) (int_range 0 31))
+           (list_size (int_range 0 300) (option (int_range 0 31))))
+       (fun (start, ops) ->
          let nl = mk_netlist () in
-         let pool = heap_pool nl in
+         let pool = queue_pool nl in
+         let start = List.map (Array.get pool) start in
          List.for_all
            (fun (cmp, (k1, k2)) ->
-             let h = Dp_core.Net_heap.of_list ~k1 ~k2 nl [] in
-             let model = ref [] in
-             List.for_all
-               (fun op ->
-                 match op with
-                 | Some i ->
-                   Dp_core.Net_heap.push h pool.(i);
-                   model := List.merge (cmp nl) [ pool.(i) ] !model;
-                   Dp_core.Net_heap.length h = List.length !model
-                 | None -> (
-                   match !model with
-                   | [] -> Dp_core.Net_heap.length h = 0
-                   | m :: rest ->
-                     model := rest;
-                     Dp_core.Net_heap.pop h = m))
-               ops)
-           heap_orders))
+             let q = Dp_core.Net_queue.of_list ~k1 ~k2 nl start in
+             let h = Net_heap_reference.of_list ~k1 ~k2 nl start in
+             let model = ref (List.sort (cmp nl) start) in
+             let same_length () =
+               let n = List.length !model in
+               Dp_core.Net_queue.length q = n && Net_heap_reference.length h = n
+             in
+             same_length ()
+             && List.for_all
+                  (fun op ->
+                    match op with
+                    | Some i ->
+                      Dp_core.Net_queue.push q pool.(i);
+                      Net_heap_reference.push h pool.(i);
+                      model := List.merge (cmp nl) [ pool.(i) ] !model;
+                      same_length ()
+                    | None -> (
+                      match !model with
+                      | [] -> same_length ()
+                      | m :: rest ->
+                        model := rest;
+                        let from_queue = Dp_core.Net_queue.pop q in
+                        let from_heap = Net_heap_reference.pop h in
+                        from_queue = m && from_heap = m))
+                  ops)
+           queue_orders))
 
-let heap_empty_pop () =
+let queue_empty_pop () =
   let nl = mk_netlist () in
-  let h = Dp_core.Net_heap.of_list ~k1:Arrival ~k2:Zero nl [] in
-  checki "fresh heap is empty" 0 (Dp_core.Net_heap.length h);
-  Dp_core.Net_heap.push h (Netlist.const nl false);
-  ignore (Dp_core.Net_heap.pop h);
-  match Dp_core.Net_heap.pop h with
+  let q = Dp_core.Net_queue.of_list ~k1:Arrival ~k2:Zero nl [] in
+  checki "fresh queue is empty" 0 (Dp_core.Net_queue.length q);
+  Dp_core.Net_queue.push q (Netlist.const nl false);
+  ignore (Dp_core.Net_queue.pop q);
+  (match Dp_core.Net_queue.pop q with
   | exception Invalid_argument _ -> ()
-  | v -> Alcotest.failf "pop on empty returned %d" v
+  | v -> Alcotest.failf "queue pop on empty returned %d" v);
+  let h = Net_heap_reference.of_list ~k1:Arrival ~k2:Zero nl [] in
+  match Net_heap_reference.pop h with
+  | exception Invalid_argument _ -> ()
+  | v -> Alcotest.failf "heap pop on empty returned %d" v
 
 (* Decision identity at full height: the tallest column of the lowered
    MulModDiag256 matrix (about 256 addends), reduced by every SC_T, SC_LP
@@ -550,11 +558,11 @@ let tallest_column_identity () =
   checkb "full height" true (List.length col >= 225);
   let lowered = Marshal.to_string nl [] in
   let copy () : Netlist.t = Marshal.from_string lowered 0 in
-  let same label heap reference =
-    let nl_heap = copy () and nl_ref = copy () in
-    if heap nl_heap col <> reference nl_ref col then
+  let same label queue reference =
+    let nl_queue = copy () and nl_ref = copy () in
+    if queue nl_queue col <> reference nl_ref col then
       Alcotest.failf "%s: kept or carry lists differ" label;
-    check_identical label nl_heap nl_ref
+    check_identical label nl_queue nl_ref
   in
   let pair f nl col = let kept, carries = f nl col in (kept, carries, []) in
   List.iter
@@ -628,7 +636,7 @@ let sc_random_deterministic () =
     let netlist = mk_netlist () in
     let col =
       build_column netlist
-        (List.init 23 (fun i -> (float_of_int (i mod 5), 0.5)))
+        (List.init 23 (fun i -> Fresh (float_of_int (i mod 5), 0.5)))
     in
     let kept, carries = Dp_core.Sc_random.reduce_column rng netlist col in
     (kept, carries, netlist)
@@ -647,8 +655,12 @@ let sc_random_deterministic () =
    The record-based builders allocated 39 words per [fa] and 35 per fresh
    two-input AND, and [Stats.of_netlist] about 50k words per crypto
    netlist; the arena writes annotations straight into its float columns.
-   Minor words are counted, not time, so the budgets hold on any machine
-   and under both build profiles. *)
+   A counter call allocated 109-165 words while each pin delay came back
+   as an option and the popcount probabilities went through closures; it
+   now reads a delay table and allocates its pin array, result tuple and
+   popcount distribution (10-21 words).  Minor words are counted, not
+   time, so the budgets hold on any machine and under both build
+   profiles. *)
 
 let words_per_call ~calls f =
   let before = Gc.minor_words () in
@@ -678,6 +690,15 @@ let builder_allocation () =
           ignore (Netlist.and2 nl a.((3 * i) + 1) b.(i))
         done)
   in
+  (* A counter call includes its pin array and result tuple, as in the
+     GPC reducers. *)
+  let counter what build arity =
+    let pins = Netlist.add_input nl what ~width:(arity * calls) in
+    words_per_call ~calls (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (build nl (Array.sub pins (arity * i) arity))
+        done)
+  in
   let within what budget words =
     if words > budget then
       Alcotest.failf "%s allocates %.1f minor words per call (budget %.0f)"
@@ -686,7 +707,15 @@ let builder_allocation () =
   within "fa" 10.0 fa;
   within "ha" 10.0 ha;
   within "fresh and2" 10.0 and2;
-  checki "one cell per call" (3 * calls) (Netlist.cell_count nl)
+  List.iter
+    (fun (what, build, arity) -> within what 30.0 (counter what build arity))
+    [
+      ("c42", Netlist.c42, 5);
+      ("c53", Netlist.c53, 5);
+      ("c63", Netlist.c63, 6);
+      ("c73", Netlist.c73, 7);
+    ];
+  checki "one cell per call" (7 * calls) (Netlist.cell_count nl)
 
 let stats_allocation () =
   let d = Dp_designs.Crypto.mul_mod_diag in
@@ -696,21 +725,44 @@ let stats_allocation () =
     Alcotest.failf "Stats.of_netlist allocates %.0f minor words on %d cells"
       words (Netlist.cell_count r.netlist)
 
+(* FA_AOT/FA_ALP on the lowered MulModDiag256 matrix: 161-163k words
+   under the binary heap, which cached two float keys per net; the queue
+   reads its keys from the netlist. *)
+let reduce_allocation () =
+  let d = Dp_designs.Crypto.mul_mod_diag in
+  let nl = mk_netlist () in
+  let m = Dp_bitmatrix.Lower.lower nl d.env d.expr ~width:d.width in
+  let lowered = Marshal.to_string (nl, m) [] in
+  List.iter
+    (fun (what, allocate) ->
+      let (nl, m) : Netlist.t * Dp_bitmatrix.Matrix.t =
+        Marshal.from_string lowered 0
+      in
+      let words = words_per_call ~calls:1 (fun () -> allocate nl m) in
+      if words >= 175_000.0 then
+        Alcotest.failf "%s allocates %.0f minor words on MulModDiag256" what
+          words)
+    [
+      ("fa_aot", fun nl m -> Dp_core.Fa_aot.allocate nl m);
+      ("fa_alp", fun nl m -> Dp_core.Fa_alp.allocate nl m);
+    ]
+
 let suite =
   [
-    mk_prop "sc_t heap = reference on random columns" sc_t_column_identity;
-    mk_prop "sc_lp heap = reference on random columns" sc_lp_column_identity;
+    mk_prop "sc_t queue = reference on random columns" sc_t_column_identity;
+    mk_prop "sc_lp queue = reference on random columns" sc_lp_column_identity;
     case "fa_aot/fa_alp heap = reference on fuzzed matrices" matrix_identity;
     case "bitsim lanes = scalar simulator and bignum" bitsim_matches_scalar;
     case "batched equiv = scalar replay" equiv_batched_matches_scalar;
     case "monte carlo bit-parallel = scalar replay" monte_carlo_matches_scalar;
-    heap_drain_sorts;
-    heap_model;
-    case "net_heap empty pop raises" heap_empty_pop;
+    queue_drain_sorts;
+    queue_model;
+    case "net_heap empty pop raises" queue_empty_pop;
     case "heap = reference on the tallest MulModDiag256 column"
       tallest_column_identity;
     case "netlist name index" netlist_name_index;
     case "sc_random one-pass selection" sc_random_deterministic;
     case "netlist: fa/ha/and2 allocation budget" builder_allocation;
     case "stats: allocation budget on MulModDiag256" stats_allocation;
+    case "reduce: allocation budget on MulModDiag256" reduce_allocation;
   ]
