@@ -9,19 +9,9 @@ type t = {
   lower_config : Dp_bitmatrix.Lower.config;
   check_level : Dp_verify.Lint.check_level;
   tech : Dp_tech.Tech.t;
+  fingerprint : string;
+  digest : string;
 }
-
-let make ?(tech = Dp_tech.Tech.lcb_like) ?(adder = Dp_adders.Adder.Cla)
-    ?(lower_config = Dp_bitmatrix.Lower.default_config)
-    ?(check_level = Dp_verify.Lint.Off) ?width strategy env expr =
-  let expr = Canon.canonicalize expr in
-  (* The width is resolved against the *canonical* expression, so every
-     request in the same canonical class keys (and synthesizes)
-     identically even when no explicit width is given. *)
-  let width =
-    match width with Some w -> w | None -> Range.natural_width env expr
-  in
-  { expr; env; width; strategy; adder; lower_config; check_level; tech }
 
 (* %h prints the exact bit pattern of a float, so the fingerprint never
    depends on decimal rounding. *)
@@ -40,7 +30,7 @@ let add_tech buf (t : Dp_tech.Tech.t) =
     ];
   Buffer.add_char buf '\n'
 
-let fingerprint k =
+let text k =
   let buf = Buffer.create 512 in
   (* The version changes whenever a fix changes what the same request
      builds, so a durable store never serves a result of the old code.
@@ -76,4 +66,34 @@ let fingerprint k =
     (Ast.vars k.expr);
   Buffer.contents buf
 
-let digest k = Digest.to_hex (Digest.string (fingerprint k))
+(* The text and its digest are built once, here: a served request reads
+   them in [Serve.run], [Store.find] and [Store.add]. *)
+let make ?(tech = Dp_tech.Tech.lcb_like) ?(adder = Dp_adders.Adder.Cla)
+    ?(lower_config = Dp_bitmatrix.Lower.default_config)
+    ?(check_level = Dp_verify.Lint.Off) ?width strategy env expr =
+  let expr = Canon.canonicalize expr in
+  (* The width is resolved against the *canonical* expression, so every
+     request in the same canonical class keys (and synthesizes)
+     identically even when no explicit width is given. *)
+  let width =
+    match width with Some w -> w | None -> Range.natural_width env expr
+  in
+  let k =
+    {
+      expr;
+      env;
+      width;
+      strategy;
+      adder;
+      lower_config;
+      check_level;
+      tech;
+      fingerprint = "";
+      digest = "";
+    }
+  in
+  let fingerprint = text k in
+  { k with fingerprint; digest = Digest.to_hex (Digest.string fingerprint) }
+
+let fingerprint k = k.fingerprint
+let digest k = k.digest

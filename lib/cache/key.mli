@@ -10,7 +10,9 @@
     times — the sensitivity studied by Brenner & Hermann — as if it were
     equivalent. *)
 
-type t = {
+(** Private: only {!make} builds a key, so its text and digest always
+    describe its fields. *)
+type t = private {
   expr : Dp_expr.Ast.t;  (** canonical form (see {!Canon.canonicalize}) *)
   env : Dp_expr.Env.t;
   width : int;  (** resolved: explicit, or natural width of the canonical expr *)
@@ -19,9 +21,12 @@ type t = {
   lower_config : Dp_bitmatrix.Lower.config;
   check_level : Dp_verify.Lint.check_level;
   tech : Dp_tech.Tech.t;
+  fingerprint : string;  (** see {!val-fingerprint} *)
+  digest : string;  (** see {!val-digest} *)
 }
 
-(** Canonicalizes the expression and resolves the width.  Defaults match
+(** Canonicalizes the expression, resolves the width, and builds the
+    fingerprint and its digest.  Defaults match
     [dpsyn synth]: lcb_like technology, CLA final adder, CSD/AND-array
     lowering, lint gate off.
     @raise Invalid_argument if the environment does not cover the
@@ -33,9 +38,10 @@ val make :
   Dp_flow.Strategy.t -> Dp_expr.Env.t -> Dp_expr.Ast.t -> t
 
 (** Stable, human-readable serialization of every field the digest
-    covers.  Floats print as [%h] (exact bit patterns); variables appear
-    in sorted order and only when the expression references them. *)
+    covers, built by {!make}.  Floats print as [%h] (exact bit patterns);
+    variables appear in sorted order and only when the expression
+    references them. *)
 val fingerprint : t -> string
 
-(** Hex MD5 of {!fingerprint} — the content address of the entry. *)
+(** Hex MD5 of {!val-fingerprint} — the content address of the entry. *)
 val digest : t -> string

@@ -1,6 +1,6 @@
 (** Two-queue pool of nets, the shared selection core of the greedy
-    column reducers (SC_T, SC_LP and the split and fill phases of the
-    counter-aware {!Gpc}).
+    column reducers: SC_T, SC_LP and the counter-aware {!Gpc}, whose
+    split phase sorts with it and whose fill phase is SC_T's loop.
 
     {!of_list} sorts the column once into a run; {!push} appends to a
     FIFO of the sums the reducer feeds back; {!pop} takes the lesser of

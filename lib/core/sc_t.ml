@@ -54,11 +54,10 @@ let finish_three policy netlist x y z carries =
    behind it ([Net_queue]).  The order is total (net id last), so the
    pop sequence equals the sorted order of [compare_nets]; the test
    suite diffs whole netlists against the sort-per-step reducer to
-   check it. *)
-let reduce_column ?(tie_break = Arrival_only) ?(three_policy = Ha_finish)
-    netlist addends =
-  let k1, k2 = queue_keys tie_break in
-  let pool = Net_queue.of_list ~k1 ~k2 netlist addends in
+   check it.  The loop takes the minima under whatever keys [pool] was
+   built with, so GPC's fill phase runs it on SC_LP's order too, after
+   its counters' carries ([carries], latest first). *)
+let reduce_pool ?(three_policy = Ha_finish) netlist pool carries =
   let gov = Netlist.gov netlist in
   let rec go carries =
     (match gov with
@@ -80,4 +79,10 @@ let reduce_column ?(tie_break = Arrival_only) ?(three_policy = Ha_finish)
     end
     else Net_queue.drain pool, List.rev carries
   in
-  go []
+  go carries
+
+let reduce_column ?(tie_break = Arrival_only) ?three_policy netlist addends =
+  let k1, k2 = queue_keys tie_break in
+  reduce_pool ?three_policy netlist
+    (Net_queue.of_list ~k1 ~k2 netlist addends)
+    []

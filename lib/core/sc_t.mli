@@ -31,10 +31,19 @@ val compare_nets : Netlist.t -> tie_break -> Netlist.net -> Netlist.net -> int
     the counter-aware {!Gpc} strategies. *)
 val queue_keys : tie_break -> Net_queue.key * Net_queue.key
 
+(** The SC_T loop on a pool already built: an FA on the three minima
+    while more than three remain, then the [three_policy] finish
+    (default [Ha_finish]).  [carries] are the column's carries so far,
+    latest first; the returned carries follow them, in allocation order.
+    The minima are taken under the pool's own keys: the counter-aware
+    {!Gpc} strategies fill with it under both SC_T's and SC_LP's. *)
+val reduce_pool :
+  ?three_policy:three_policy -> Netlist.t -> Net_queue.t -> Netlist.net list ->
+  Netlist.net list * Netlist.net list
+
 (** Queue-based selection (one O(n log n) sort per column, then O(1) per
-    step): the three minima feed each FA, popped from a {!Net_queue}
-    ordered by arrival, then descending |q| (under [Prefer_high_q]), then
-    net id. *)
+    step): {!reduce_pool} on a {!Net_queue} ordered by arrival, then
+    descending |q| (under [Prefer_high_q]), then net id. *)
 val reduce_column :
   ?tie_break:tie_break -> ?three_policy:three_policy ->
   Netlist.t -> Netlist.net list ->

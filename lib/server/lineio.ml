@@ -1,35 +1,59 @@
 module Diag = Dp_diag.Diag
 
+(* [buf.(start .. stop - 1)] holds the bytes received but not yet
+   returned, of which [buf.(start .. scanned - 1)] hold no '\n': each byte
+   is scanned once and a line is copied out once, so a line of L bytes
+   costs O(L) however many reads deliver it.  Reads land straight in
+   [buf], which is per-reader, so concurrent connections don't race. *)
 type t = {
   fd : Unix.file_descr;
-  buf : Buffer.t;  (** bytes received but not yet returned *)
-  mutable scanned : int;  (** prefix of [buf] known to hold no '\n' *)
-  chunk : Bytes.t;  (** per-reader, so concurrent connections don't race *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable scanned : int;
+  mutable stop : int;
 }
 
 type read_result = Line of string | Eof | Truncated of string
 
-let create fd = { fd; buf = Buffer.create 512; scanned = 0; chunk = Bytes.create 4096 }
+let create fd = { fd; buf = Bytes.create 4096; start = 0; scanned = 0; stop = 0 }
 
 (* Extract the first complete line from the buffer, if any. *)
 let take_line t =
-  let s = Buffer.contents t.buf in
-  match String.index_from_opt s t.scanned '\n' with
+  let rec newline i =
+    if i = t.stop then None
+    else if Bytes.unsafe_get t.buf i = '\n' then Some i
+    else newline (i + 1)
+  in
+  match newline t.scanned with
   | None ->
-    t.scanned <- String.length s;
+    t.scanned <- t.stop;
     None
   | Some i ->
-    let line = String.sub s 0 i in
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    Buffer.clear t.buf;
-    Buffer.add_string t.buf rest;
-    t.scanned <- 0;
+    let line = Bytes.sub_string t.buf t.start (i - t.start) in
+    t.start <- i + 1;
+    t.scanned <- i + 1;
     Some line
 
+(* Room at the end of a full buffer: move the unreturned bytes to the
+   front, into a buffer twice as large when they fill more than half of
+   it. *)
+let make_room t =
+  let live = t.stop - t.start in
+  let buf =
+    if 2 * live <= Bytes.length t.buf then t.buf
+    else Bytes.create (2 * Bytes.length t.buf)
+  in
+  Bytes.blit t.buf t.start buf 0 live;
+  t.buf <- buf;
+  t.scanned <- t.scanned - t.start;
+  t.start <- 0;
+  t.stop <- live
+
 let drain_buffered t =
-  let s = Buffer.contents t.buf in
-  Buffer.clear t.buf;
+  let s = Bytes.sub_string t.buf t.start (t.stop - t.start) in
+  t.start <- 0;
   t.scanned <- 0;
+  t.stop <- 0;
   s
 
 let read_line ?deadline t =
@@ -51,18 +75,17 @@ let read_line ?deadline t =
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> false)
       in
       if timed_out then Truncated (drain_buffered t)
-      else
-        match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-        | 0 ->
-          if Buffer.length t.buf = 0 then Eof
-          else Truncated (drain_buffered t)
+      else begin
+        if t.stop = Bytes.length t.buf then make_room t;
+        match Unix.read t.fd t.buf t.stop (Bytes.length t.buf - t.stop) with
+        | 0 -> if t.stop = t.start then Eof else Truncated (drain_buffered t)
         | n ->
-          Buffer.add_subbytes t.buf t.chunk 0 n;
+          t.stop <- t.stop + n;
           go ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
         | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          if Buffer.length t.buf = 0 then Eof
-          else Truncated (drain_buffered t))
+          if t.stop = t.start then Eof else Truncated (drain_buffered t)
+      end)
   in
   go ()
 

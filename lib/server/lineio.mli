@@ -7,7 +7,8 @@
     the protocol layer can map each to the right typed diagnostic:
 
     - [Line s] — a complete ['\n']-terminated line (terminator stripped);
-      a line split across any number of [read] calls is reassembled.
+      a line split across any number of [read] calls is reassembled, in
+      time and allocation linear in its length.
     - [Eof] — clean end of stream on a line boundary.
     - [Truncated s] — the stream ended (or the read deadline passed)
       with [s] buffered but unterminated: a torn response. *)

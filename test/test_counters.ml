@@ -241,20 +241,10 @@ let spread_probs =
   [| 0.5; 0.1; 0.9; 0.5; 0.3; 0.7; 0.5; 0.2; 0.8; 0.4; 0.6; 0.5; 0.5 |]
 
 let test_gpc_queue_vs_reference_fixed () =
-  List.iter
-    (fun tb ->
-      check_identical "sc_t_gpc column" ~probs:spread_probs spread_arrivals
-        (fun nl col -> Gpc.reduce_column_t ~tie_break:tb nl col)
-        (fun nl col ->
-          Reduce_reference.Gpc.reduce_column_t ~tie_break:tb nl col))
-    [ Sc_t.Arrival_only; Sc_t.Prefer_high_q ];
-  List.iter
-    (fun tb ->
-      check_identical "sc_lp_gpc column" ~probs:spread_probs spread_arrivals
-        (fun nl col -> Gpc.reduce_column_lp ~tie_break:tb nl col)
-        (fun nl col ->
-          Reduce_reference.Gpc.reduce_column_lp ~tie_break:tb nl col))
-    [ Sc_lp.Q_only; Sc_lp.Prefer_early ]
+  check_identical "sc_t_gpc column" ~probs:spread_probs spread_arrivals
+    Gpc.reduce_column_t Reduce_reference.Gpc.reduce_column_t;
+  check_identical "sc_lp_gpc column" ~probs:spread_probs spread_arrivals
+    Gpc.reduce_column_lp Reduce_reference.Gpc.reduce_column_lp
 
 (* Random columns from [Helpers.gen_column_spec]: tie-heavy fresh inputs,
    constants (which ride the fill) and repeated nets (which can fill two
@@ -268,20 +258,10 @@ let gpc_queue_vs_reference_random =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"gpc: queue = reference on random columns"
        ~count:150 ~print:print_column_spec gen_column_spec (fun spec ->
-         List.for_all
-           (fun tb ->
-             run spec (fun nl col -> Gpc.reduce_column_t ~tie_break:tb nl col)
-             = run spec (fun nl col ->
-                   Reduce_reference.Gpc.reduce_column_t ~tie_break:tb nl col))
-           [ Sc_t.Arrival_only; Sc_t.Prefer_high_q ]
-         && List.for_all
-              (fun tb ->
-                run spec (fun nl col ->
-                    Gpc.reduce_column_lp ~tie_break:tb nl col)
-                = run spec (fun nl col ->
-                      Reduce_reference.Gpc.reduce_column_lp ~tie_break:tb nl
-                        col))
-              [ Sc_lp.Q_only; Sc_lp.Prefer_early ]))
+         run spec Gpc.reduce_column_t
+         = run spec Reduce_reference.Gpc.reduce_column_t
+         && run spec Gpc.reduce_column_lp
+            = run spec Reduce_reference.Gpc.reduce_column_lp))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-flow determinism: two runs of a counter strategy emit the same

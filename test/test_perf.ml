@@ -1,5 +1,6 @@
-(* Tests for the performance work: the queue-based SC_T/SC_LP must make
-   byte-identical decisions to the retained sort-per-step references, the
+(* Tests for the performance work: the queue-based SC_T/SC_LP and the
+   shared sweep and staged drivers must make byte-identical decisions to
+   the retained references in [Reduce_reference], the
    64-lane bit-parallel simulator must agree with the scalar simulator and
    the bignum reference, the supporting structures (Net_queue against the
    binary heap it replaced, the netlist name index, the one-pass
@@ -175,6 +176,46 @@ let matrix_identity () =
             sc_lp_combos)
         case_.ports)
     (fuzz_cases 25)
+
+(* Whole-netlist identity of the staged and counter strategies against
+   [Reduce_reference]'s own drivers (their own sweep and stage loops,
+   sort-per-step GPC columns), on the fuzzed matrices and on the two
+   tallest crypto designs. *)
+let driver_identity () =
+  let strategies =
+    [
+      ("dadda", Dp_core.Dadda.allocate, Reduce_reference.Dadda.allocate);
+      ( "dadda_gpc",
+        Dp_core.Gpc.allocate_dadda,
+        Reduce_reference.Gpc.allocate_dadda );
+      ("sc_t_gpc", Dp_core.Gpc.allocate_t, Reduce_reference.Gpc.allocate_t);
+      ("sc_lp_gpc", Dp_core.Gpc.allocate_lp, Reduce_reference.Gpc.allocate_lp);
+    ]
+  in
+  let same what env expr ~width =
+    List.iter
+      (fun (label, library, reference) ->
+        let run allocate =
+          let nl = mk_netlist () in
+          allocate nl (Dp_bitmatrix.Lower.lower nl env expr ~width);
+          nl
+        in
+        check_identical
+          (Printf.sprintf "%s on %s" label what)
+          (run library) (run reference))
+      strategies
+  in
+  List.iter
+    (fun case_ ->
+      let case_ = Dp_fuzz.Case.drop_unused_vars case_ in
+      let env = Dp_fuzz.Case.env case_ in
+      List.iter
+        (fun (port, expr, width) -> same port env expr ~width)
+        case_.ports)
+    (fuzz_cases 25);
+  List.iter
+    (fun (d : Dp_designs.Design.t) -> same d.name d.env d.expr ~width:d.width)
+    [ Dp_designs.Crypto.mul_mod_diag; Dp_designs.Crypto.mac_chain ]
 
 (* ------------------------------------------------------------------ *)
 (* Bit-parallel simulation: every lane of [Bitsim.run_lanes] must equal a
@@ -577,18 +618,9 @@ let tallest_column_identity () =
         (pair (Dp_core.Sc_lp.reduce_column ~tie_break))
         (pair (Reduce_reference.Sc_lp.reduce_column ~tie_break)))
     sc_lp_combos;
-  List.iter
-    (fun tie_break ->
-      same "gpc t"
-        (Dp_core.Gpc.reduce_column_t ~tie_break)
-        (Reduce_reference.Gpc.reduce_column_t ~tie_break))
-    [ Dp_core.Sc_t.Arrival_only; Dp_core.Sc_t.Prefer_high_q ];
-  List.iter
-    (fun tie_break ->
-      same "gpc lp"
-        (Dp_core.Gpc.reduce_column_lp ~tie_break)
-        (Reduce_reference.Gpc.reduce_column_lp ~tie_break))
-    [ Dp_core.Sc_lp.Q_only; Dp_core.Sc_lp.Prefer_early ]
+  same "gpc t" Dp_core.Gpc.reduce_column_t Reduce_reference.Gpc.reduce_column_t;
+  same "gpc lp" Dp_core.Gpc.reduce_column_lp
+    Reduce_reference.Gpc.reduce_column_lp
 
 (* ------------------------------------------------------------------ *)
 (* Netlist name index: lookups stay correct, duplicates still raise, and
@@ -752,6 +784,8 @@ let suite =
     mk_prop "sc_t queue = reference on random columns" sc_t_column_identity;
     mk_prop "sc_lp queue = reference on random columns" sc_lp_column_identity;
     case "fa_aot/fa_alp heap = reference on fuzzed matrices" matrix_identity;
+    case "dadda/gpc drivers = reference on fuzzed and crypto matrices"
+      driver_identity;
     case "bitsim lanes = scalar simulator and bignum" bitsim_matches_scalar;
     case "batched equiv = scalar replay" equiv_batched_matches_scalar;
     case "monte carlo bit-parallel = scalar replay" monte_carlo_matches_scalar;

@@ -629,6 +629,40 @@ let lineio_epipe_is_typed () =
   go 10;
   Unix.close a
 
+(* A long line costs linear time: the reader scans each byte once and
+   copies the line out once.  Re-copying the whole buffer after every
+   4 KiB read allocated about 1,000 bytes per byte of an 8 MiB line. *)
+let lineio_long_line_is_linear () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let n = 8 lsl 20 in
+  let data = Bytes.make (n + 6) 'x' in
+  Bytes.blit_string "\ntail\n" 0 data n 6;
+  let writer =
+    Thread.create
+      (fun () ->
+        ignore (Unix.write a data 0 (Bytes.length data));
+        Unix.close a)
+      ()
+  in
+  let reader = S.Lineio.create b in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let before = Gc.allocated_bytes () in
+  let first = S.Lineio.read_line ~deadline reader in
+  let per_byte = (Gc.allocated_bytes () -. before) /. float_of_int n in
+  Thread.join writer;
+  (match first with
+  | S.Lineio.Line line ->
+    checki "line length" n (String.length line);
+    checkb "line bytes" true (String.for_all (Char.equal 'x') line)
+  | S.Lineio.Eof | S.Lineio.Truncated _ -> Alcotest.fail "no long line");
+  checkb "next line intact" true
+    (S.Lineio.read_line ~deadline reader = S.Lineio.Line "tail");
+  checkb "then EOF" true (S.Lineio.read_line ~deadline reader = S.Lineio.Eof);
+  Unix.close b;
+  if per_byte >= 16.0 then
+    Alcotest.failf "reading one %d-byte line allocated %.0f bytes per byte" n
+      per_byte
+
 (* ------------------------------------------------------------------ *)
 (* Cross-process store safety *)
 
@@ -1226,6 +1260,7 @@ let suite =
       soak_chaos_holds_invariants;
     case "server: ping answers inline" server_ping_op;
     case "lineio: EPIPE surfaces as DP-PROTO004" lineio_epipe_is_typed;
+    case "lineio: a long line costs linear time" lineio_long_line_is_linear;
     case "store: concurrent cross-process writers never tear an entry"
       store_concurrent_writers_leave_one_whole_entry;
     case "store: a partial disk write is a miss"
