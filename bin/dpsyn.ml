@@ -15,55 +15,14 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Argument parsing *)
 
-let parse_var_spec spec =
-  (* name:width[s][:arrival[:prob]] — every field validated here so a bad
-     spec fails at the command line with a precise message instead of
-     deep in the flow (or, for probabilities, not at all).  A trailing
-     [s] on the width marks the variable as signed (two's complement). *)
-  let err fmt = Fmt.kstr (fun s -> Error (`Msg (spec ^ ": " ^ s))) fmt in
-  let ( let* ) r k = match r with Ok v -> k v | Error _ as e -> e in
-  let width_of s =
-    let n = String.length s in
-    let signed = n > 0 && (s.[n - 1] = 's' || s.[n - 1] = 'S') in
-    let s = if signed then String.sub s 0 (n - 1) else s in
-    match int_of_string_opt s with
-    | None -> err "width %S is not an integer" s
-    | Some w when w < 1 -> err "width must be >= 1 (got %d)" w
-    | Some w -> Ok (w, signed)
-  in
-  let arrival_of s =
-    match float_of_string_opt s with
-    | None -> err "arrival time %S is not a number" s
-    | Some t when not (Float.is_finite t) -> err "arrival time must be finite"
-    | Some t when t < 0.0 -> err "arrival time must be >= 0 (got %g)" t
-    | Some t -> Ok t
-  in
-  let prob_of s =
-    match float_of_string_opt s with
-    | None -> err "probability %S is not a number" s
-    | Some p when not (p >= 0.0 && p <= 1.0) ->
-      err "probability must be within [0,1] (got %g)" p
-    | Some p -> Ok p
-  in
-  let checked name w t p =
-    if name = "" then err "empty variable name"
-    else
-      let* w, signed = width_of w in
-      let* t = match t with None -> Ok 0.0 | Some t -> arrival_of t in
-      let* p = match p with None -> Ok 0.5 | Some p -> prob_of p in
-      Ok (name, w, signed, t, p)
-  in
-  match String.split_on_char ':' spec with
-  | [ name; w ] -> checked name w None None
-  | [ name; w; t ] -> checked name w (Some t) None
-  | [ name; w; t; p ] -> checked name w (Some t) (Some p)
-  | _ -> Error (`Msg (spec ^ ": expected name:width[s][:arrival[:prob]]"))
-
+(* name:width[s][:arrival[:prob]], the syntax of the corpus [var] lines
+   and of the fuzzer's repro commands: every field is validated here, so
+   a bad spec fails at the command line with a message that names it. *)
 let var_conv =
-  let print ppf (name, w, signed, t, p) =
-    Fmt.pf ppf "%s:%d%s:%g:%g" name w (if signed then "s" else "") t p
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Dp_fuzz.Case.var_spec_of_string s)
   in
-  Arg.conv (parse_var_spec, print)
+  Arg.conv (parse, Fmt.using Dp_fuzz.Case.var_spec_to_string Fmt.string)
 
 let expr_conv =
   let parse s =
@@ -81,11 +40,14 @@ let strategy_conv =
   in
   Arg.conv (parse, Dp_flow.Strategy.pp)
 
+let adder_names =
+  String.concat ", " (List.map Dp_adders.Adder.name Dp_adders.Adder.all)
+
 let adder_conv =
   let parse s =
     match Dp_adders.Adder.of_name s with
     | Some a -> Ok a
-    | None -> Error (`Msg (s ^ ": unknown adder (ripple|cla|carry-select|kogge-stone)"))
+    | None -> Error (`Msg (Fmt.str "%s: unknown adder (%s)" s adder_names))
   in
   Arg.conv (parse, Dp_adders.Adder.pp)
 
@@ -115,9 +77,12 @@ let strategy_arg ~default =
     value & opt strategy_conv default
     & info [ "strategy" ] ~docv:"S"
         ~doc:
-          "Allocation strategy: fa_aot, fa_alp, fa_random, wallace, dadda, \
-           column-isolation, csa_opt, conventional, sc_t_gpc, sc_lp_gpc, \
-           dadda_gpc.")
+          ("Allocation strategy, case-insensitive: "
+          ^ String.concat ", "
+              (List.map
+                 (fun st -> String.lowercase_ascii (Dp_flow.Strategy.name st))
+                 Dp_flow.Strategy.all)
+          ^ " (fa_random[N] seeds the random allocation with N)."))
 
 (* A path, loaded by [load_tech] in the command's action, so that a bad
    file is a DP-TECH diagnostic (exit 3), not a usage error.  [serve]
@@ -132,7 +97,7 @@ let tech_arg =
 let adder_arg =
   Arg.(
     value & opt adder_conv Dp_adders.Adder.Cla
-    & info [ "adder" ] ~docv:"A" ~doc:"Final adder: ripple, cla, carry-select, kogge-stone.")
+    & info [ "adder" ] ~docv:"A" ~doc:("Final adder: " ^ adder_names ^ "."))
 
 let recoding_arg =
   Arg.(
@@ -213,13 +178,10 @@ let json_arg =
 (* ------------------------------------------------------------------ *)
 (* Shared actions *)
 
+let env_of_specs vars = Dp_fuzz.Case.env { Dp_fuzz.Case.vars; ports = [] }
+
 let env_of_vars expr vars =
-  let env =
-    List.fold_left
-      (fun env (name, width, signed, arrival, prob) ->
-        Dp_expr.Env.add_uniform name ~width ~signed ~arrival ~prob env)
-      Dp_expr.Env.empty vars
-  in
+  let env = env_of_specs vars in
   match Dp_expr.Env.check_covers_res expr env with
   | Ok () -> Ok env
   | Error d -> Error (Dp_diag.Diag.to_string d)
@@ -246,10 +208,10 @@ let load_tech ?(json = false) = function
 (* CLI -v specs carry one uniform arrival/probability per variable. *)
 let var_specs_of_vars vars =
   List.map
-    (fun (name, width, signed, arrival, prob) ->
-      Dp_server.Protocol.var_spec ~signed
-        ~arrival:(Array.make width arrival)
-        ~prob:(Array.make width prob) name ~width)
+    (fun (v : Dp_fuzz.Case.var_spec) ->
+      Dp_server.Protocol.var_spec ~signed:v.signed
+        ~arrival:(Array.make v.width v.arrival)
+        ~prob:(Array.make v.width v.prob) v.name ~width:v.width)
     vars
 
 let var_specs_of_env env =
@@ -477,12 +439,7 @@ let synth_multi_cmd =
              referenced later are inlined; the rest become output ports.")
   in
   let action ports vars strategy adder verilog check =
-    let env =
-      List.fold_left
-        (fun env (name, width, signed, arrival, prob) ->
-          Dp_expr.Env.add_uniform name ~width ~signed ~arrival ~prob env)
-        Dp_expr.Env.empty vars
-    in
+    let env = env_of_specs vars in
     let missing =
       List.concat_map
         (fun (_, e) ->

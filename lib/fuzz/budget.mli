@@ -2,7 +2,7 @@
     ceilings so pathological inputs fail {e gracefully} with a typed
     [Dp_diag.Diag.t] instead of hanging the process or exhausting memory.
     The fuzz oracle and the synthesis server both turn a budget into
-    limits here: {!estimate_rows} refuses a case before any work,
+    limits here: {!check_static} refuses a case before any work,
     {!governor} bounds the work itself, and {!check_cells} judges the
     finished netlist.
 
@@ -21,15 +21,13 @@ val default : t
 
 val unlimited : t
 
-(** Saturating static estimate of the addend rows the bit-level lowering
-    would build for the widest port — products multiply row counts by
-    the narrower operand's width, additions sum them.  An upper-bound
-    heuristic: cheap (no normalization, which itself can blow up) and
-    monotone, so genuinely huge multiply chains trip the ceiling before
-    any work happens. *)
-val estimate_rows : Case.t -> int
-
-(** [DP-BUDGET003] if {!estimate_rows} exceeds [max_rows]. *)
+(** [DP-BUDGET003] (context [estimated_rows], [max_rows]) if a
+    saturating static estimate of the addend rows the bit-level lowering
+    would build for the widest port exceeds [max_rows] — products
+    multiply row counts by the narrower operand's width, additions sum
+    them.  An upper-bound heuristic: cheap (no normalization, which
+    itself can blow up) and monotone, so genuinely huge multiply chains
+    trip the ceiling before any work happens. *)
 val check_static : t -> Case.t -> (unit, Dp_diag.Diag.t) result
 
 (** [DP-CANCEL003] if the built netlist exceeds [max_cells] — the same

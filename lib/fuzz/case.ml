@@ -43,7 +43,8 @@ let var_spec_of_string s =
   let width_of w =
     let w, signed =
       let l = String.length w in
-      if l > 0 && w.[l - 1] = 's' then (String.sub w 0 (l - 1), true)
+      if l > 0 && (w.[l - 1] = 's' || w.[l - 1] = 'S') then
+        (String.sub w 0 (l - 1), true)
       else (w, false)
     in
     match int_of_string_opt w with

@@ -42,7 +42,8 @@ val drop_unused_vars : t -> t
 (** [x:8s:0:0.5] — the CLI's [-v] syntax ([s] marks a signed width). *)
 val var_spec_to_string : var_spec -> string
 
-(** The inverse of {!var_spec_to_string}. *)
+(** The inverse of {!var_spec_to_string}; it also reads an uppercase
+    [S] suffix as signed. *)
 val var_spec_of_string : string -> (var_spec, string) result
 
 (** A complete [dpsyn] command line reproducing the case outside the

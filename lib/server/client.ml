@@ -1,91 +1,76 @@
 module Diag = Dp_diag.Diag
 
-type t = { fd : Unix.file_descr; reader : Lineio.t; oc : out_channel }
+type t = { fd : Unix.file_descr; reader : Lineio.t }
 
 let transport ?(code = "DP-PROTO004") ~context fmt =
   Fmt.kstr
     (fun msg -> Error (Diag.v ~code ~subsystem:"proto" ~context msg))
     fmt
 
+(* A listener that is bound but no longer accepting blocks a plain
+   connect(2) forever once its backlog fills.  In non-blocking mode
+   AF_UNIX reports that state as EAGAIN, so connect non-blocking and
+   retry until the deadline, if any: a wedged server degrades to a
+   typed, retryable timeout instead of a permanently hung caller. *)
 let connect ?deadline socket_path =
   (* A server (or router) that dies between our write and its read must
      surface as a typed transport error, not SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let wrap fd =
-    Ok { fd; reader = Lineio.create fd; oc = Unix.out_channel_of_descr fd }
+  let connected fd =
+    Unix.clear_nonblock fd;
+    Ok { fd; reader = Lineio.create fd }
   in
+  let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> () in
   let fail fd e =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    close_fd fd;
     transport
       ~context:[ ("socket", socket_path) ]
       "cannot connect: %s" (Unix.error_message e)
   in
-  match deadline with
-  | None -> (
+  let timed_out msg = transport ~context:[ ("socket", socket_path) ] msg in
+  let rec attempt () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.set_nonblock fd;
     match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
-    | () -> wrap fd
-    | exception Unix.Unix_error (e, _, _) -> fail fd e)
-  | Some dl ->
-    (* A listener that is bound but no longer accepting blocks a plain
-       connect(2) forever once its backlog fills.  In non-blocking mode
-       AF_UNIX reports that state as EAGAIN, so connect non-blocking and
-       retry until the deadline: a wedged server degrades to a typed,
-       retryable timeout instead of a permanently hung caller. *)
-    let rec attempt () =
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.set_nonblock fd;
-      match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
-      | () ->
-        Unix.clear_nonblock fd;
-        wrap fd
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        attempt ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if Unix.gettimeofday () +. 0.01 >= dl then
-          transport
-            ~context:[ ("socket", socket_path) ]
-            "timed out connecting: listener backlog full"
-        else begin
-          Thread.delay 0.01;
-          attempt ()
-        end
-      | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
-        (* Not expected for AF_UNIX on Linux, but complete it properly:
-           wait for writability, then read the final status. *)
-        match
-          Unix.select [] [ fd ] []
-            (Float.max 0.0 (dl -. Unix.gettimeofday ()))
-        with
-        | _, [ _ ], _ -> (
-          match Unix.getsockopt_error fd with
-          | None ->
-            Unix.clear_nonblock fd;
-            wrap fd
-          | Some e -> fail fd e)
-        | _ ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          transport
-            ~context:[ ("socket", socket_path) ]
-            "timed out connecting"
-        | exception Unix.Unix_error (e, _, _) -> fail fd e)
-      | exception Unix.Unix_error (e, _, _) -> fail fd e
-    in
-    attempt ()
+    | () -> connected fd
+    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+      close_fd fd;
+      attempt ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> (
+      close_fd fd;
+      match deadline with
+      | Some dl when Unix.gettimeofday () +. 0.01 >= dl ->
+        timed_out "timed out connecting: listener backlog full"
+      | _ ->
+        Thread.delay 0.01;
+        attempt ())
+    | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
+      (* Not expected for AF_UNIX on Linux, but complete it properly:
+         wait for writability, then read the final status. *)
+      let wait =
+        match deadline with
+        | Some dl -> Float.max 0.0 (dl -. Unix.gettimeofday ())
+        | None -> -1.0 (* no limit *)
+      in
+      match Unix.select [] [ fd ] [] wait with
+      | _, [ _ ], _ -> (
+        match Unix.getsockopt_error fd with
+        | None -> connected fd
+        | Some e -> fail fd e)
+      | _ ->
+        close_fd fd;
+        timed_out "timed out connecting"
+      | exception Unix.Unix_error (e, _, _) -> fail fd e)
+    | exception Unix.Unix_error (e, _, _) -> fail fd e
+  in
+  attempt ()
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
 let send_line c line =
-  match
-    output_string c.oc line;
-    output_char c.oc '\n';
-    flush c.oc
-  with
-  | () -> Ok ()
-  | exception (Sys_error _ | Unix.Unix_error _) ->
-    transport ~context:[] "connection lost while sending the request"
+  match Lineio.write_line c.fd line with
+  | Ok () -> Ok ()
+  | Error _ -> transport ~context:[] "connection lost while sending the request"
 
 let recv_response ?deadline c =
   match Lineio.read_line ?deadline c.reader with

@@ -18,12 +18,11 @@
 
 type t
 
-(** [connect ?deadline socket] opens a connection.  Without [deadline]
-    the connect is a plain blocking [connect(2)] — which hangs forever
-    against a listener that is bound but not accepting once its backlog
-    fills.  With [deadline] (absolute, [Unix.gettimeofday] clock) the
-    connect is non-blocking and a full backlog is retried until the
-    deadline, then surfaced as a retryable [DP-PROTO004]. *)
+(** [connect ?deadline socket] opens a connection.  The connect is
+    non-blocking: a listener whose backlog is full is retried every
+    10 ms — with [deadline] (absolute, [Unix.gettimeofday] clock) until
+    the deadline, then surfaced as a retryable [DP-PROTO004]; without
+    it, until the listener accepts. *)
 val connect : ?deadline:float -> string -> (t, Dp_diag.Diag.t) result
 val close : t -> unit
 

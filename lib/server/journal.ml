@@ -1,12 +1,6 @@
-type state = Admitted | Dispatched | Completed
+type state = Admitted | Completed
 
-type entry = {
-  seq : int;
-  digest : string;
-  state : state;
-  shard : int option;
-  params : Json.t;
-}
+type entry = { seq : int; digest : string; state : state; params : Json.t }
 
 type stats = {
   appended : int;
@@ -30,16 +24,7 @@ type t = {
   mutable compactions : int;
 }
 
-let state_name = function
-  | Admitted -> "admitted"
-  | Dispatched -> "dispatched"
-  | Completed -> "completed"
-
-let state_of_name = function
-  | "admitted" -> Some Admitted
-  | "dispatched" -> Some Dispatched
-  | "completed" -> Some Completed
-  | _ -> None
+let state_name = function Admitted -> "admitted" | Completed -> "completed"
 
 let locked t f =
   Mutex.lock t.lock;
@@ -60,33 +45,21 @@ let payload_of_line line =
     let payload = String.sub line 33 (String.length line - 33) in
     if String.equal (checksum payload) sum then Some payload else None
 
-let admitted_payload ~seq ~digest ~params =
+(* [params] rides on the admitted record only. *)
+let record_payload ~seq ~digest ?params state =
   Json.Obj
-    [
-      ("seq", Json.Int seq);
-      ("state", Json.Str (state_name Admitted));
-      ("digest", Json.Str digest);
-      ("params", params);
-    ]
-
-let transition_payload ~seq ~digest ~state ~shard =
-  let fields =
-    [
-      ("seq", Json.Int seq);
-      ("state", Json.Str (state_name state));
-      ("digest", Json.Str digest);
-    ]
-  in
-  let fields =
-    match shard with
-    | Some k -> fields @ [ ("shard", Json.Int k) ]
-    | None -> fields
-  in
-  Json.Obj fields
+    ([
+       ("seq", Json.Int seq);
+       ("state", Json.Str (state_name state));
+       ("digest", Json.Str digest);
+     ]
+    @ match params with Some p -> [ ("params", p) ] | None -> [])
 
 (* Fold one verified payload into the table.  Records appear in append
-   order, so transitions always follow their admission (compaction
-   preserves this). *)
+   order, so a completion always follows its admission (compaction
+   preserves this).  Logs written before the journal had two states also
+   hold a [dispatched] record after each admission; it carries nothing
+   replay needs, so it is a good record that changes no entry. *)
 let apply_payload table payload =
   match Json.of_string payload with
   | Error _ -> false
@@ -94,26 +67,22 @@ let apply_payload table payload =
       let field k conv = Option.bind (Json.member k json) conv in
       match
         ( field "seq" Json.to_int,
-          field "state" Json.to_str |> Fun.flip Option.bind state_of_name,
+          field "state" Json.to_str,
           field "digest" Json.to_str )
       with
-      | Some seq, Some state, Some digest ->
-          (match (state, Hashtbl.find_opt table seq) with
-          | Admitted, None ->
+      | Some seq, Some state, Some digest -> (
+          match (state, Hashtbl.find_opt table seq) with
+          | "admitted", None ->
               let params =
                 Option.value (Json.member "params" json) ~default:Json.Null
               in
-              Hashtbl.replace table seq
-                { seq; digest; state = Admitted; shard = None; params }
-          | Admitted, Some _ -> ()
-          | (Dispatched | Completed), None -> ()
-          | Dispatched, Some e ->
-              if e.state <> Completed then
-                Hashtbl.replace table seq
-                  { e with state = Dispatched; shard = field "shard" Json.to_int }
-          | Completed, Some e ->
-              Hashtbl.replace table seq { e with state = Completed });
-          true
+              Hashtbl.replace table seq { seq; digest; state = Admitted; params };
+              true
+          | "completed", Some e ->
+              Hashtbl.replace table seq { e with state = Completed };
+              true
+          | ("admitted" | "completed" | "dispatched"), _ -> true
+          | _ -> false)
       | _ -> false)
 
 let sorted_entries table =
@@ -202,12 +171,8 @@ let compact_locked t =
         (fun e ->
           output_string tmp_oc
             (record_line
-               (admitted_payload ~seq:e.seq ~digest:e.digest ~params:e.params));
-          if e.state = Dispatched then
-            output_string tmp_oc
-              (record_line
-                 (transition_payload ~seq:e.seq ~digest:e.digest
-                    ~state:Dispatched ~shard:e.shard)))
+               (record_payload ~seq:e.seq ~digest:e.digest ~params:e.params
+                  Admitted)))
         keep;
       close_out tmp_oc;
       close_out oc;
@@ -241,30 +206,16 @@ let admit t ~digest ~params =
   locked t (fun () ->
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
-      Hashtbl.replace t.table seq
-        { seq; digest; state = Admitted; shard = None; params };
-      append_locked t (admitted_payload ~seq ~digest ~params);
+      Hashtbl.replace t.table seq { seq; digest; state = Admitted; params };
+      append_locked t (record_payload ~seq ~digest ~params Admitted);
       seq)
-
-let dispatch t ~seq ~shard =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table seq with
-      | Some e when e.state <> Completed ->
-          Hashtbl.replace t.table seq
-            { e with state = Dispatched; shard = Some shard };
-          append_locked t
-            (transition_payload ~seq ~digest:e.digest ~state:Dispatched
-               ~shard:(Some shard))
-      | Some _ | None -> ())
 
 let complete t ~seq =
   locked t (fun () ->
       match Hashtbl.find_opt t.table seq with
       | Some e when e.state <> Completed ->
           Hashtbl.replace t.table seq { e with state = Completed };
-          append_locked t
-            (transition_payload ~seq ~digest:e.digest ~state:Completed
-               ~shard:None)
+          append_locked t (record_payload ~seq ~digest:e.digest Completed)
       | Some _ | None -> ())
 
 let compact t = locked t (fun () -> compact_locked t)

@@ -1,40 +1,40 @@
 (** Append-only write-ahead log of admitted synthesis requests.
 
     The journal is the router's durability layer: every admitted request
-    is recorded before it is forwarded, advanced to [Dispatched] when a
-    shard is chosen, and to [Completed] once any shard answer (including
-    a typed error envelope) has been produced.  After a router crash the
-    next incarnation replays the journal: [Completed] entries are served
-    byte-identically from the digest-keyed store, incomplete ones are
-    re-dispatched — safe because request digests make synthesis
-    idempotent.
+    is recorded before it is forwarded, and advanced to [Completed] once
+    any shard answer (including a typed error envelope) has been
+    produced.  After a router crash the next incarnation replays the
+    journal: [Completed] entries are served byte-identically from the
+    digest-keyed store, incomplete ones are re-dispatched to the home
+    shard of their recorded digest — safe because request digests make
+    synthesis idempotent.
 
     On-disk format: one record per line,
 
     {v <32-hex MD5 of payload> <payload JSON>\n v}
 
     where the payload is
-    [{"seq":N,"state":"admitted"|"dispatched"|"completed","digest":D,...}]
-    ([params] rides on the admitted record, [shard] on dispatched ones).
-    A crash mid-append leaves a torn tail — a final line with no
-    newline, or with a checksum mismatch.  [open_] truncates the file at
-    the first bad record and counts the lost bytes; everything before it
-    is trusted, everything after is suspect and discarded.
+    [{"seq":N,"state":"admitted"|"completed","digest":D,...}]
+    ([params] rides on the admitted record).  A [dispatched] record,
+    which logs written by earlier versions hold after each admission, is
+    read as a good record and skipped.  A crash mid-append leaves a torn
+    tail — a final line with no newline, or with a checksum mismatch.
+    [open_] truncates the file at the first bad record and counts the
+    lost bytes; everything before it is trusted, everything after is
+    suspect and discarded.
 
-    Compaction rewrites the file keeping only incomplete entries (their
-    admitted record plus a dispatched marker), then renames it into
-    place atomically.  All operations are thread-safe. *)
+    Compaction rewrites the file keeping only the admitted records of
+    incomplete entries, then renames it into place atomically.  All
+    operations are thread-safe. *)
 
 type state =
-  | Admitted  (** recorded, not yet forwarded *)
-  | Dispatched  (** forwarded to a shard; answer not yet produced *)
+  | Admitted  (** recorded; no answer produced yet *)
   | Completed  (** an answer (ok or typed error) was produced *)
 
 type entry = {
   seq : int;
   digest : string;
   state : state;
-  shard : int option;  (** home shard of the last dispatch, if any *)
   params : Json.t;  (** request params as recorded at admission *)
 }
 
@@ -46,8 +46,6 @@ type stats = {
 }
 
 type t
-
-val state_name : state -> string
 
 (** [open_ ~dir ()] opens (creating if needed) [dir/journal.log],
     scans it, truncates any torn tail, and loads surviving entries.
@@ -72,10 +70,6 @@ val incomplete : t -> entry list
 
 (** Record an admitted request; returns its journal sequence number. *)
 val admit : t -> digest:string -> params:Json.t -> int
-
-(** Record that [seq] was forwarded with home shard [shard].  Unknown
-    sequence numbers are ignored. *)
-val dispatch : t -> seq:int -> shard:int -> unit
 
 (** Record that [seq] produced an answer.  Idempotent; unknown sequence
     numbers are ignored. *)

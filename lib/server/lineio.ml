@@ -15,7 +15,21 @@ type t = {
 
 type read_result = Line of string | Eof | Truncated of string
 
-let create fd = { fd; buf = Bytes.create 4096; start = 0; scanned = 0; stop = 0 }
+let initial_size = 4096
+
+(* A drained buffer larger than this is given back: one long line must
+   not pin twice its size for the rest of the connection. *)
+let max_kept_size = 65536
+
+let create fd =
+  { fd; buf = Bytes.create initial_size; start = 0; scanned = 0; stop = 0 }
+
+(* Call once every buffered byte has been returned. *)
+let reset t =
+  if Bytes.length t.buf > max_kept_size then t.buf <- Bytes.create initial_size;
+  t.start <- 0;
+  t.scanned <- 0;
+  t.stop <- 0
 
 (* Extract the first complete line from the buffer, if any. *)
 let take_line t =
@@ -30,8 +44,11 @@ let take_line t =
     None
   | Some i ->
     let line = Bytes.sub_string t.buf t.start (i - t.start) in
-    t.start <- i + 1;
-    t.scanned <- i + 1;
+    if i + 1 = t.stop then reset t
+    else begin
+      t.start <- i + 1;
+      t.scanned <- i + 1
+    end;
     Some line
 
 (* Room at the end of a full buffer: move the unreturned bytes to the
@@ -51,9 +68,7 @@ let make_room t =
 
 let drain_buffered t =
   let s = Bytes.sub_string t.buf t.start (t.stop - t.start) in
-  t.start <- 0;
-  t.scanned <- 0;
-  t.stop <- 0;
+  reset t;
   s
 
 let read_line ?deadline t =
@@ -99,8 +114,8 @@ let read_line ?deadline t =
    diagnostic — never a killed process, never an exception escaping the
    connection handler. *)
 let write_line fd line =
-  let data = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length data in
+  let data = line ^ "\n" in
+  let len = String.length data in
   let peer_gone e =
     Error
       (Diag.v ~code:"DP-PROTO004" ~subsystem:"proto"
@@ -110,7 +125,7 @@ let write_line fd line =
   let rec go off =
     if off >= len then Ok ()
     else
-      match Unix.write fd data off (len - off) with
+      match Unix.write_substring fd data off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception

@@ -11,7 +11,11 @@
       time and allocation linear in its length.
     - [Eof] — clean end of stream on a line boundary.
     - [Truncated s] — the stream ended (or the read deadline passed)
-      with [s] buffered but unterminated: a torn response. *)
+      with [s] buffered but unterminated: a torn response.
+
+    The buffer grows to fit the longest line; once every buffered byte
+    has been returned, a buffer grown past 64 KiB is replaced by a
+    fresh 4 KiB one. *)
 
 type t
 

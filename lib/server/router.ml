@@ -70,14 +70,15 @@ let record_latency t dt =
 (* ------------------------------------------------------------------ *)
 (* Routing *)
 
-let home_of t (p : Protocol.synth_params) =
-  let n = Shard_pool.shard_count t.config.pool in
-  match Protocol.digest_of_params ~tech:t.config.tech p with
+let home_of_digest t = function
   | None -> 0  (* no key — shard 0 produces the typed error *)
   | Some digest -> (
     match int_of_string ("0x" ^ String.sub digest 0 2) with
-    | byte -> byte mod n
+    | byte -> byte mod Shard_pool.shard_count t.config.pool
     | exception _ -> 0)
+
+let home_of t p =
+  home_of_digest t (Protocol.digest_of_params ~tech:t.config.tech p)
 
 (* Forward to the home shard, failing over along home+1, home+2, … —
    shards the pool believes down are skipped, shards that error at the
@@ -358,6 +359,45 @@ let sum_latency objs =
       (List.init (Array.length counts) (fun i ->
            Json.Obj [ ("le_ms", les.(i)); ("count", Json.Int counts.(i)) ]))
 
+(* The router's own counters: the [router] member of [stats] and of the
+   drain line. *)
+let router_json t ~shards_reporting =
+  let ints = List.map (fun (k, v) -> (k, Json.Int v)) in
+  let connections = Listener.connections t.listener in
+  let counters, replay =
+    locked t (fun () ->
+        ( [
+            ("connections", connections);
+            ("routed", t.routed);
+            ("failovers", t.failovers);
+            ("forward_errors", t.forward_errors);
+            ("shards_reporting", shards_reporting);
+            ("hedges_fired", t.hedges_fired);
+            ("hedge_wins", t.hedge_wins);
+            ("diverges", t.diverges);
+          ],
+          [ ("replayed", t.replayed); ("redispatched", t.redispatched) ] ))
+  in
+  let journal =
+    match t.config.journal with
+    | None -> []
+    | Some j ->
+      let js = Journal.stats j in
+      [
+        ( "journal",
+          Json.Obj
+            (ints
+               (replay
+               @ [
+                   ("appended", js.Journal.appended);
+                   ("recovered", js.Journal.recovered);
+                   ("torn_bytes", js.Journal.torn_bytes);
+                   ("compactions", js.Journal.compactions);
+                 ])) );
+      ]
+  in
+  Json.Obj (ints counters @ journal)
+
 let stats_json t =
   let pool = t.config.pool in
   let n = Shard_pool.shard_count pool in
@@ -377,9 +417,6 @@ let stats_json t =
           | Error _ -> None
           | Ok resp -> Json.member "stats" resp)
     |> List.filter_map Fun.id
-  in
-  let routed, failovers, forward_errors =
-    locked t (fun () -> (t.routed, t.failovers, t.forward_errors))
   in
   Json.Obj
     [
@@ -403,43 +440,7 @@ let stats_json t =
             "guard_rejects";
           ] );
       ("latency_ms", sum_latency shard_stats);
-      ( "router",
-        Json.Obj
-          ([
-             ("connections", Json.Int (Listener.connections t.listener));
-             ("routed", Json.Int routed);
-             ("failovers", Json.Int failovers);
-             ("forward_errors", Json.Int forward_errors);
-             ("shards_reporting", Json.Int (List.length shard_stats));
-           ]
-          @ (let fired, wins, div =
-               locked t (fun () -> (t.hedges_fired, t.hedge_wins, t.diverges))
-             in
-             [
-               ("hedges_fired", Json.Int fired);
-               ("hedge_wins", Json.Int wins);
-               ("diverges", Json.Int div);
-             ])
-          @
-          match t.config.journal with
-          | None -> []
-          | Some j ->
-            let js = Journal.stats j in
-            let replayed, redispatched =
-              locked t (fun () -> (t.replayed, t.redispatched))
-            in
-            [
-              ( "journal",
-                Json.Obj
-                  [
-                    ("replayed", Json.Int replayed);
-                    ("redispatched", Json.Int redispatched);
-                    ("appended", Json.Int js.Journal.appended);
-                    ("recovered", Json.Int js.Journal.recovered);
-                    ("torn_bytes", Json.Int js.Journal.torn_bytes);
-                    ("compactions", Json.Int js.Journal.compactions);
-                  ] );
-            ]) );
+      ("router", router_json t ~shards_reporting:(List.length shard_stats));
       ("shard_pool", Shard_pool.stats_json pool);
     ]
 
@@ -449,22 +450,18 @@ let stats_json t =
 let handle t ~id = function
   | Protocol.Stats -> Protocol.ok_response ~id [ ("stats", stats_json t) ]
   | Protocol.Synth p -> (
-    let home = home_of t p in
+    let digest = Protocol.digest_of_params ~tech:t.config.tech p in
+    let home = home_of_digest t digest in
     let json = Protocol.request_to_json { Protocol.id; req = Protocol.Synth p } in
     (* Journal the admission before any forward: a router crash after
        this point leaves a replayable record.  A request with no
        content address is not journaled — the shard's typed error is
        cheap to recompute. *)
     let seq =
-      match t.config.journal with
-      | None -> None
-      | Some j -> (
-        match Protocol.digest_of_params ~tech:t.config.tech p with
-        | None -> None
-        | Some digest ->
-          let s = Journal.admit j ~digest ~params:(Protocol.params_to_json p) in
-          Journal.dispatch j ~seq:s ~shard:home;
-          Some (j, s))
+      match (t.config.journal, digest) with
+      | Some j, Some digest ->
+        Some (j, Journal.admit j ~digest ~params:(Protocol.params_to_json p))
+      | _ -> None
     in
     match forward_hedged t ~home json with
     | Ok resp ->
@@ -485,10 +482,10 @@ let handle t ~id = function
    socket accepts clients.  [Completed] entries need no work — their
    answers live in the digest-keyed store and will be re-served
    byte-identically on the next request.  Incomplete entries are
-   re-dispatched to their home shard: digest idempotency makes a
-   double-dispatch (the pre-crash forward may have finished on the
-   shard) converge on the same stored bytes, so replay never duplicates
-   a side effect. *)
+   re-dispatched to the home shard of their recorded digest: digest
+   idempotency makes a double-dispatch (the pre-crash forward may have
+   finished on the shard) converge on the same stored bytes, so replay
+   never duplicates a side effect. *)
 
 let replay_journal t =
   match t.config.journal with
@@ -499,7 +496,7 @@ let replay_journal t =
         match e.Journal.state with
         | Journal.Completed ->
           locked t (fun () -> t.replayed <- t.replayed + 1)
-        | Journal.Admitted | Journal.Dispatched -> (
+        | Journal.Admitted -> (
           match Protocol.params_of_json e.Journal.params with
           | Error d ->
             t.config.log
@@ -509,8 +506,7 @@ let replay_journal t =
                  e.Journal.seq e.Journal.digest d.Diag.message);
             Journal.complete j ~seq:e.Journal.seq
           | Ok p -> (
-            let home = home_of t p in
-            Journal.dispatch j ~seq:e.Journal.seq ~shard:home;
+            let home = home_of_digest t (Some e.Journal.digest) in
             let json =
               Protocol.request_to_json
                 {
@@ -583,24 +579,14 @@ let wait t =
      pool's state file and the next incarnation's replay are for.) *)
   Shard_pool.shutdown t.config.pool;
   Option.iter Journal.close t.config.journal;
-  let routed, failovers, forward_errors, fired, wins, div =
-    locked t (fun () ->
-        ( t.routed,
-          t.failovers,
-          t.forward_errors,
-          t.hedges_fired,
-          t.hedge_wins,
-          t.diverges ))
-  in
-  let restarts, health_kills = Shard_pool.counters t.config.pool in
   t.config.log
-    (Printf.sprintf
-       "router drained: connections=%d routed=%d failovers=%d \
-        forward_errors=%d shard_restarts=%d health_kills=%d hedges=%d/%d \
-        diverges=%d"
-       (Listener.connections t.listener)
-       routed failovers forward_errors restarts health_kills fired
-       wins div)
+    ("router drained: "
+    ^ Json.to_string
+        (Json.Obj
+           [
+             ("router", router_json t ~shards_reporting:0);
+             ("shard_pool", Shard_pool.stats_json t.config.pool);
+           ]))
 
 let run config =
   let t = start config in

@@ -31,14 +31,15 @@
     {2 Durability (opt-in via [journal])}
 
     With a {!Journal} attached, every content-addressed [synth] request
-    is journaled {e admitted → dispatched → completed} around its
-    forward.  A router that crashes (SIGKILL included) leaves the log
+    is journaled {e admitted} before its forward and {e completed} after
+    it; the digest that picks its home shard is the one it is journaled
+    under.  A router that crashes (SIGKILL included) leaves the log
     behind; the next incarnation {e replays} it before accepting
     clients: [completed] entries are counted and re-served
     byte-identically from the digest-keyed store on demand, incomplete
-    ones are re-dispatched to their home shard ([DP-SRV-REPLAY] log
-    lines) — safe, because digest idempotency makes a double dispatch
-    converge on the same stored bytes.  Pair with
+    ones are re-dispatched to the home shard of their recorded digest
+    ([DP-SRV-REPLAY] log lines) — safe, because digest idempotency makes
+    a double dispatch converge on the same stored bytes.  Pair with
     [Shard_pool.state_file] so the new incarnation reattaches to the
     still-live fleet.  Batches ride on client-side retry idempotency and
     are not journaled.
@@ -92,7 +93,10 @@ val stats_json : t -> Json.t
 val request_shutdown : t -> unit
 
 (** {!Listener.wait}, then shut the pool down too (and close the
-    journal). *)
+    journal), and log [router drained: ] followed by the JSON object
+    [{"router": …, "shard_pool": …}]: the [router] and [shard_pool]
+    members of {!stats_json}, without the shards' sums (the shards are
+    gone by then, so [router.shards_reporting] is 0). *)
 val wait : t -> unit
 
 (** [start] + [wait]. *)

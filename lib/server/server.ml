@@ -111,26 +111,6 @@ let histogram_json h =
          in
          Json.Obj [ ("le_ms", le); ("count", Json.Int h.counts.(i)) ]))
 
-(* One line per non-empty bucket, for the shutdown flush. *)
-let histogram_summary h =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "latency_ms:";
-  let any = ref false in
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        any := true;
-        let le =
-          if i < Array.length latency_bounds_ms then
-            Printf.sprintf "le%d" latency_bounds_ms.(i)
-          else "inf"
-        in
-        Buffer.add_string b (Printf.sprintf " %s=%d" le c)
-      end)
-    h.counts;
-  if not !any then Buffer.add_string b " (empty)";
-  Buffer.contents b
-
 (* ------------------------------------------------------------------ *)
 
 type config = {
@@ -311,27 +291,22 @@ let crash_entry (p : Protocol.synth_params) exn_text =
    already-admitted jobs keep running under their governors. *)
 let admit_request t (p : Protocol.synth_params) =
   let b = t.config.budget in
-  let rows =
-    if b.Dp_fuzz.Budget.max_rows > 0 then
+  let static =
+    if b.Dp_fuzz.Budget.max_rows <= 0 then Ok ()
+    else
       (* A malformed request (e.g. unbound variables) has no estimate;
          admit it so the worker produces its typed DP-ENV/DP-PROTO error
          rather than crashing the connection handler here. *)
-      try Dp_fuzz.Budget.estimate_rows (case_of_params p) with _ -> 0
-    else 0
+      try Dp_fuzz.Budget.check_static b (case_of_params p) with _ -> Ok ()
   in
-  if b.Dp_fuzz.Budget.max_rows > 0 && rows > b.max_rows then begin
+  match static with
+  | Error (d : Diag.t) ->
     locked t (fun () -> t.toobig_rejects <- t.toobig_rejects + 1);
     Error
-      (Diag.v ~code:"DP-SRV-TOOBIG" ~subsystem:"server"
-         ~context:
-           [
-             ("estimated_rows", string_of_int rows);
-             ("max_rows", string_of_int b.max_rows);
-           ]
+      (Diag.v ~code:"DP-SRV-TOOBIG" ~subsystem:"server" ~context:d.context
          "request rejected at admission: estimated addend-matrix height \
           exceeds this server's row budget")
-  end
-  else
+  | Ok () -> (
     match t.config.mem_watermark_words with
     | Some watermark ->
       let heap = (Gc.quick_stat ()).Gc.heap_words in
@@ -349,7 +324,7 @@ let admit_request t (p : Protocol.synth_params) =
               jobs drain")
       end
       else Ok ()
-    | None -> Ok ()
+    | None -> Ok ())
 
 let handle_crash t job exn =
   let exn_text = Printexc.to_string exn in
@@ -658,26 +633,9 @@ let request_shutdown t = Listener.request_shutdown t.listener
 let wait t =
   Listener.wait t.listener ~drain:(fun () ->
       List.iter Thread.join t.worker_threads);
-  (* The drain is complete: flush the final service counters and the
-     latency histogram through the log (stderr for [dpsyn serve]). *)
-  let served, errors, deadline_expired, cancelled, toobig, sheds =
-    locked t (fun () ->
-        ( t.served,
-          t.errors,
-          t.deadline_expired,
-          t.cancelled,
-          t.toobig_rejects,
-          t.mem_sheds ))
-  in
-  let errors = errors + Listener.bad_lines t.listener in
-  let crashes, restarts, rejected = Supervisor.counters t.supervisor in
-  t.config.log
-    (Printf.sprintf
-       "drained: served=%d errors=%d deadline_expired=%d cancelled=%d \
-        toobig=%d mem_sheds=%d crashes=%d restarts=%d rejected=%d"
-       served errors deadline_expired cancelled toobig sheds crashes restarts
-       rejected);
-  t.config.log (histogram_summary t.latency)
+  (* The drain is complete: log the final counters, latency histogram
+     included (stderr for [dpsyn serve]). *)
+  t.config.log ("drained: " ^ Json.to_string (stats_json t))
 
 let run config =
   let t = start config in

@@ -38,8 +38,8 @@
       a corrupted result is a [DP-SRV-CORRUPT] error, never a wrong
       answer.
     - With [handle_signals], SIGTERM/SIGINT trigger the {!Listener}'s
-      graceful drain: stop accepting, finish queued jobs, flush the
-      latency histogram through [log], return from {!wait}. *)
+      graceful drain: stop accepting, finish queued jobs, log the final
+      [stats] (latency histogram included), return from {!wait}. *)
 
 type config = {
   socket_path : string;
@@ -77,8 +77,8 @@ val start : config -> t
 
 (** Block until a [shutdown] request, {!request_shutdown}, or — with
     [handle_signals] — SIGTERM/SIGINT has drained the queue and stopped
-    the accept loop; then flush final counters and the latency
-    histogram through [config.log]. *)
+    the accept loop; then log one line through [config.log]: [drained: ]
+    followed by the final {!stats_json}, latency histogram included. *)
 val wait : t -> unit
 
 (** [start] + [wait]. *)

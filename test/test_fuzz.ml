@@ -351,6 +351,8 @@ let corpus_round_trip () =
       ~adder:Dp_adders.Adder.Kogge_stone ~diag_code:"DP-FUZZ001"
       ~comment:"round-trip fixture" case
   in
+  checkb "an uppercase S marks a signed width too" true
+    (Fz.Case.var_spec_of_string "x:5S:1.25:0.125" = Ok (List.hd vars));
   match Fz.Corpus.of_string (Fz.Corpus.to_string entry) with
   | Error d -> Alcotest.fail (Dp_diag.Diag.to_string d)
   | Ok e ->

@@ -34,26 +34,79 @@ let journal_records_and_recovers () =
   let params = Json.Obj [ ("expr", Json.Str "x+y") ] in
   let s1 = J.admit j ~digest:"d1" ~params in
   let s2 = J.admit j ~digest:"d2" ~params in
-  J.dispatch j ~seq:s1 ~shard:0;
   J.complete j ~seq:s1;
   J.complete j ~seq:s1 (* idempotent *);
-  J.dispatch j ~seq:s2 ~shard:1;
   checki "two entries" 2 (List.length (J.entries j));
   checki "one incomplete" 1 (List.length (J.incomplete j));
+  checki "two admissions and one completion appended" 3 (J.stats j).J.appended;
   J.close j;
   let j2 = J.open_ ~dir () in
   (match J.recovered j2 with
   | [ e1; e2 ] ->
     checkb "seq order" true (e1.J.seq = s1 && e2.J.seq = s2);
     checkb "completed state survives" true (e1.J.state = J.Completed);
-    checkb "dispatched state survives with its shard" true
-      (e2.J.state = J.Dispatched && e2.J.shard = Some 1);
+    checkb "admitted state survives" true (e2.J.state = J.Admitted);
     check Alcotest.string "params ride the admitted record"
       (Json.to_string params)
       (Json.to_string e2.J.params)
   | other -> Alcotest.failf "expected two entries, got %d" (List.length other));
   checki "stats count the recovery" 2 (J.stats j2).J.recovered;
   J.close j2
+
+(* Logs written before the journal had two states carry a [dispatched]
+   record (naming the home shard) after every admission, and compaction
+   wrote one after each kept admission.  Such a record is good and
+   skipped: were it a torn tail, every entry behind it would be
+   truncated away. *)
+let journal_reads_legacy_dispatched_records () =
+  let dir = fresh_dir "legacy" in
+  let record fields =
+    let payload = Json.to_string (Json.Obj fields) in
+    Digest.to_hex (Digest.string payload) ^ " " ^ payload ^ "\n"
+  in
+  let head seq state =
+    [
+      ("seq", Json.Int seq);
+      ("state", Json.Str state);
+      ("digest", Json.Str (Printf.sprintf "d%d" seq));
+    ]
+  in
+  let params seq = Json.Obj [ ("expr", Json.Str (Printf.sprintf "x+%d" seq)) ] in
+  let admitted seq = record (head seq "admitted" @ [ ("params", params seq) ]) in
+  let dispatched seq shard =
+    record (head seq "dispatched" @ [ ("shard", Json.Int shard) ])
+  in
+  let completed seq = record (head seq "completed") in
+  let log =
+    String.concat ""
+      [
+        admitted 1; dispatched 1 0; admitted 2; dispatched 2 1; completed 1;
+        admitted 3; dispatched 3 1;
+      ]
+  in
+  let path = Filename.concat dir "journal.log" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc log);
+  let j = J.open_ ~dir () in
+  checki "no torn bytes" 0 (J.stats j).J.torn_bytes;
+  checki "the log is kept whole" (String.length log)
+    (Unix.stat path).Unix.st_size;
+  (match J.recovered j with
+  | [ e1; e2; e3 ] ->
+    checkb "seq order" true (e1.J.seq = 1 && e2.J.seq = 2 && e3.J.seq = 3);
+    checkb "the completed entry is completed" true (e1.J.state = J.Completed);
+    checkb "the dispatched entries are incomplete" true
+      (e2.J.state = J.Admitted && e3.J.state = J.Admitted);
+    List.iter
+      (fun e ->
+        check Alcotest.string "digest" (Printf.sprintf "d%d" e.J.seq) e.J.digest;
+        check Alcotest.string "params"
+          (Json.to_string (params e.J.seq))
+          (Json.to_string e.J.params))
+      [ e1; e2; e3 ]
+  | other -> Alcotest.failf "expected three entries, got %d" (List.length other));
+  checki "the next admission follows the recovered ones" 4
+    (J.admit j ~digest:"d4" ~params:(params 4));
+  J.close j
 
 let journal_truncates_torn_tail () =
   let dir = fresh_dir "torn" in
@@ -109,11 +162,7 @@ let journal_compaction_keeps_incomplete () =
     List.init 5 (fun i ->
         J.admit j ~digest:(Printf.sprintf "d%d" i) ~params)
   in
-  List.iteri
-    (fun i s ->
-      J.dispatch j ~seq:s ~shard:0;
-      if i < 3 then J.complete j ~seq:s)
-    seqs;
+  List.iteri (fun i s -> if i < 3 then J.complete j ~seq:s) seqs;
   J.compact j;
   checki "compaction counted" 1 (J.stats j).J.compactions;
   checki "only incomplete entries survive in memory" 2
@@ -123,8 +172,8 @@ let journal_compaction_keeps_incomplete () =
   let entries = J.recovered j2 in
   checki "replay-after-compaction sees only the incomplete" 2
     (List.length entries);
-  checkb "their dispatched state was preserved" true
-    (List.for_all (fun e -> e.J.state = J.Dispatched) entries);
+  checkb "they are still incomplete" true
+    (List.for_all (fun e -> e.J.state = J.Admitted) entries);
   (* completing and compacting again leaves nothing to replay: a second
      recovery of the same log is idempotent *)
   List.iter (fun e -> J.complete j2 ~seq:e.J.seq) entries;
@@ -193,10 +242,9 @@ let router_replays_incomplete_entry () =
     | Some d -> d
     | None -> Alcotest.fail "no digest for the test params"
   in
-  (* a previous incarnation crashed between dispatch and completion *)
+  (* a previous incarnation crashed between admission and completion *)
   let j0 = J.open_ ~dir:jdir () in
-  let s = J.admit j0 ~digest ~params:(P.params_to_json p) in
-  J.dispatch j0 ~seq:s ~shard:0;
+  ignore (J.admit j0 ~digest ~params:(P.params_to_json p));
   J.close j0;
   with_pool ~cache_dir base @@ fun pool ->
   let j = J.open_ ~dir:jdir () in
@@ -445,6 +493,8 @@ let fsck_finds_and_prunes () =
 let suite =
   [
     case "journal: records, transitions, recovery" journal_records_and_recovers;
+    case "journal: legacy dispatched records are read and skipped"
+      journal_reads_legacy_dispatched_records;
     case "journal: torn tail is truncated, log stays usable"
       journal_truncates_torn_tail;
     case "journal: checksum mismatch stops the scan"

@@ -528,6 +528,16 @@ let server_corrupt_cache_entry_is_a_miss () =
     | Some n -> n >= 1
     | None -> false)
 
+(* The JSON object of the one log line that starts with [prefix]. *)
+let drain_json ~prefix lines =
+  match List.filter (String.starts_with ~prefix) lines with
+  | [ l ] -> (
+    let n = String.length prefix in
+    match Json.of_string (String.sub l n (String.length l - n)) with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "drain line %S: %s" l msg)
+  | ls -> Alcotest.failf "%d log lines start with %S" (List.length ls) prefix
+
 let server_sigterm_graceful () =
   let logged = ref [] in
   let log_lock = Mutex.create () in
@@ -549,15 +559,19 @@ let server_sigterm_graceful () =
   (* the handler only wakes the accept loop; the drain happens there *)
   S.Server.wait t;
   checkb "socket removed" false (Sys.file_exists socket);
-  let lines = Mutex.protect log_lock (fun () -> !logged) in
-  checkb "histogram flushed on drain" true
-    (List.exists
-       (fun l -> String.length l >= 11 && String.sub l 0 11 = "latency_ms:")
-       lines);
-  checkb "drain summary flushed" true
-    (List.exists
-       (fun l -> String.length l >= 8 && String.sub l 0 8 = "drained:")
-       lines)
+  let drained =
+    drain_json ~prefix:"drained: " (Mutex.protect log_lock (fun () -> !logged))
+  in
+  checkb "served counted" true (get_int [ "served" ] drained = Some 1);
+  match Option.bind (get [ "latency_ms" ] drained) Json.to_list with
+  | Some buckets ->
+    let total =
+      List.fold_left
+        (fun acc b -> acc + Option.value (get_int [ "count" ] b) ~default:0)
+        0 buckets
+    in
+    checki "histogram flushed on drain" 1 total
+  | None -> Alcotest.fail "no latency histogram in the drain line"
 
 let soak_chaos_holds_invariants () =
   let config =
@@ -631,7 +645,9 @@ let lineio_epipe_is_typed () =
 
 (* A long line costs linear time: the reader scans each byte once and
    copies the line out once.  Re-copying the whole buffer after every
-   4 KiB read allocated about 1,000 bytes per byte of an 8 MiB line. *)
+   4 KiB read allocated about 1,000 bytes per byte of an 8 MiB line.
+   Once drained, the reader gives the grown buffer back: keeping it
+   held 16 MiB for the connection's life. *)
 let lineio_long_line_is_linear () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let n = 8 lsl 20 in
@@ -657,6 +673,9 @@ let lineio_long_line_is_linear () =
   | S.Lineio.Eof | S.Lineio.Truncated _ -> Alcotest.fail "no long line");
   checkb "next line intact" true
     (S.Lineio.read_line ~deadline reader = S.Lineio.Line "tail");
+  let kept = Obj.reachable_words (Obj.repr reader) in
+  if kept > 16_384 then
+    Alcotest.failf "the drained reader still holds %d words" kept;
   checkb "then EOF" true (S.Lineio.read_line ~deadline reader = S.Lineio.Eof);
   Unix.close b;
   if per_byte >= 16.0 then
@@ -1034,10 +1053,12 @@ let router_sigterm_graceful () =
   checkb "socket removed" false (Sys.file_exists base);
   checkb "both shards down" true
     ((not (SP.is_up pool 0)) && not (SP.is_up pool 1));
-  checkb "drain summary flushed" true
-    (List.exists
-       (String.starts_with ~prefix:"router drained")
-       (Mutex.protect log_lock (fun () -> !logged)))
+  let drained =
+    drain_json ~prefix:"router drained: "
+      (Mutex.protect log_lock (fun () -> !logged))
+  in
+  checkb "routed counted" true (get_int [ "router"; "routed" ] drained = Some 1);
+  checkb "pool summary" true (get_int [ "shard_pool"; "shards" ] drained = Some 2)
 
 (* A topology field the chosen topology would ignore is refused before
    anything starts: no socket is ever bound. *)
