@@ -687,35 +687,141 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
-let serve_cmd =
-  let workers_arg =
+(* The flags [serve] and [soak] share: a soak's are the settings of the
+   servers it runs. *)
+let serve_defaults = Dp_server.Exec.default ~dpsyn:Sys.executable_name
+
+let workers_arg =
+  Arg.(
+    value & opt int serve_defaults.workers
+    & info [ "workers" ] ~docv:"N" ~doc:"Worker threads in each server's pool.")
+
+let cache_dir_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cache-dir" ] ~docv:"DIR"
+        ~doc:
+          "Content-addressed on-disk store (created if missing), shared by \
+           every shard; cache-corruption chaos corrupts its entries.")
+
+let crash_dir_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "crash-dir" ] ~docv:"DIR"
+        ~doc:
+          "Write a .repro crash dump (fuzz-corpus format) for every worker \
+           crash.")
+
+let shards_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "shards" ] ~docv:"N"
+        ~doc:
+          "The sharded topology: N shard server processes (one per digest \
+           range, each exec'd as its own 'dpsyn serve' on SOCKET.<i>, \
+           sharing --cache-dir) behind a health-checked router on SOCKET \
+           that fails over while a dead shard restarts.  0 or 1 = a single \
+           in-process server.")
+
+let journal_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "journal" ] ~docv:"DIR"
+        ~doc:
+          "Durable exactly-once serving (sharded only): journal every \
+           admitted request to DIR and record the shard fleet there, so \
+           a crashed router's next incarnation replays incomplete \
+           requests and reattaches to still-live shards instead of \
+           respawning them.  A soak execs that router as its own 'dpsyn \
+           serve', which --router-chaos SIGKILLs mid-flight.")
+
+let hedge_arg =
+  Arg.(
+    value & flag
+    & info [ "hedge" ]
+        ~doc:
+          "Hedged dispatch (sharded only): duplicate a request that \
+           outlives the p95 of recent forward latencies to the next \
+           live shard; first answer wins, both are byte-compared \
+           (mismatch = DP-SRV-DIVERGE, never a silently picked \
+           answer).")
+
+(* --chaos, --chaos-every, --mem-chaos and --net-chaos: the chaos config
+   for a seed, [None] without a fault flag.  An exec'd server is handed
+   the same flags. *)
+let chaos_term =
+  let chaos_arg =
     Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker threads in the pool.")
+      value & flag
+      & info [ "chaos" ]
+          ~doc:
+            "Inject seeded faults (worker panics, stalls, torn responses, \
+             cache corruption, result corruption) to exercise the resilience \
+             layer.  Testing only.")
   in
+  let every_arg =
+    Arg.(
+      value
+      & opt int Dp_server.Chaos.default_config.every
+      & info [ "chaos-every" ] ~docv:"K" ~doc:"Inject on every Kth action.")
+  in
+  let mem_arg =
+    Arg.(
+      value & flag
+      & info [ "mem-chaos" ]
+          ~doc:
+            "Add the memory fault class (Mem_squeeze: run a request under \
+             a one-word heap watermark, which must surface as a typed \
+             DP-BUDGET-MEM) to the chaos schedule.  Implies --chaos.")
+  in
+  let net_arg =
+    Arg.(
+      value & flag
+      & info [ "net-chaos" ]
+          ~doc:
+            "Add the network fault class (delayed responses, duplicated \
+             response lines, connections dropped mid-line) to the chaos \
+             schedule.  Implies --chaos.")
+  in
+  let config chaos every mem net ~seed =
+    if chaos || mem || net then
+      Some
+        {
+          Dp_server.Chaos.default_config with
+          seed;
+          every;
+          faults = Dp_server.Chaos.faults ~mem ~net;
+        }
+    else None
+  in
+  Term.(const config $ chaos_arg $ every_arg $ mem_arg $ net_arg)
+
+let serve_cmd =
+  let d = serve_defaults in
   let queue_arg =
     Arg.(
-      value & opt int 64
+      value & opt int d.queue_depth
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:"Bound on queued jobs; producers block past it (backpressure).")
   in
   let timeout_arg =
     Arg.(
-      value & opt float 30.0
+      value & opt float d.budget.timeout_s
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:"Wall-clock budget per request; 0 disables.")
   in
   let max_cells_arg =
     Arg.(
-      value
-      & opt int Dp_fuzz.Budget.default.max_cells
+      value & opt int d.budget.max_cells
       & info [ "max-cells" ] ~docv:"N"
           ~doc:"Cell-count budget per synthesized netlist; 0 disables.")
   in
   let max_rows_arg =
     Arg.(
-      value
-      & opt int Dp_fuzz.Budget.default.max_rows
+      value & opt int d.budget.max_rows
       & info [ "max-rows" ] ~docv:"N"
           ~doc:
             "Admission bound on the statically estimated addend-matrix \
@@ -732,35 +838,18 @@ let serve_cmd =
              DP-SRV-OVERLOAD and in-flight requests abort at their next \
              checkpoint with DP-BUDGET-MEM.")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:"Content-addressed on-disk store (created if missing).")
-  in
   let capacity_arg =
     Arg.(
-      value & opt int 256
+      value & opt int d.cache_capacity
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:"In-memory LRU capacity (entries).")
   in
   let no_cache_arg =
     Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the netlist cache.")
   in
-  let crash_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "crash-dir" ] ~docv:"DIR"
-          ~doc:
-            "Write a .repro crash dump (fuzz-corpus format) for every worker \
-             crash.")
-  in
   let max_crashes_arg =
     Arg.(
-      value
-      & opt int Dp_server.Supervisor.default_policy.max_crashes
+      value & opt int d.max_crashes
       & info [ "max-crashes" ] ~docv:"N"
           ~doc:
             "Worker crashes tolerated per window before the circuit breaker \
@@ -768,8 +857,7 @@ let serve_cmd =
   in
   let cooldown_arg =
     Arg.(
-      value
-      & opt float Dp_server.Supervisor.default_policy.cooldown_s
+      value & opt float d.breaker_cooldown_s
       & info [ "breaker-cooldown" ] ~docv:"SECONDS"
           ~doc:"Open-breaker cooldown before the half-open probe.")
   in
@@ -781,71 +869,37 @@ let serve_cmd =
             "Lint every outgoing netlist; findings become DP-SRV-CORRUPT \
              errors instead of wrong answers (always on under --chaos).")
   in
-  let chaos_arg =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Inject seeded faults (worker panics, stalls, torn responses, \
-             cache corruption, result corruption) to exercise the resilience \
-             layer.  Testing only.")
-  in
-  let chaos_every_arg =
-    Arg.(
-      value
-      & opt int Dp_server.Chaos.default_config.every
-      & info [ "chaos-every" ] ~docv:"K" ~doc:"Inject on every Kth action.")
-  in
   let chaos_seed_arg =
     Arg.(
       value & opt int 0
       & info [ "chaos-seed" ] ~docv:"SEED" ~doc:"Chaos schedule seed.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Serve as a sharded topology: N shard server processes (one per \
-             digest range, each exec'd as its own 'dpsyn serve' on \
-             SOCKET.<i>, sharing --cache-dir) behind a health-checked \
-             router on SOCKET that fails over while a dead shard restarts. \
-             0 or 1 = a single in-process server.")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"DIR"
-          ~doc:
-            "Durable exactly-once serving (sharded only): journal every \
-             admitted request to DIR and record the shard fleet there, so \
-             a crashed router's next incarnation replays incomplete \
-             requests and reattaches to still-live shards instead of \
-             respawning them.")
-  in
-  let hedge_arg =
-    Arg.(
-      value & flag
-      & info [ "hedge" ]
-          ~doc:
-            "Hedged dispatch (sharded only): duplicate a request that \
-             outlives the p95 of recent forward latencies to the next \
-             live shard; first answer wins, both are byte-compared \
-             (mismatch = DP-SRV-DIVERGE, never a silently picked \
-             answer).")
-  in
-  let action socket shards workers queue_depth timeout max_cells max_rows
-      mem_watermark_mb cache_dir capacity no_cache tech_file crash_dir
-      max_crashes cooldown guard chaos chaos_every chaos_seed journal_dir
-      hedge =
-    let mem_watermark_words =
-      Option.map (fun mb -> mb * 1024 * 1024 / (Sys.word_size / 8))
-        mem_watermark_mb
+  let settings_term =
+    let settings shards workers queue_depth timeout_s max_cells max_rows
+        mem_watermark_mb cache_dir cache_capacity no_cache tech_file crash_dir
+        max_crashes breaker_cooldown_s guard_responses chaos chaos_seed journal
+        hedge =
+      {
+        Dp_server.Exec.dpsyn = Sys.executable_name;
+        shards; workers; queue_depth;
+        budget = { Dp_fuzz.Budget.timeout_s; max_cells; max_rows };
+        mem_watermark_mb; cache_dir; cache_capacity; no_cache; tech_file;
+        crash_dir; max_crashes; breaker_cooldown_s; guard_responses;
+        chaos = chaos ~seed:chaos_seed;
+        journal; hedge;
+      }
     in
-    let tech = load_tech tech_file in
+    Term.(
+      const settings $ shards_arg $ workers_arg $ queue_arg $ timeout_arg
+      $ max_cells_arg $ max_rows_arg $ mem_watermark_arg $ cache_dir_arg
+      $ capacity_arg $ no_cache_arg $ tech_arg $ crash_dir_arg
+      $ max_crashes_arg $ cooldown_arg $ guard_arg $ chaos_term
+      $ chaos_seed_arg $ journal_arg $ hedge_arg)
+  in
+  let action socket (o : Dp_server.Exec.serve) =
+    let tech = load_tech o.tech_file in
     let log = fun msg -> Fmt.epr "dpsyn serve: %s@." msg in
-    if shards < 2 && (journal_dir <> None || hedge) then begin
+    if o.shards < 2 && (o.journal <> None || o.hedge) then begin
       Fmt.epr
         "error: --journal and --hedge need the sharded topology \
          (--shards >= 2)@.";
@@ -853,55 +907,22 @@ let serve_cmd =
     end;
     (* The shard state file lives in the journal directory, and the pool
        writes it before the journal is opened — make the directory now. *)
-    (match journal_dir with
+    (match o.journal with
     | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
     | _ -> ());
-    if shards >= 2 then begin
-      (* Shard argv: this same executable, serving one shard's socket
-         with the same knobs.  Shards never shard further. *)
-      let shard_argv ~id:_ ~socket_path =
-        Array.of_list
-          ([
-             Sys.executable_name; "serve";
-             "--socket"; socket_path;
-             "--workers"; string_of_int workers;
-             "--queue-depth"; string_of_int queue_depth;
-             "--timeout"; string_of_float timeout;
-             "--max-cells"; string_of_int max_cells;
-             "--max-rows"; string_of_int max_rows;
-             "--cache-capacity"; string_of_int capacity;
-             "--max-crashes"; string_of_int max_crashes;
-             "--breaker-cooldown"; string_of_float cooldown;
-           ]
-          @ (match mem_watermark_mb with
-            | Some mb -> [ "--mem-watermark-mb"; string_of_int mb ]
-            | None -> [])
-          @ (match cache_dir with Some d -> [ "--cache-dir"; d ] | None -> [])
-          @ (if no_cache then [ "--no-cache" ] else [])
-          @ (match tech_file with Some f -> [ "--tech"; f ] | None -> [])
-          @ (match crash_dir with Some d -> [ "--crash-dir"; d ] | None -> [])
-          @ (if guard then [ "--guard-responses" ] else [])
-          @
-          if chaos then
-            [
-              "--chaos";
-              "--chaos-every"; string_of_int chaos_every;
-              "--chaos-seed"; string_of_int chaos_seed;
-            ]
-          else [])
-      in
+    if o.shards >= 2 then begin
+      (* Shards run this same executable with the same settings, serving
+         one shard's socket each.  Shards never shard further. *)
       let pool =
         Dp_server.Shard_pool.start
           {
-            (Dp_server.Shard_pool.default_config ~shards
+            (Dp_server.Shard_pool.default_config ~shards:o.shards
                ~socket_for:(fun i -> socket ^ "." ^ string_of_int i)
-               ~spawn:(Dp_server.Shard_pool.Spawn_exec shard_argv))
+               ~spawn:(Dp_server.Exec.shard_argv o))
             with
             Dp_server.Shard_pool.log;
             state_file =
-              Option.map
-                (fun d -> Filename.concat d "shards.json")
-                journal_dir;
+              Option.map (fun d -> Filename.concat d "shards.json") o.journal;
           }
       in
       if not (Dp_server.Shard_pool.wait_all_up ~timeout_s:30.0 pool) then begin
@@ -910,9 +931,7 @@ let serve_cmd =
         exit 1
       end;
       let journal =
-        Option.map
-          (fun dir -> Dp_server.Journal.open_ ~dir ~log ())
-          journal_dir
+        Option.map (fun dir -> Dp_server.Journal.open_ ~dir ~log ()) o.journal
       in
       match
         Dp_server.Router.run
@@ -922,7 +941,7 @@ let serve_cmd =
             handle_signals = true;
             log;
             journal;
-            hedge;
+            hedge = o.hedge;
           }
       with
       | () -> ()
@@ -932,41 +951,13 @@ let serve_cmd =
         exit 1
     end
     else begin
-      let store =
-        if no_cache then None
-        else Some (Dp_cache.Store.create ~capacity ?dir:cache_dir ())
-      in
-      let config =
-        {
-          Dp_server.Server.socket_path = socket;
-          store;
-          workers;
-          queue_depth;
-          budget = { Dp_fuzz.Budget.timeout_s = timeout; max_cells; max_rows };
-          mem_watermark_words;
-          tech;
-          log;
-          supervisor =
-            {
-              Dp_server.Supervisor.default_policy with
-              max_crashes;
-              cooldown_s = cooldown;
-            };
-          crash_dir;
-          chaos =
-            (if chaos then
-               Some
-                 {
-                   Dp_server.Chaos.default_config with
-                   seed = chaos_seed;
-                   every = chaos_every;
-                 }
-             else None);
-          guard_responses = guard;
-          handle_signals = true;
-        }
-      in
-      match Dp_server.Server.run config with
+      match
+        Dp_server.Server.run
+          {
+            (Dp_server.Exec.server_config o ~socket_path:socket ~tech ~log) with
+            handle_signals = true;
+          }
+      with
       | () -> ()
       | exception Unix.Unix_error (e, fn, arg) ->
         Fmt.epr "error: %s: %s (%s)@." fn (Unix.error_message e) arg;
@@ -980,13 +971,7 @@ let serve_cmd =
           see doc/protocol.md) with a canonicalizing netlist cache, worker \
           supervision and deadline enforcement; --shards N serves a \
           fault-tolerant multi-process topology behind a routing front")
-    Term.(
-      const action $ socket_arg $ shards_arg $ workers_arg $ queue_arg
-      $ timeout_arg $ max_cells_arg $ max_rows_arg $ mem_watermark_arg
-      $ cache_dir_arg $ capacity_arg $ no_cache_arg $ tech_arg
-      $ crash_dir_arg $ max_crashes_arg $ cooldown_arg $ guard_arg
-      $ chaos_arg $ chaos_every_arg $ chaos_seed_arg $ journal_arg
-      $ hedge_arg)
+    Term.(const action $ socket_arg $ settings_term)
 
 (* Shared retry flags for the client-side commands. *)
 let retries_arg =
@@ -1233,31 +1218,6 @@ let soak_cmd =
       & info [ "seed" ] ~docv:"SEED"
           ~doc:"Deterministic schedule for requests and chaos.")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Server worker threads.")
-  in
-  let chaos_arg =
-    Arg.(
-      value & flag
-      & info [ "chaos" ] ~doc:"Inject seeded faults while soaking.")
-  in
-  let chaos_every_arg =
-    Arg.(
-      value
-      & opt int Dp_server.Chaos.default_config.every
-      & info [ "chaos-every" ] ~docv:"K" ~doc:"Inject on every Kth action.")
-  in
-  let mem_chaos_arg =
-    Arg.(
-      value & flag
-      & info [ "mem-chaos" ]
-          ~doc:
-            "Add the memory fault class (Mem_squeeze: run a request under \
-             a one-word heap watermark, which must surface as a typed \
-             DP-BUDGET-MEM) to the chaos schedule.  Implies --chaos.")
-  in
   let crypto_arg =
     Arg.(
       value & flag
@@ -1265,21 +1225,6 @@ let soak_cmd =
           ~doc:
             "Mix the crypto catalog's light designs (wide limbs, signed \
              wNAF operands, large coefficients) into the request pool.")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "On-disk cache for the soaked server (gives cache-corruption \
-             chaos something to corrupt).")
-  in
-  let crash_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "crash-dir" ] ~docv:"DIR" ~doc:"Crash-dump corpus directory.")
   in
   let deadline_arg =
     Arg.(
@@ -1296,16 +1241,12 @@ let soak_cmd =
           ~doc:"Also write the dpsyn-soak/1 report object to FILE.")
   in
   let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress server log lines.")
-  in
-  let shards_arg =
     Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
+      value & flag
+      & info [ "quiet" ]
           ~doc:
-            "Soak the sharded topology: N forked shard servers under a \
-             health-checked pool, routed on SOCKET.  0 or 1 = a single \
-             in-process server.")
+            "Suppress the log lines of the soak and of a server or router \
+             in its process; exec'd servers log to its stderr regardless.")
   in
   let shard_chaos_arg =
     Arg.(
@@ -1319,27 +1260,7 @@ let soak_cmd =
     Arg.(
       value & opt int 5
       & info [ "shard-chaos-every" ] ~docv:"K"
-          ~doc:"Inject a shard fault on every Kth pacer tick.")
-  in
-  let net_chaos_arg =
-    Arg.(
-      value & flag
-      & info [ "net-chaos" ]
-          ~doc:
-            "Add the network fault class (delayed responses, duplicated \
-             response lines, connections dropped mid-line) to the chaos \
-             schedule.  Implies --chaos.")
-  in
-  let journal_soak_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"DIR"
-          ~doc:
-            "Soak the journaled topology: the router (owning the shard \
-             pool) runs in a child process, journaling every admitted \
-             request to DIR, so --router-chaos can SIGKILL and restart \
-             it mid-flight.  Requires --shards >= 2.")
+          ~doc:"Inject a shard fault after every Kth answered request.")
   in
   let router_chaos_arg =
     Arg.(
@@ -1347,74 +1268,49 @@ let soak_cmd =
       & info [ "router-chaos" ]
           ~doc:
             "Inject seeded router faults (SIGKILL the journaled router \
-             child, refork it, measure recovery) while the soak is in \
-             flight.  Journaled runs only.")
+             process, exec the next incarnation, measure recovery) while \
+             the soak is in flight.  Journaled runs only.")
   in
   let router_chaos_every_arg =
     Arg.(
       value & opt int 5
       & info [ "router-chaos-every" ] ~docv:"K"
-          ~doc:"Inject a router fault on every Kth pacer tick.")
+          ~doc:"Inject a router fault after every Kth answered request.")
   in
-  let hedge_arg =
-    Arg.(
-      value & flag
-      & info [ "hedge" ]
-          ~doc:
-            "Enable hedged dispatch (+ cross-shard divergence audit) on \
-             the soaked router.  Sharded runs only.")
-  in
-  let action socket clients requests seed workers chaos chaos_every mem_chaos
-      net_chaos crypto cache_dir crash_dir deadline_ms json_out quiet shards
-      shard_chaos shard_chaos_every journal_dir router_chaos
-      router_chaos_every hedge =
+  let action socket clients requests seed workers chaos crypto cache_dir
+      crash_dir deadline_ms json_out quiet shards shard_chaos shard_chaos_every
+      journal router_chaos router_chaos_every hedge =
+    let d =
+      Dp_server.Soak.default_config ~dpsyn:Sys.executable_name
+        ~socket_path:socket
+    in
+    let schedule on every faults =
+      if on then Some { Dp_server.Chaos.default_config with seed; every; faults }
+      else None
+    in
     let config =
       {
-        Dp_server.Soak.socket_path = socket;
+        d with
+        Dp_server.Soak.serve =
+          {
+            d.serve with
+            Dp_server.Exec.workers;
+            chaos = chaos ~seed;
+            cache_dir;
+            crash_dir;
+            shards;
+            journal;
+            hedge;
+          };
         clients;
         requests_per_client = requests;
         seed;
-        workers;
-        chaos =
-          (if chaos || mem_chaos || net_chaos then
-             Some
-               {
-                 Dp_server.Chaos.default_config with
-                 seed;
-                 every = chaos_every;
-                 faults =
-                   (Dp_server.Chaos.process_faults
-                   @ (if mem_chaos then Dp_server.Chaos.mem_faults else [])
-                   @ if net_chaos then Dp_server.Chaos.net_faults else []);
-               }
-           else None);
-        cache_dir;
-        crash_dir;
         deadline_ms;
         crypto_mix = crypto;
-        shards;
         shard_chaos =
-          (if shard_chaos then
-             Some
-               {
-                 Dp_server.Chaos.default_config with
-                 seed;
-                 every = shard_chaos_every;
-                 faults = Dp_server.Chaos.shard_faults;
-               }
-           else None);
-        journal_dir;
+          schedule shard_chaos shard_chaos_every Dp_server.Chaos.shard_faults;
         router_chaos =
-          (if router_chaos then
-             Some
-               {
-                 Dp_server.Chaos.default_config with
-                 seed;
-                 every = router_chaos_every;
-                 faults = Dp_server.Chaos.router_faults;
-               }
-           else None);
-        hedge;
+          schedule router_chaos router_chaos_every Dp_server.Chaos.router_faults;
         log =
           (if quiet then ignore
            else fun msg -> Fmt.epr "dpsyn soak: %s@." msg);
@@ -1426,6 +1322,7 @@ let soak_cmd =
       | exception Invalid_argument msg ->
         Fmt.epr "error: %s@." msg;
         exit 1
+      | exception Dp_diag.Diag.E d -> fail_diag d
     in
     Fmt.pr "%a@." Dp_server.Soak.pp_report report;
     (match json_out with
@@ -1445,15 +1342,14 @@ let soak_cmd =
   Cmd.v
     (Cmd.info "soak"
        ~doc:
-         "Hammer an in-process (optionally chaos-injected) server from \
-          concurrent clients; fails on any protocol violation or wrong \
+         "Hammer a (optionally chaos-injected) server or sharded topology \
+          from concurrent clients; fails on any protocol violation or wrong \
           answer")
     Term.(
       const action $ socket_arg $ clients_arg $ requests_arg $ seed_arg
-      $ workers_arg $ chaos_arg $ chaos_every_arg $ mem_chaos_arg
-      $ net_chaos_arg $ crypto_arg $ cache_dir_arg $ crash_dir_arg
+      $ workers_arg $ chaos_term $ crypto_arg $ cache_dir_arg $ crash_dir_arg
       $ deadline_arg $ json_out_arg $ quiet_arg $ shards_arg
-      $ shard_chaos_arg $ shard_chaos_every_arg $ journal_soak_arg
+      $ shard_chaos_arg $ shard_chaos_every_arg $ journal_arg
       $ router_chaos_arg $ router_chaos_every_arg $ hedge_arg)
 
 let fsck_cmd =

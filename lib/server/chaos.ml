@@ -21,6 +21,10 @@ let mem_faults = [ Mem_squeeze ]
 let shard_faults = [ Kill_shard; Hang_shard ]
 let net_faults = [ Delay_response; Dup_response; Drop_mid_line ]
 let router_faults = [ Kill_router ]
+
+let faults ~mem ~net =
+  process_faults @ (if mem then mem_faults else []) @ if net then net_faults else []
+
 let all = process_faults @ mem_faults @ shard_faults @ net_faults @ router_faults
 
 let fault_name = function

@@ -53,7 +53,7 @@
       digest-idempotent retry must succeed.
 
     Router fault ([`Router] site, opt-in — ticked only by the journaled
-    soak pacer, which owns the router process):
+    soak, which owns the router process):
 
     - {!Kill_router} — SIGKILL the routing front mid-flight; a restart
       with [--journal] must replay the log (completed entries re-served
@@ -62,7 +62,10 @@
 
     Faults fire every [every]-th tick, cycling deterministically from
     [seed]; with the same seed and request schedule a run is
-    reproducible. *)
+    reproducible.  A server ticks its [`Worker] and [`Respond] sites as
+    it serves.  The soak ticks its [`Shard] or [`Router] schedule once
+    per answered request (any outcome), so there [every] = K means one
+    fault after every Kth answer. *)
 
 type fault =
   | Worker_panic
@@ -96,8 +99,13 @@ val shard_faults : fault list
 val net_faults : fault list
 
 (** {!Kill_router}; meaningful only at the [`Router] site, which only
-    the journaled soak pacer ticks. *)
+    the journaled soak ticks. *)
 val router_faults : fault list
+
+(** The fault list of a [dpsyn serve --chaos] process (and of a soak's
+    [--chaos]): {!process_faults}, then {!mem_faults} with [mem] and
+    {!net_faults} with [net]. *)
+val faults : mem:bool -> net:bool -> fault list
 
 val fault_name : fault -> string
 

@@ -2,7 +2,7 @@
 
    Each shard is a full [dpsyn serve] process on its own Unix socket,
    sharing the content-addressed disk store with its siblings.  The pool
-   owns their lifecycle: it forks (or forks+execs) each shard, watches
+   owns their lifecycle: it execs each shard ({!Exec.spawn}), watches
    for exits with a non-blocking [waitpid] poll, probes liveness with
    periodic [ping] requests (the only detector that catches a *hung*
    process — a SIGSTOPped shard still looks alive to waitpid), and
@@ -14,20 +14,10 @@
 
 module Diag = Dp_diag.Diag
 
-(* How a shard process is brought up.  [Spawn_fork] runs the closure in
-   the forked child — it must never return normally (the pool calls
-   [Unix._exit] behind it regardless, so parent state like Alcotest
-   at_exit hooks can never run twice).  [Spawn_exec] builds an argv and
-   replaces the child image entirely — the robust choice for the CLI,
-   immune to locks or threads inherited across [fork]. *)
-type spawn =
-  | Spawn_fork of (id:int -> socket_path:string -> unit)
-  | Spawn_exec of (id:int -> socket_path:string -> string array)
-
 type config = {
   shards : int;
   socket_for : int -> string;
-  spawn : spawn;
+  spawn : socket_path:string -> string array;
   health_period_s : float;
   health_timeout_s : float;
   health_failures : int;
@@ -174,30 +164,14 @@ let spawn_shard t s =
   s.adopted <- false;
   (* Remove a stale socket first so a ping cannot reach a ghost. *)
   (try Sys.remove s.socket with Sys_error _ -> ());
-  match Unix.fork () with
-  | 0 ->
-    (* Child.  [_exit], never [exit]: the parent's at_exit handlers
-       (test runners, channel flushers) must not run a second time.
-       Restart-path forks come from the monitor thread, whose signal
-       mask blocks SIGTERM/SIGINT; the child must not inherit that or
-       an exec'd shard could never be terminated gracefully. *)
-    (try ignore (Unix.sigprocmask Unix.SIG_SETMASK []) with Invalid_argument _ -> ());
-    (match t.config.spawn with
-    | Spawn_fork f ->
-      (try f ~id:s.id ~socket_path:s.socket with _ -> Unix._exit 1);
-      Unix._exit 0
-    | Spawn_exec f ->
-      let argv = f ~id:s.id ~socket_path:s.socket in
-      (try Unix.execv argv.(0) argv with _ -> Unix._exit 127))
-  | pid ->
-    s.pid <- Some pid;
-    s.phase <- Up;
-    s.started_at <- Unix.gettimeofday ();
-    s.health_fails <- 0;
-    s.stable_recorded <- false;
-    t.config.log
-      (Printf.sprintf "shard %d: started pid %d on %s" s.id pid s.socket);
-    write_state_locked t
+  let pid = Exec.spawn (t.config.spawn ~socket_path:s.socket) in
+  s.pid <- Some pid;
+  s.phase <- Up;
+  s.started_at <- Unix.gettimeofday ();
+  s.health_fails <- 0;
+  s.stable_recorded <- false;
+  t.config.log (Printf.sprintf "shard %d: started pid %d on %s" s.id pid s.socket);
+  write_state_locked t
 
 (* ------------------------------------------------------------------ *)
 (* Monitor: waitpid polling, backoff scheduling, restarts *)

@@ -21,20 +21,13 @@
     The pool does no routing: {!Router} sits in front and consults
     {!is_up}/{!socket_of} to fail requests over while a shard is down. *)
 
-(** How a shard comes up.  [Spawn_fork f] runs [f] in the forked child
-    (the pool [_exit]s behind it, so parent [at_exit] state never runs
-    twice) — convenient for tests and the in-process soak.  [Spawn_exec
-    f] turns the child into a fresh image via [execv] on the argv [f]
-    returns — the robust choice for the CLI, immune to threads and locks
-    inherited across [fork]. *)
-type spawn =
-  | Spawn_fork of (id:int -> socket_path:string -> unit)
-  | Spawn_exec of (id:int -> socket_path:string -> string array)
-
 type config = {
   shards : int;
   socket_for : int -> string;  (** shard id → its socket path *)
-  spawn : spawn;
+  spawn : socket_path:string -> string array;
+      (** the argv of the shard serving [socket_path]
+          ({!Exec.shard_argv}); the pool starts every incarnation with
+          {!Exec.spawn} *)
   health_period_s : float;  (** delay between health sweeps *)
   health_timeout_s : float;  (** per-ping response deadline *)
   health_failures : int;  (** consecutive failures before SIGKILL *)
@@ -65,7 +58,10 @@ type config = {
     grace, 2 s stability, 30 ms waitpid poll, 5 s shutdown grace,
     {!Supervisor.default_policy}, silent log, no state file. *)
 val default_config :
-  socket_for:(int -> string) -> spawn:spawn -> shards:int -> config
+  socket_for:(int -> string) ->
+  spawn:(socket_path:string -> string array) ->
+  shards:int ->
+  config
 
 type t
 

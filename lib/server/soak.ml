@@ -2,40 +2,28 @@ module Diag = Dp_diag.Diag
 
 type config = {
   socket_path : string;
+  serve : Exec.serve;
   clients : int;
   requests_per_client : int;
   seed : int;
-  workers : int;
-  chaos : Chaos.config option;
-  cache_dir : string option;
-  crash_dir : string option;
   deadline_ms : float option;
   crypto_mix : bool;
-  shards : int;
   shard_chaos : Chaos.config option;
-  journal_dir : string option;
   router_chaos : Chaos.config option;
-  hedge : bool;
   log : string -> unit;
 }
 
-let default_config ~socket_path =
+let default_config ~dpsyn ~socket_path =
   {
     socket_path;
+    serve = { (Exec.default ~dpsyn) with cache_capacity = 64; guard_responses = true };
     clients = 4;
     requests_per_client = 50;
     seed = 0;
-    workers = 2;
-    chaos = None;
-    cache_dir = None;
-    crash_dir = None;
     deadline_ms = None;
     crypto_mix = false;
-    shards = 0;
     shard_chaos = None;
-    journal_dir = None;
     router_chaos = None;
-    hedge = false;
     log = ignore;
   }
 
@@ -253,7 +241,10 @@ let classify tally ~sent_id ~expected response =
       tally.violations <- tally.violations + 1;
       count_code tally "malformed-envelope"
 
-let client_thread config pool tally k =
+(* One client: its requests in seeded order, each answer followed by
+   [tick ()], the topology's fault schedule, which raises [Exit] once
+   that schedule is lost. *)
+let client_thread config pool tally ~tick k =
   let n_pool = List.length pool in
   let rng = Random.State.make [| config.seed; k; 0x50ac |] in
   for i = 0 to config.requests_per_client - 1 do
@@ -272,9 +263,9 @@ let client_thread config pool tally k =
     let retry =
       {
         (* A journaled run SIGKILLs the router mid-flight: the retry
-           window must ride out the restart (fork + reattach + replay),
+           window must ride out the restart (exec + reattach + replay),
            not just a shard blip. *)
-        Client.attempts = (if config.journal_dir = None then 4 else 8);
+        Client.attempts = (if config.serve.journal = None then 4 else 8);
         per_attempt_timeout_s = 20.0;
         seed = (config.seed * 8191) + (k * 131) + i;
       }
@@ -298,7 +289,8 @@ let client_thread config pool tally k =
             count_code tally "untyped-error"
           end));
     Mutex.protect tally.lock (fun () ->
-        tally.latencies_ms <- ms :: tally.latencies_ms)
+        tally.latencies_ms <- ms :: tally.latencies_ms);
+    tick ()
   done
 
 let percentile sorted p =
@@ -321,12 +313,14 @@ let fresh_tally () =
 
 (* Run the client fleet against whatever is listening on
    [config.socket_path]: its tally and the wall time it took. *)
-let drive config pool =
+let drive config pool ~tick =
   let tally = fresh_tally () in
   let t0 = Unix.gettimeofday () in
   let threads =
     List.init config.clients (fun k ->
-        Thread.create (fun () -> client_thread config pool tally k) ())
+        Thread.create
+          (fun () -> try client_thread config pool tally ~tick k with Exit -> ())
+          ())
   in
   List.iter Thread.join threads;
   (tally, Unix.gettimeofday () -. t0)
@@ -335,12 +329,12 @@ let drive config pool =
 (* Topologies.  Each is a front on [config.socket_path]; the one loop in
    [run] drives clients at it, reads its counters with one [stats]
    request and stops it with one [shutdown] request.  What differs is
-   where its fault pacer ticks and what a fault does there, how it
-   settles before the final read, and how it is reaped. *)
+   the site its fault schedule ticks at and what a fault does there, how
+   it settles before the final read, and how it is reaped. *)
 
 type topology = {
-  pacer : (Chaos.config * [ `Worker | `Respond | `Shard | `Router ]) option;
-      (* the fault schedule paced while clients are in flight, and the
+  schedule : (Chaos.config * [ `Worker | `Respond | `Shard | `Router ]) option;
+      (* the fault schedule ticked after every answered request, and the
          site it ticks at *)
   fault : Chaos.t -> Chaos.fault -> unit;
   settle : unit -> unit;  (* before the final [stats] read *)
@@ -381,56 +375,36 @@ let int_at json path =
   in
   Option.value (go json path) ~default:0
 
-(* The single server, and every shard child: a complete server on its
-   own store handle over the soak's shared disk directory. *)
-let server_config config ~socket_path ~handle_signals ~log =
-  {
-    (Server.default_config ~socket_path) with
-    Server.store =
-      Some (Dp_cache.Store.create ~capacity:64 ?dir:config.cache_dir ());
-    workers = config.workers;
-    chaos = config.chaos;
-    crash_dir = config.crash_dir;
-    guard_responses = true;
-    handle_signals;
-    log;
-  }
-
+(* The single server: the soak's serve settings, in this process. *)
 let single config =
   let server =
     Server.start
-      (server_config config ~socket_path:config.socket_path
-         ~handle_signals:false ~log:config.log)
+      (Exec.server_config config.serve ~socket_path:config.socket_path ~tech
+         ~log:config.log)
   in
   {
-    pacer = None;
+    schedule = None;
     fault = (fun _ _ -> ());
     settle = ignore;
     (* [wait] returning means no leaked server threads. *)
     reap = (fun () -> Server.wait server);
   }
 
-(* The forked-shard fleet both sharded topologies run, up and answering
-   pings.  Shards handle signals, so the pool's SIGTERM is a graceful
-   drain; [state_file] lets a new pool incarnation reattach to shards a
-   crashed one left running. *)
-let start_pool ?state_file ~log config =
-  let spawn =
-    Shard_pool.Spawn_fork
-      (fun ~id:_ ~socket_path ->
-        Server.run
-          (server_config config ~socket_path ~handle_signals:true ~log:ignore))
-  in
+(* N exec'd shards under a pool and a Router in this process, and a
+   schedule that SIGKILLs / SIGSTOPs a seeded shard while requests are
+   in flight.  Faults count only when the signal landed. *)
+let sharded config faults =
   let pool =
     Shard_pool.start
       {
-        (Shard_pool.default_config ~shards:config.shards ~spawn
+        (Shard_pool.default_config ~shards:config.serve.shards
+           ~spawn:(Exec.shard_argv config.serve)
            ~socket_for:(fun i -> config.socket_path ^ "." ^ string_of_int i))
         with
         Shard_pool.health_period_s = 0.1;
         health_timeout_s = 0.5;
         health_failures = 2;
-        (* A forked shard binds its socket within milliseconds; the 5 s
+        (* A shard binds its socket within tens of milliseconds; the 5 s
            default would let a shard hung soon after a restart stall
            every request routed to it until it is 5 s old. *)
         startup_grace_s = 0.3;
@@ -447,8 +421,7 @@ let start_pool ?state_file ~log config =
             backoff_base_s = 0.02;
             backoff_max_s = 0.2;
           };
-        state_file;
-        log;
+        log = config.log;
       }
   in
   if not (Shard_pool.wait_all_up ~timeout_s:30.0 pool) then begin
@@ -457,36 +430,23 @@ let start_pool ?state_file ~log config =
       (Diag.v ~code:"DP-SRV-SHARD-DOWN" ~subsystem:"server"
          "sharded soak: shards never came up")
   end;
-  pool
-
-let router_config config ~pool ~journal ~handle_signals ~log =
-  {
-    (Router.default_config ~socket_path:config.socket_path ~pool) with
-    Router.forward_timeout_s = 20.0;
-    journal;
-    hedge = config.hedge;
-    handle_signals;
-    log;
-  }
-
-(* N forked shards under a Router in this process, and a pacer that
-   SIGKILLs / SIGSTOPs a seeded shard while requests are in flight.
-   Faults count only when the signal landed. *)
-let sharded config faults =
-  let pool = start_pool ~log:config.log config in
   let router =
     Router.start
-      (router_config config ~pool ~journal:None ~handle_signals:false
-         ~log:config.log)
+      {
+        (Router.default_config ~socket_path:config.socket_path ~pool) with
+        Router.forward_timeout_s = 20.0;
+        hedge = config.serve.hedge;
+        log = config.log;
+      }
   in
   let signal chaos sg what =
-    let v = Chaos.pick chaos config.shards in
+    let v = Chaos.pick chaos config.serve.shards in
     let landed = Shard_pool.signal_shard pool v sg in
     if landed then config.log (Printf.sprintf "soak: %s shard %d" what v);
     landed
   in
   {
-    pacer = Option.map (fun cc -> (cc, `Shard)) config.shard_chaos;
+    schedule = Option.map (fun cc -> (cc, `Shard)) config.shard_chaos;
     fault =
       (fun chaos -> function
         | Chaos.Kill_shard ->
@@ -509,14 +469,15 @@ let sharded config faults =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Journaled topology: the router (owning the shard pool) runs in a
-   child process so the soak can SIGKILL it mid-flight — the durability
-   contract under test.  The journal and the pool's shard state file
-   live in [dir]: each new router incarnation replays the one and
+(* Journaled topology: the router is its own [dpsyn serve --shards N
+   --journal DIR] process, so the soak can SIGKILL it mid-flight — the
+   durability contract under test.  The journal and the pool's shard
+   state file live in [dir]: each new incarnation replays the one and
    reattaches to the still-live fleet via the other, so a router kill
-   costs a blip, not the shards.  Shard-level fault pacing is
-   unavailable here (the pool lives in the child); network faults still
-   reach the shard servers via [config.chaos]. *)
+   costs a blip, not the shards.  The incarnation runs dpsyn serve's own
+   pool and router settings.  Shard faults are unavailable here (the
+   pool lives in the router process); process, memory and network
+   faults still reach the shards through [serve.chaos]. *)
 
 let wait_router_up ~socket ~timeout_s =
   let deadline = deadline_in timeout_s in
@@ -536,94 +497,56 @@ let kill_and_reap pid =
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
 let journaled config faults dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  let argv = Exec.argv config.serve ~socket_path:config.socket_path in
   let state_file = Filename.concat dir "shards.json" in
-  let fork_router () =
-    match Unix.fork () with
-    | 0 ->
-      (* Child: the full sharded front with journal + reattach.  [_exit]
-         on every path — the soak process's at_exit state must never run
-         here; reset the mask the pacer thread's fork inherited. *)
-      (try ignore (Unix.sigprocmask Unix.SIG_SETMASK [])
-       with Invalid_argument _ -> ());
-      (try
-         let pool = start_pool ~state_file ~log:ignore config in
-         let journal = Journal.open_ ~dir ~log:ignore () in
-         Router.run
-           (router_config config ~pool ~journal:(Some journal)
-              ~handle_signals:true ~log:ignore);
-         Unix._exit 0
-       with _ -> Unix._exit 1)
-    | pid -> pid
+  (* A clean pool shutdown removes the state file, so any shard it still
+     records was left behind by a router that did not shut down. *)
+  let kill_leftover_shards () =
+    List.iter
+      (fun (_, pid, _) -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      (Shard_pool.read_state state_file);
+    try Sys.remove state_file with Sys_error _ -> ()
   in
-  (* Forking from a process with live threads can (rarely) leave the
-     child wedged before its accept loop: the socket is bound, nobody
-     accepts, and once the backlog fills every connect would block.  So
-     every spawn is supervised — if the incarnation never answers a
-     ping, SIGKILL it (closing its listener, which unblocks pending
-     connects) and fork again. *)
-  let spawn_router_up ~timeout_s =
-    let rec go k =
-      let pid = fork_router () in
-      if wait_router_up ~socket:config.socket_path ~timeout_s then Some pid
-      else begin
-        kill_and_reap pid;
-        config.log
-          (Printf.sprintf
-             "soak: router pid %d never came up; killed the incarnation" pid);
-        if k + 1 >= 3 then None else go (k + 1)
-      end
-    in
-    go 0
-  in
-  let router_pid =
-    match spawn_router_up ~timeout_s:30.0 with
-    | Some pid -> ref pid
-    | None ->
+  (* An incarnation that does not answer within its bound fails the
+     soak; it is not started again. *)
+  let start ~timeout_s =
+    let pid = Exec.spawn argv in
+    if not (wait_router_up ~socket:config.socket_path ~timeout_s) then begin
+      kill_and_reap pid;
+      kill_leftover_shards ();
       Diag.fail
         (Diag.v ~code:"DP-SRV-SHARD-DOWN" ~subsystem:"server"
-           "journaled soak: router never came up")
+           (Printf.sprintf "journaled soak: router pid %d did not answer within %.0f s"
+              pid timeout_s))
+    end;
+    pid
   in
-  (* A healthy incarnation answers in well under a second (shards are
-     adopted, not respawned), so a short wait keeps a wedged fork cheap.
-     Replay runs before the new incarnation accepts, so its stats
-     already carry the final counts; harvest now — the next kill would
-     erase them. *)
-  let restart ~killed_at =
-    match spawn_router_up ~timeout_s:10.0 with
-    | None -> ()
-    | Some pid ->
-      router_pid := pid;
-      faults.router_restarts <- faults.router_restarts + 1;
-      Option.iter
-        (fun t0 ->
-          faults.recovery_ms <-
-            ((Unix.gettimeofday () -. t0) *. 1000.0) :: faults.recovery_ms)
-        killed_at;
-      faults.replays <-
-        faults.replays
-        + int_at
-            (front_stats config.socket_path)
-            [ "router"; "journal"; "replayed" ]
-  in
+  let router_pid = ref (start ~timeout_s:30.0) in
   {
-    pacer = Option.map (fun cc -> (cc, `Router)) config.router_chaos;
+    schedule = Option.map (fun cc -> (cc, `Router)) config.router_chaos;
     fault =
       (fun _ -> function
         | Chaos.Kill_router ->
-          let pid = !router_pid in
-          kill_and_reap pid;
+          let killed_at = Unix.gettimeofday () in
+          kill_and_reap !router_pid;
           faults.router_kills <- faults.router_kills + 1;
-          config.log (Printf.sprintf "soak: SIGKILLed router pid %d" pid);
-          restart ~killed_at:(Some (Unix.gettimeofday ()))
+          config.log (Printf.sprintf "soak: SIGKILLed router pid %d" !router_pid);
+          (* Shards are adopted, not respawned, so a healthy incarnation
+             answers in well under a second. *)
+          router_pid := start ~timeout_s:10.0;
+          faults.router_restarts <- faults.router_restarts + 1;
+          faults.recovery_ms <-
+            ((Unix.gettimeofday () -. killed_at) *. 1000.0) :: faults.recovery_ms;
+          (* Replay runs before the new incarnation accepts, so its stats
+             already carry the final counts; harvest now — the next kill
+             would erase them. *)
+          faults.replays <-
+            faults.replays
+            + int_at
+                (front_stats config.socket_path)
+                [ "router"; "journal"; "replayed" ]
         | _ -> ());
-    (* The pacer restarts within the same tick it kills, so the router
-       should be answering; if its last restart failed, respawn once so a
-       live incarnation fields the final stats and the shutdown. *)
-    settle =
-      (fun () ->
-        if not (wait_router_up ~socket:config.socket_path ~timeout_s:5.0) then
-          restart ~killed_at:None);
+    settle = ignore;
     reap =
       (fun () ->
         (* The router acknowledged the shutdown and takes the fleet down
@@ -638,55 +561,55 @@ let journaled config faults dir =
           | _ | (exception Unix.Unix_error _) -> ()
         in
         wait_exit ();
-        (* Belt and braces against leaked shards: a clean pool shutdown
-           removes the state file, so any survivor it still records must
-           be killed here. *)
-        List.iter
-          (fun (_, pid, _) ->
-            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-          (Shard_pool.read_state state_file);
-        try Sys.remove state_file with Sys_error _ -> ());
+        kill_leftover_shards ());
   }
 
 (* ------------------------------------------------------------------ *)
 
-(* The topology's fault pacer: a thread that ticks the seeded schedule
-   every 50 ms while the clients are in flight and hands each fault to
-   [fault].  Returns the function that stops and joins it. *)
-let pace topology =
-  match topology.pacer with
-  | None -> ignore
-  | Some (cc, site) ->
-    let chaos = Chaos.create cc in
-    let stop = ref false and lock = Mutex.create () in
-    let rec go () =
-      if not (Mutex.protect lock (fun () -> !stop)) then begin
-        Option.iter (topology.fault chaos) (Chaos.tick chaos ~site);
-        Thread.delay 0.05;
-        go ()
-      end
-    in
-    let th = Thread.create go () in
-    fun () ->
-      Mutex.protect lock (fun () -> stop := true);
-      Thread.join th
+(* The topology's fault schedule, ticked by each client after each
+   answer it gets; faults are delivered under one lock.  A delivery that
+   fails (a journaled router that did not come back) is left in the
+   returned ref, and from then on every tick raises [Exit], which stops
+   the clients. *)
+let ticker topology =
+  let lost = ref None in
+  let tick =
+    match topology.schedule with
+    | None -> ignore
+    | Some (cc, site) ->
+      let chaos = Chaos.create cc and lock = Mutex.create () in
+      fun () ->
+        Mutex.protect lock @@ fun () ->
+        if !lost <> None then raise Exit;
+        try Option.iter (topology.fault chaos) (Chaos.tick chaos ~site)
+        with Diag.E d ->
+          lost := Some d;
+          raise Exit
+  in
+  (tick, lost)
 
 (* A topology field that the chosen topology would silently ignore is a
-   bad config, refused before anything starts. *)
+   bad config, refused before anything starts.  (So is a chaos config
+   that exec'd servers cannot run: {!Exec.argv} refuses it before the
+   first fork.) *)
 let check_topology config =
   let refuse fmt = Printf.ksprintf invalid_arg ("Soak.run: " ^^ fmt) in
-  let sharded = config.shards >= 2 in
-  if config.journal_dir <> None && not sharded then
-    refuse "journal_dir needs shards >= 2 (got %d)" config.shards;
-  if config.hedge && not sharded then
-    refuse "hedge needs shards >= 2 (got %d)" config.shards;
+  let s = config.serve in
+  let sharded = s.shards >= 2 in
+  if s.journal <> None && not sharded then
+    refuse "serve.journal needs serve.shards >= 2 (got %d)" s.shards;
+  if s.hedge && not sharded then
+    refuse "serve.hedge needs serve.shards >= 2 (got %d)" s.shards;
   if config.shard_chaos <> None && not sharded then
-    refuse "shard_chaos needs shards >= 2 (got %d)" config.shards;
-  if config.shard_chaos <> None && config.journal_dir <> None then
-    refuse "shard_chaos is unavailable with journal_dir (the pool lives in \
-            the router child)";
-  if config.router_chaos <> None && config.journal_dir = None then
-    refuse "router_chaos needs journal_dir"
+    refuse "shard_chaos needs serve.shards >= 2 (got %d)" s.shards;
+  if config.shard_chaos <> None && s.journal <> None then
+    refuse "shard_chaos is unavailable with serve.journal (the pool lives \
+            in the router process)";
+  if config.router_chaos <> None && s.journal = None then
+    refuse "router_chaos needs serve.journal";
+  if s.tech_file <> None then
+    refuse "serve.tech_file: expected records are computed under the default \
+            technology"
 
 let run config =
   check_topology config;
@@ -702,14 +625,14 @@ let run config =
     }
   in
   let topology =
-    match config.journal_dir with
+    match config.serve.journal with
     | Some dir -> journaled config faults dir
     | None ->
-      if config.shards >= 2 then sharded config faults else single config
+      if config.serve.shards >= 2 then sharded config faults else single config
   in
-  let stop_faults = pace topology in
-  let tally, elapsed_s = drive config pool in
-  stop_faults ();
+  let tick, lost = ticker topology in
+  let tally, elapsed_s = drive config pool ~tick in
+  Option.iter Diag.fail !lost;
   topology.settle ();
   let stats = front_stats config.socket_path in
   (* No retry: a lost acknowledgement still shuts the front down, and a

@@ -14,13 +14,16 @@
       the soak, which the CI job's timeout converts into a failure.
 
     One loop runs every topology — a single in-process server, a router
-    over forked shards, or a forked journaled router.  It starts the
-    front on [socket_path], runs the clients while the topology's fault
-    pacer delivers its seeded schedule, lets the front settle, reads its
-    counters with one [stats] request and stops it with one [shutdown]
-    request on the same socket, then joins or reaps whatever the
-    topology started.  A topology differs only in where its pacer ticks
-    and what a fault does there, how it settles and how it is reaped.
+    over exec'd shards, or an exec'd journaled router; every server
+    process is a [dpsyn serve] from {!Exec.spawn}, whose stderr is the
+    soak's.  It starts the front on [socket_path] and runs the clients;
+    after each answer, a client ticks the topology's seeded fault
+    schedule, whose faults are delivered under one lock.  Then it lets
+    the front settle, reads its counters with one [stats] request and
+    stops it with one [shutdown] request on the same socket, then joins
+    or reaps whatever the topology started.  A topology differs only in
+    where its schedule ticks and what a fault does there, how it settles
+    and how it is reaped.
 
     Requests are drawn deterministically (by [seed]) from a fixed pool
     of expressions whose expected records are precomputed; a slice of
@@ -30,48 +33,42 @@
 
 type config = {
   socket_path : string;
+  serve : Exec.serve;
+      (** the servers' settings, and with them the topology.
+          [shards >= 2] soaks a {!Router} on [socket_path] over that
+          many exec'd shards (sockets [socket_path.<i>], sharing
+          [cache_dir]) under a {!Shard_pool}; with [journal] as well,
+          the router itself is an exec'd [dpsyn serve --shards N
+          --journal DIR] with [dpsyn serve]'s own pool and router
+          settings, so {!Chaos.Kill_router} faults can SIGKILL it
+          mid-flight and the next incarnation replays + reattaches.
+          Otherwise one server runs in this process.  An exec'd server
+          runs only the [chaos] that {!Exec.argv} carries. *)
   clients : int;
   requests_per_client : int;
   seed : int;
-  workers : int;
-  chaos : Chaos.config option;  (** [None] = plain soak (baseline) *)
-  cache_dir : string option;  (** disk store, needed for cache-corruption chaos *)
-  crash_dir : string option;
   deadline_ms : float option;  (** attached to every 5th request *)
   crypto_mix : bool;
       (** add the {!Dp_designs.Crypto.light} catalog (wide limbs, signed
           wNAF operands, large coefficients) to the request pool, so the
           soak exercises crypto-scale requests — heavier per request
           than the base pool by design *)
-  shards : int;
-      (** >= 2 soaks the sharded topology: that many forked shard server
-          processes (sharing [cache_dir]) under a {!Shard_pool}, a
-          {!Router} on [socket_path], and shard sockets at
-          [socket_path.<i>]; <= 1 is the single-process soak *)
   shard_chaos : Chaos.config option;
       (** seeded shard-fault schedule ({!Chaos.shard_faults}: SIGKILL /
-          SIGSTOP a random shard), paced while clients are in flight;
-          sharded runs only *)
-  journal_dir : string option;
-      (** run the {e journaled} topology: the router (owning the shard
-          pool) lives in a child process, journaling every admitted
-          request to this directory and recording the fleet in a shard
-          state file there, so {!Chaos.Kill_router} faults can SIGKILL
-          it mid-flight and the next incarnation replays + reattaches.
-          Requires [shards >= 2]; shard-fault pacing is unavailable in
-          this mode (the pool lives in the child). *)
+          SIGSTOP a random shard), ticked after every answered request;
+          sharded runs without a journal only *)
   router_chaos : Chaos.config option;
       (** seeded router-fault schedule ({!Chaos.router_faults}: SIGKILL
-          the router child, refork it, measure recovery); journaled runs
+          the router process, exec the next incarnation, measure
+          recovery), ticked after every answered request; journaled runs
           only *)
-  hedge : bool;
-      (** enable the router's hedged dispatch ({!Router.config}'s
-          [hedge]); sharded runs only *)
   log : string -> unit;
 }
 
-(** 4 clients x 50 requests, 2 workers, no chaos, unsharded, seed 0. *)
-val default_config : socket_path:string -> config
+(** 4 clients x 50 requests, seed 0, and {!Exec.default}'s unsharded
+    server without chaos, but with a 64-entry LRU and the response
+    guard. *)
+val default_config : dpsyn:string -> socket_path:string -> config
 
 (** Every topology counter comes from one of two places: the soak's own
     count of the faults it delivered and the routers it restarted, or
@@ -112,12 +109,19 @@ val passed : report -> bool
 val report_json : report -> Json.t
 val pp_report : report Fmt.t
 
-(** Start the server (or, with [shards >= 2], the shard pool and
-    router; with [journal_dir] also set, the forked journaled router),
+(** Start the server (or, with [serve.shards >= 2], the shard pool and
+    router; with [serve.journal] also set, the exec'd journaled router),
     run the soak, read the front's [stats], stop it with [shutdown],
     join (and reap) every thread and process.
     @raise Invalid_argument, naming the field, before starting anything
-    when the topology would ignore a field: [journal_dir], [hedge] or
-    [shard_chaos] with [shards < 2], [shard_chaos] with [journal_dir],
-    or [router_chaos] without [journal_dir]. *)
+    when the topology would ignore a field: [serve.journal],
+    [serve.hedge] or [shard_chaos] with [serve.shards < 2],
+    [shard_chaos] with [serve.journal], [router_chaos] without
+    [serve.journal], or any [serve.tech_file] (expected records are
+    computed under the default technology); or when exec'd servers
+    cannot run [serve.chaos].
+    @raise Dp_diag.Diag.E [DP-SRV-SHARD-DOWN] when the shards, or a
+    journaled router incarnation, do not answer within their bound
+    (30 s to start, 10 s after a router kill); nothing it started is
+    left running. *)
 val run : config -> report

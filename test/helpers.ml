@@ -202,6 +202,30 @@ let fresh_dir tag =
 
 let faild d = Alcotest.fail (Dp_diag.Diag.to_string d)
 
+(* The dpsyn binary of this build (the test stanza depends on it): every
+   shard and soak router a test starts is an exec'd [dpsyn serve]. *)
+let dpsyn =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    "bin/dpsyn.exe"
+
+(* A shard's argv: a one-worker server with a 32-entry LRU over
+   [cache_dir], shared by its siblings. *)
+let shard_spawn ~cache_dir =
+  Dp_server.Exec.shard_argv
+    {
+      (Dp_server.Exec.default ~dpsyn) with
+      workers = 1;
+      cache_dir = Some cache_dir;
+      cache_capacity = 32;
+    }
+
+(* A soak on a fresh socket whose servers run [serve] applied to the
+   soak's default settings. *)
+let soak_config serve =
+  let c = Dp_server.Soak.default_config ~dpsyn ~socket_path:(fresh_socket ()) in
+  { c with serve = serve c.serve }
+
 let rpc socket request =
   match Dp_server.Client.once ~socket request with
   | Ok r -> r

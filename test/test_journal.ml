@@ -184,7 +184,7 @@ let journal_compaction_keeps_incomplete () =
   J.close j3
 
 (* ------------------------------------------------------------------ *)
-(* Router recovery and hedging over a real forked fleet *)
+(* Router recovery and hedging over a real exec'd fleet *)
 
 let quick_sup =
   {
@@ -194,18 +194,6 @@ let quick_sup =
     backoff_base_s = 0.03;
     backoff_max_s = 0.1;
   }
-
-let shard_spawn ~cache_dir =
-  SP.Spawn_fork
-    (fun ~id:_ ~socket_path ->
-      let store = C.Store.create ~capacity:32 ~dir:cache_dir () in
-      S.Server.run
-        {
-          (S.Server.default_config ~socket_path) with
-          S.Server.store = Some store;
-          workers = 1;
-          log = ignore;
-        })
 
 let with_pool ?(shards = 2) ~cache_dir base f =
   let pool =
@@ -340,20 +328,24 @@ let hedge_covers_hung_home_shard () =
 let soak_net_chaos_holds_invariants () =
   let config =
     {
-      (S.Soak.default_config ~socket_path:(fresh_socket ())) with
+      (soak_config (fun s ->
+           {
+             s with
+             S.Exec.workers = 2;
+             chaos =
+               Some
+                 {
+                   S.Chaos.seed = 13;
+                   every = 3;
+                   slow_s = 0.02;
+                   faults = S.Chaos.process_faults @ S.Chaos.net_faults;
+                 };
+             cache_dir = Some (fresh_dir "net-cache");
+           }))
+      with
       S.Soak.clients = 3;
       requests_per_client = 10;
       seed = 13;
-      workers = 2;
-      chaos =
-        Some
-          {
-            S.Chaos.seed = 13;
-            every = 3;
-            slow_s = 0.02;
-            faults = S.Chaos.process_faults @ S.Chaos.net_faults;
-          };
-      cache_dir = Some (fresh_dir "net-cache");
     }
   in
   let report = S.Soak.run config in
@@ -363,51 +355,46 @@ let soak_net_chaos_holds_invariants () =
   checkb "soak passes" true (S.Soak.passed report);
   checkb "some requests succeeded" true (report.S.Soak.ok > 0)
 
+(* A router kill after every 4th answered request: 10 kills over 40
+   answers, each followed by an exec'd incarnation that replays the
+   journal and reattaches to the still-live shards. *)
 let soak_journaled_router_kill_recovers () =
-  (* scale the run until the pacer has landed a router kill —
-     wall-clock-paced chaos cannot promise a count for a fixed load *)
-  let rec attempt tries per_client =
-    let config =
-      {
-        (S.Soak.default_config ~socket_path:(fresh_socket ())) with
-        S.Soak.clients = 4;
-        requests_per_client = per_client;
-        seed = 17;
-        workers = 1;
-        shards = 2;
-        journal_dir = Some (fresh_dir "soak-journal");
-        (* every 4th pacer tick: enough kills to exercise recovery
-           without a kill storm that starves the clients of any window
-           to make progress (and the test of an upper time bound) *)
-        router_chaos =
-          Some
-            {
-              S.Chaos.default_config with
-              seed = 17;
-              every = 4;
-              faults = S.Chaos.router_faults;
-            };
-        cache_dir = Some (fresh_dir "soak-journal-cache");
-      }
-    in
-    let report = S.Soak.run config in
-    checki "all requests accounted for" (4 * per_client)
-      report.S.Soak.requests;
-    checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
-    checki "zero protocol violations" 0 report.S.Soak.violations;
-    checki "zero divergences" 0 report.S.Soak.diverges;
-    checkb "soak passes" true (S.Soak.passed report);
-    checkb "some requests succeeded" true (report.S.Soak.ok > 0);
-    if report.S.Soak.router_kills >= 1 then report
-    else if tries >= 3 then
-      Alcotest.failf "router chaos landed %d kills after %d runs"
-        report.S.Soak.router_kills tries
-    else attempt (tries + 1) (per_client * 2)
+  let config =
+    {
+      (soak_config (fun s ->
+           {
+             s with
+             S.Exec.workers = 1;
+             shards = 2;
+             journal = Some (fresh_dir "soak-journal");
+             cache_dir = Some (fresh_dir "soak-journal-cache");
+           }))
+      with
+      S.Soak.clients = 4;
+      requests_per_client = 10;
+      seed = 17;
+      router_chaos =
+        Some
+          {
+            S.Chaos.default_config with
+            seed = 17;
+            every = 4;
+            faults = S.Chaos.router_faults;
+          };
+    }
   in
-  let report = attempt 1 40 in
-  checkb "the router came back" true (report.S.Soak.router_restarts >= 1);
+  let report = S.Soak.run config in
+  checki "all requests accounted for" 40 report.S.Soak.requests;
+  checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
+  checki "zero protocol violations" 0 report.S.Soak.violations;
+  checki "zero divergences" 0 report.S.Soak.diverges;
+  checkb "soak passes" true (S.Soak.passed report);
+  checkb "some requests succeeded" true (report.S.Soak.ok > 0);
+  checki "one kill per 4 answers" 10 report.S.Soak.router_kills;
+  checki "every incarnation came back" 10 report.S.Soak.router_restarts;
   checkb "the new incarnation adopted the still-live shards" true
-    (report.S.Soak.shard_reattaches >= 1)
+    (report.S.Soak.shard_reattaches >= 1);
+  checkb "recovery is a sub-second blip" true (report.S.Soak.recovery_ms < 1000.0)
 
 (* ------------------------------------------------------------------ *)
 (* Store fsck *)

@@ -576,15 +576,19 @@ let server_sigterm_graceful () =
 let soak_chaos_holds_invariants () =
   let config =
     {
-      (S.Soak.default_config ~socket_path:(fresh_socket ())) with
+      (soak_config (fun s ->
+           {
+             s with
+             S.Exec.workers = 2;
+             chaos =
+               Some { S.Chaos.default_config with seed = 7; every = 5; slow_s = 0.02 };
+             cache_dir = Some (fresh_dir "soak-cache");
+             crash_dir = Some (fresh_dir "soak-crash");
+           }))
+      with
       S.Soak.clients = 3;
       requests_per_client = 12;
       seed = 7;
-      workers = 2;
-      chaos =
-        Some { S.Chaos.default_config with seed = 7; every = 5; slow_s = 0.02 };
-      cache_dir = Some (fresh_dir "soak-cache");
-      crash_dir = Some (fresh_dir "soak-crash");
       deadline_ms = Some 4000.0;
     }
   in
@@ -792,19 +796,6 @@ let quick_sup =
     backoff_max_s = 0.1;
   }
 
-(* Each shard is a full forked server sharing one disk store. *)
-let shard_spawn ~cache_dir =
-  SP.Spawn_fork
-    (fun ~id:_ ~socket_path ->
-      let store = Dp_cache.Store.create ~capacity:32 ~dir:cache_dir () in
-      S.Server.run
-        {
-          (S.Server.default_config ~socket_path) with
-          S.Server.store = Some store;
-          workers = 1;
-          log = ignore;
-        })
-
 let with_pool ?(shards = 2) ?(sup = quick_sup) f =
   let base = fresh_socket () in
   let cache_dir = fresh_dir "pool-cache" in
@@ -948,6 +939,49 @@ let pool_health_kills_hung_shard () =
   checkb "restarted after the health kill" true
     (SP.wait_all_up ~timeout_s:20.0 pool)
 
+(* A restarted shard is spawned from the pool's monitor thread, which
+   blocks SIGTERM/SIGINT; the spawn clears the mask before the exec, so
+   no incarnation starts with either blocked.  A shell records the mask
+   each incarnation inherited, then execs the shard (the server blocks
+   them itself, for its signal thread).  It reads its own status with
+   builtins only: while a shell waits for a child, its mask is its
+   own. *)
+let pool_restart_does_not_block_sigterm () =
+  let masks = Filename.concat (fresh_dir "sigblk") "masks" in
+  let cache_dir = fresh_dir "sigblk-cache" in
+  let base = fresh_socket () in
+  let record_mask =
+    {|while read -r l; do case $l in SigBlk*) echo "$l" >> "$0";; esac; done < /proc/$$/status; exec "$@"|}
+  in
+  let spawn ~socket_path =
+    Array.append
+      [| "/bin/sh"; "-c"; record_mask; masks |]
+      (shard_spawn ~cache_dir ~socket_path)
+  in
+  let pool =
+    SP.start
+      {
+        (SP.default_config ~shards:1 ~socket_for:(fun _ -> base ^ ".0") ~spawn) with
+        SP.supervisor = quick_sup;
+        poll_period_s = 0.02;
+      }
+  in
+  Fun.protect ~finally:(fun () -> SP.shutdown pool) @@ fun () ->
+  checkb "pool came up" true (SP.wait_all_up ~timeout_s:20.0 pool);
+  checkb "killed the shard" true (SP.signal_shard pool 0 Sys.sigkill);
+  wait_for ~msg:"killed shard never restarted" (fun () ->
+      fst (SP.counters pool) >= 1 && SP.is_up pool 0);
+  checkb "the restarted shard answers" true (SP.wait_all_up ~timeout_s:20.0 pool);
+  let lines = In_channel.with_open_text masks In_channel.input_lines in
+  checki "both incarnations recorded their mask" 2 (List.length lines);
+  List.iter
+    (fun line ->
+      let mask = Scanf.sscanf line "SigBlk: %Lx" Fun.id in
+      (* bit n-1 is signal n: SIGINT (2) and SIGTERM (15) *)
+      checkb (line ^ ": SIGTERM and SIGINT unblocked") true
+        (Int64.logand mask 0x4002L = 0L))
+    lines
+
 let router_aggregates_stats () =
   with_sharded ~shards:3 @@ fun base _pool _rt ->
   let exprs = [ "x*y + z"; "x + y"; "x - z"; "y*z + x"; "x*z"; "y + z" ] in
@@ -1064,109 +1098,147 @@ let router_sigterm_graceful () =
    anything starts: no socket is ever bound. *)
 let soak_refuses_ignored_topology_fields () =
   let chaos = Some S.Chaos.default_config in
+  let sharded ?chaos ?journal () s = { s with S.Exec.shards = 2; chaos; journal } in
   List.iter
-    (fun (label, configure) ->
-      let socket = fresh_socket () in
-      let config = configure (S.Soak.default_config ~socket_path:socket) in
+    (fun (label, serve, configure) ->
+      let config = configure (soak_config serve) in
       (match S.Soak.run config with
       | _ -> Alcotest.failf "%s: accepted" label
       | exception Invalid_argument _ -> ());
-      checkb (label ^ ": no socket") false (Sys.file_exists socket))
+      checkb (label ^ ": no socket") false (Sys.file_exists config.S.Soak.socket_path))
     [
-      ("hedge unsharded", fun c -> { c with S.Soak.hedge = true });
-      ("shard_chaos unsharded", fun c -> { c with S.Soak.shard_chaos = chaos });
-      ("journal unsharded", fun c -> { c with S.Soak.journal_dir = Some "j" });
-      ("router_chaos unjournaled", fun c ->
-        { c with S.Soak.shards = 2; router_chaos = chaos });
-      ("shard_chaos journaled", fun c ->
-        { c with S.Soak.shards = 2; journal_dir = Some "j"; shard_chaos = chaos });
+      ("hedge unsharded", (fun s -> { s with S.Exec.hedge = true }), Fun.id);
+      ("journal unsharded", (fun s -> { s with S.Exec.journal = Some "j" }), Fun.id);
+      ("tech file", (fun s -> { s with S.Exec.tech_file = Some "t" }), Fun.id);
+      ("shard_chaos unsharded", Fun.id, fun c -> { c with S.Soak.shard_chaos = chaos });
+      ( "router_chaos unjournaled",
+        sharded (),
+        fun c -> { c with S.Soak.router_chaos = chaos } );
+      ( "shard_chaos journaled",
+        sharded ~journal:"j" (),
+        fun c -> { c with S.Soak.shard_chaos = chaos } );
+      (* exec'd shards run only Chaos.faults at the default stall *)
+      ( "sharded chaos with a stall argv cannot carry",
+        sharded ~chaos:{ S.Chaos.default_config with slow_s = 0.02 } (),
+        Fun.id );
+      ( "sharded chaos with faults argv cannot carry",
+        sharded ~chaos:{ S.Chaos.default_config with faults = [ S.Chaos.Mem_squeeze ] } (),
+        Fun.id );
     ]
 
+(* A shard fault after every 8th answered request: 8 faults over 64
+   answers, a seeded mix of SIGKILLs and SIGSTOPs on seeded shards. *)
 let soak_sharded_kill_chaos_holds_invariants () =
-  (* scale the run until the pacer has landed at least two shard kills —
-     wall-clock-paced chaos cannot promise a count for a fixed load *)
-  let rec attempt tries per_client =
-    let config =
-      {
-        (S.Soak.default_config ~socket_path:(fresh_socket ())) with
-        S.Soak.clients = 4;
-        requests_per_client = per_client;
-        seed = 11;
-        workers = 1;
-        shards = 3;
-        shard_chaos =
-          Some
-            {
-              S.Chaos.default_config with
-              seed = 11;
-              every = 1;
-              faults = S.Chaos.shard_faults;
-            };
-        cache_dir = Some (fresh_dir "soak-shard-cache");
-      }
-    in
-    let report = S.Soak.run config in
-    (* the safety invariants hold at any scale *)
-    checki "all requests accounted for" (4 * per_client)
-      report.S.Soak.requests;
-    checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
-    checki "zero protocol violations" 0 report.S.Soak.violations;
-    checkb "soak passes" true (S.Soak.passed report);
-    checkb "some requests succeeded" true (report.S.Soak.ok > 0);
-    if report.S.Soak.shard_kills >= 2 then report
-    else if tries >= 3 then
-      Alcotest.failf "chaos landed %d kills after %d runs"
-        report.S.Soak.shard_kills tries
-    else attempt (tries + 1) (per_client * 2)
+  let config =
+    {
+      (soak_config (fun s ->
+           {
+             s with
+             S.Exec.workers = 1;
+             shards = 3;
+             cache_dir = Some (fresh_dir "soak-shard-cache");
+           }))
+      with
+      S.Soak.clients = 4;
+      requests_per_client = 16;
+      seed = 11;
+      shard_chaos =
+        Some
+          {
+            S.Chaos.default_config with
+            seed = 11;
+            every = 8;
+            faults = S.Chaos.shard_faults;
+          };
+    }
   in
-  let report = attempt 1 40 in
+  let report = S.Soak.run config in
+  checki "all requests accounted for" 64 report.S.Soak.requests;
+  checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
+  checki "zero protocol violations" 0 report.S.Soak.violations;
+  checkb "soak passes" true (S.Soak.passed report);
+  checkb "some requests succeeded" true (report.S.Soak.ok > 0);
+  checkb "at least two kills landed" true (report.S.Soak.shard_kills >= 2);
   checkb "kills were followed by restarts" true
     (report.S.Soak.shard_restarts >= report.S.Soak.shard_kills - 1)
 
 (* The report's hedge fields come from the router's [stats]: a hung
    home shard makes the router duplicate its requests to the next shard,
-   and both answers must agree byte for byte. *)
+   and both answers must agree byte for byte.  A hang after every 50th
+   answered request: with both shards stopped nothing answers until the
+   health check reaps one, so a denser schedule mostly measures
+   stalls. *)
 let soak_hedged_hangs_hold_invariants () =
-  (* One hang a second at most (every 20th 50 ms tick): with both shards
-     stopped, nothing answers until the health check reaps one, so a
-     denser schedule mostly measures stalls.  Scale the run until a
-     hedge has fired, as the kill soak does. *)
-  let rec attempt tries per_client =
-    let config =
-      {
-        (S.Soak.default_config ~socket_path:(fresh_socket ())) with
-        S.Soak.clients = 4;
-        requests_per_client = per_client;
-        seed = 19;
-        workers = 1;
-        shards = 2;
-        hedge = true;
-        shard_chaos =
-          Some
-            {
-              S.Chaos.default_config with
-              seed = 19;
-              every = 20;
-              faults = [ S.Chaos.Hang_shard ];
-            };
-        cache_dir = Some (fresh_dir "soak-hedge-cache");
-      }
-    in
-    let report = S.Soak.run config in
-    checki "all requests accounted for" (4 * per_client)
-      report.S.Soak.requests;
-    checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
-    checki "zero protocol violations" 0 report.S.Soak.violations;
-    checki "zero divergences" 0 report.S.Soak.diverges;
-    checkb "soak passes" true (S.Soak.passed report);
-    if report.S.Soak.hedges_fired >= 1 then report
-    else if tries >= 3 then
-      Alcotest.failf "no hedge fired after %d runs (%d hangs landed)" tries
-        report.S.Soak.shard_hangs
-    else attempt (tries + 1) (per_client * 2)
+  let config =
+    {
+      (soak_config (fun s ->
+           {
+             s with
+             S.Exec.workers = 1;
+             shards = 2;
+             hedge = true;
+             cache_dir = Some (fresh_dir "soak-hedge-cache");
+           }))
+      with
+      S.Soak.clients = 4;
+      requests_per_client = 50;
+      seed = 19;
+      shard_chaos =
+        Some
+          {
+            S.Chaos.default_config with
+            seed = 19;
+            every = 50;
+            faults = [ S.Chaos.Hang_shard ];
+          };
+    }
   in
-  let report = attempt 1 200 in
-  checkb "hangs landed" true (report.S.Soak.shard_hangs >= 1)
+  let report = S.Soak.run config in
+  checki "all requests accounted for" 200 report.S.Soak.requests;
+  checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
+  checki "zero protocol violations" 0 report.S.Soak.violations;
+  checki "zero divergences" 0 report.S.Soak.diverges;
+  checkb "soak passes" true (S.Soak.passed report);
+  checkb "hangs landed" true (report.S.Soak.shard_hangs >= 1);
+  checkb "a hedge fired" true (report.S.Soak.hedges_fired >= 1)
+
+(* Process, memory and network faults reach exec'd shards through their
+   argv: the soak sees memory aborts, and still no wrong answer.  The
+   shards' breaker never opens, so the panics do not shed the requests
+   that would be squeezed. *)
+let soak_sharded_mem_net_chaos_crosses_the_exec () =
+  let config =
+    {
+      (soak_config (fun s ->
+           {
+             s with
+             S.Exec.workers = 2;
+             shards = 2;
+             max_crashes = 1000;
+             chaos =
+               Some
+                 {
+                   S.Chaos.default_config with
+                   seed = 23;
+                   every = 1;
+                   faults = S.Chaos.faults ~mem:true ~net:true;
+                 };
+             cache_dir = Some (fresh_dir "soak-memnet-cache");
+             crash_dir = Some (fresh_dir "soak-memnet-crash");
+           }))
+      with
+      S.Soak.clients = 4;
+      requests_per_client = 25;
+      seed = 23;
+    }
+  in
+  let report = S.Soak.run config in
+  checki "all requests accounted for" 100 report.S.Soak.requests;
+  checki "zero wrong answers" 0 report.S.Soak.wrong_answers;
+  checki "zero protocol violations" 0 report.S.Soak.violations;
+  checkb "soak passes" true (S.Soak.passed report);
+  checkb "memory aborts came back typed" true
+    (List.mem_assoc "DP-BUDGET-MEM" report.S.Soak.error_codes)
 
 (* ------------------------------------------------------------------ *)
 (* Resource governance: admission control and the per-request governor *)
@@ -1300,6 +1372,10 @@ let suite =
       soak_hedged_hangs_hold_invariants;
     case "soak: unused topology flags refused"
       soak_refuses_ignored_topology_fields;
+    case "soak: memory and network chaos cross the exec to shards"
+      soak_sharded_mem_net_chaos_crosses_the_exec;
+    case "shards: a restarted shard does not block SIGTERM"
+      pool_restart_does_not_block_sigterm;
     case "server: admission rejects oversized requests"
       server_admission_rejects_oversized;
     case "server: memory watermark sheds new work"
