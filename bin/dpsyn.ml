@@ -918,7 +918,8 @@ let serve_cmd =
           {
             (Dp_server.Shard_pool.default_config ~shards:o.shards
                ~socket_for:(fun i -> socket ^ "." ^ string_of_int i)
-               ~spawn:(Dp_server.Exec.shard_argv o))
+               ~spawn:
+                 (Dp_server.Exec.argv { o with shards = 0; journal = None; hedge = false }))
             with
             Dp_server.Shard_pool.log;
             state_file =
@@ -1291,17 +1292,13 @@ let soak_cmd =
     let config =
       {
         d with
-        Dp_server.Soak.serve =
-          {
-            d.serve with
-            Dp_server.Exec.workers;
-            chaos = chaos ~seed;
-            cache_dir;
-            crash_dir;
-            shards;
-            journal;
-            hedge;
-          };
+        Dp_server.Soak.workers;
+        chaos = chaos ~seed;
+        cache_dir;
+        crash_dir;
+        shards;
+        journal_dir = journal;
+        hedge;
         clients;
         requests_per_client = requests;
         seed;

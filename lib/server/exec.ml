@@ -77,8 +77,6 @@ let argv s ~socket_path =
     @ opt "--journal" s.journal
     @ on "--hedge" s.hedge)
 
-let shard_argv s = argv { s with shards = 0; journal = None; hedge = false }
-
 let server_config s ~socket_path ~tech ~log =
   {
     Server.socket_path;
@@ -104,9 +102,4 @@ let server_config s ~socket_path ~tech ~log =
     handle_signals = false;
   }
 
-let spawn argv =
-  match Unix.fork () with
-  | 0 ->
-    (try ignore (Unix.sigprocmask Unix.SIG_SETMASK []) with Invalid_argument _ -> ());
-    (try Unix.execv argv.(0) argv with _ -> Unix._exit 127)
-  | pid -> pid
+let spawn argv = Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr

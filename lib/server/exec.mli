@@ -1,7 +1,7 @@
 (** A [dpsyn serve]: the settings its flags carry, and the two ways to
     run them — in this process ({!server_config}) or as a process of its
     own, whose argv {!argv} builds and which {!spawn}, the one way this
-    library starts a server process, forks then execs.  Every shard of a
+    library starts a server process, execs.  Every shard of a
     {!Shard_pool} and every journaled-soak router incarnation starts
     there. *)
 
@@ -32,15 +32,12 @@ type serve = {
     {!Supervisor.default_policy}'s breaker, and nothing else on. *)
 val default : dpsyn:string -> serve
 
-(** [dpsyn serve --socket socket_path] with the settings' flags.
+(** [dpsyn serve --socket socket_path] with the settings' flags; a
+    shard's settings have [shards < 2] and no [journal] or [hedge].
     @raise Invalid_argument when [chaos] is not {!Chaos.faults} at the
     default [slow_s], which [--chaos], [--mem-chaos] and [--net-chaos]
     build and nothing else can. *)
 val argv : serve -> socket_path:string -> string array
-
-(** {!argv} for one shard of a sharded front: without [--shards],
-    [--journal] and [--hedge]. *)
-val shard_argv : serve -> socket_path:string -> string array
 
 (** The single server these settings describe, in this process (no
     signal handling). *)
@@ -51,8 +48,10 @@ val server_config :
   log:(string -> unit) ->
   Server.config
 
-(** Fork, and exec [argv] in the child, which first clears the signal
-    mask it inherited from the forking thread (a pool's monitor thread
-    blocks SIGTERM/SIGINT) and [_exit]s 127 if the exec fails.  The
-    child's pid. *)
+(** Exec [argv] as a child with this process's stdin, stdout and stderr
+    ({!Unix.create_process}: no OCaml code runs in the child); its pid.
+    The child inherits the calling thread's signal mask (a pool's monitor
+    thread blocks SIGTERM/SIGINT), which is harmless: [dpsyn serve]
+    blocks both itself and claims them with a [sigwait] thread.
+    @raise Unix.Unix_error when the process cannot be started. *)
 val spawn : string array -> int

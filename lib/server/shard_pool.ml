@@ -158,23 +158,8 @@ let read_state path =
         | _ -> []))
 
 (* ------------------------------------------------------------------ *)
-(* Spawning *)
-
-let spawn_shard t s =
-  s.adopted <- false;
-  (* Remove a stale socket first so a ping cannot reach a ghost. *)
-  (try Sys.remove s.socket with Sys_error _ -> ());
-  let pid = Exec.spawn (t.config.spawn ~socket_path:s.socket) in
-  s.pid <- Some pid;
-  s.phase <- Up;
-  s.started_at <- Unix.gettimeofday ();
-  s.health_fails <- 0;
-  s.stable_recorded <- false;
-  t.config.log (Printf.sprintf "shard %d: started pid %d on %s" s.id pid s.socket);
-  write_state_locked t
-
-(* ------------------------------------------------------------------ *)
-(* Monitor: waitpid polling, backoff scheduling, restarts *)
+(* Spawning, and the monitor: waitpid polling, backoff scheduling,
+   restarts *)
 
 (* OCaml reports signals with its own (negative) numbering; name the
    ones this subsystem actually deals in. *)
@@ -203,6 +188,24 @@ let note_death t s ~reason =
     (Printf.sprintf "[DP-SRV-SHARD-DOWN] shard %d %s; restart in %.3fs" s.id
        reason backoff);
   write_state_locked t
+
+(* A shard that cannot be started (no binary, no process slots) dies at
+   once, through the same backoff and breaker as any other death. *)
+let spawn_shard t s =
+  s.adopted <- false;
+  (* Remove a stale socket first so a ping cannot reach a ghost. *)
+  (try Sys.remove s.socket with Sys_error _ -> ());
+  match Exec.spawn (t.config.spawn ~socket_path:s.socket) with
+  | exception Unix.Unix_error (e, _, _) ->
+    note_death t s ~reason:("not started: " ^ Unix.error_message e)
+  | pid ->
+    s.pid <- Some pid;
+    s.phase <- Up;
+    s.started_at <- Unix.gettimeofday ();
+    s.health_fails <- 0;
+    s.stable_recorded <- false;
+    t.config.log (Printf.sprintf "shard %d: started pid %d on %s" s.id pid s.socket);
+    write_state_locked t
 
 let monitor_step t =
   locked t @@ fun () ->

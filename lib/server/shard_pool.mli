@@ -26,7 +26,7 @@ type config = {
   socket_for : int -> string;  (** shard id → its socket path *)
   spawn : socket_path:string -> string array;
       (** the argv of the shard serving [socket_path]
-          ({!Exec.shard_argv}); the pool starts every incarnation with
+          ({!Exec.argv}); the pool starts every incarnation with
           {!Exec.spawn} *)
   health_period_s : float;  (** delay between health sweeps *)
   health_timeout_s : float;  (** per-ping response deadline *)

@@ -2,29 +2,59 @@ module Diag = Dp_diag.Diag
 
 type config = {
   socket_path : string;
-  serve : Exec.serve;
+  dpsyn : string;
   clients : int;
   requests_per_client : int;
   seed : int;
+  workers : int;
+  chaos : Chaos.config option;
+  cache_dir : string option;
+  crash_dir : string option;
+  max_crashes : int;
   deadline_ms : float option;
   crypto_mix : bool;
+  shards : int;
   shard_chaos : Chaos.config option;
+  journal_dir : string option;
   router_chaos : Chaos.config option;
+  hedge : bool;
   log : string -> unit;
 }
 
 let default_config ~dpsyn ~socket_path =
   {
     socket_path;
-    serve = { (Exec.default ~dpsyn) with cache_capacity = 64; guard_responses = true };
+    dpsyn;
     clients = 4;
     requests_per_client = 50;
     seed = 0;
+    workers = 2;
+    chaos = None;
+    cache_dir = None;
+    crash_dir = None;
+    max_crashes = Supervisor.default_policy.max_crashes;
     deadline_ms = None;
     crypto_mix = false;
+    shards = 0;
     shard_chaos = None;
+    journal_dir = None;
     router_chaos = None;
+    hedge = false;
     log = ignore;
+  }
+
+(* Every server the soak runs, shard or single: [dpsyn serve]'s defaults
+   with the soak's fields, a 64-entry LRU and the response guard. *)
+let serve c =
+  {
+    (Exec.default ~dpsyn:c.dpsyn) with
+    workers = c.workers;
+    chaos = c.chaos;
+    cache_dir = c.cache_dir;
+    cache_capacity = 64;
+    crash_dir = c.crash_dir;
+    max_crashes = c.max_crashes;
+    guard_responses = true;
   }
 
 type report = {
@@ -202,6 +232,18 @@ let count_code t code =
   Hashtbl.replace t.codes code
     (1 + Option.value (Hashtbl.find_opt t.codes code) ~default:0)
 
+(* Both called with the tally's lock held.  A failure is typed when it
+   carries a [DP-*] code, else a violation. *)
+let violation t code =
+  t.violations <- t.violations + 1;
+  count_code t code
+
+let count_failure t = function
+  | Some code when String.starts_with ~prefix:"DP-" code ->
+    t.typed_errors <- t.typed_errors + 1;
+    count_code t code
+  | _ -> violation t "untyped-error"
+
 let classify tally ~sent_id ~expected response =
   Mutex.protect tally.lock @@ fun () ->
   let id_ok =
@@ -209,10 +251,7 @@ let classify tally ~sent_id ~expected response =
     | Some id -> id = sent_id
     | None -> false
   in
-  if not id_ok then begin
-    tally.violations <- tally.violations + 1;
-    count_code tally "missing-or-wrong-id"
-  end
+  if not id_ok then violation tally "missing-or-wrong-id"
   else
     match Json.member "ok" response |> Fun.flip Option.bind Json.to_bool with
     | Some true -> (
@@ -222,24 +261,13 @@ let classify tally ~sent_id ~expected response =
       | Some _ ->
         tally.wrong_answers <- tally.wrong_answers + 1;
         count_code tally "wrong-record"
-      | None ->
-        tally.violations <- tally.violations + 1;
-        count_code tally "ok-without-result")
-    | Some false -> (
-      match
-        Json.member "error" response
+      | None -> violation tally "ok-without-result")
+    | Some false ->
+      count_failure tally
+        (Json.member "error" response
         |> Fun.flip Option.bind (Json.member "code")
-        |> Fun.flip Option.bind Json.to_str
-      with
-      | Some code when String.length code >= 3 && String.sub code 0 3 = "DP-" ->
-        tally.typed_errors <- tally.typed_errors + 1;
-        count_code tally code
-      | _ ->
-        tally.violations <- tally.violations + 1;
-        count_code tally "untyped-error")
-    | _ ->
-      tally.violations <- tally.violations + 1;
-      count_code tally "malformed-envelope"
+        |> Fun.flip Option.bind Json.to_str)
+    | _ -> violation tally "malformed-envelope"
 
 (* One client: its requests in seeded order, each answer followed by
    [tick ()], the topology's fault schedule, which raises [Exit] once
@@ -265,7 +293,7 @@ let client_thread config pool tally ~tick k =
         (* A journaled run SIGKILLs the router mid-flight: the retry
            window must ride out the restart (exec + reattach + replay),
            not just a shard blip. *)
-        Client.attempts = (if config.serve.journal = None then 4 else 8);
+        Client.attempts = (if config.journal_dir = None then 4 else 8);
         per_attempt_timeout_s = 20.0;
         seed = (config.seed * 8191) + (k * 131) + i;
       }
@@ -279,15 +307,7 @@ let client_thread config pool tally ~tick k =
     | Error (d : Diag.t) ->
       (* Transport failure that survived the retry loop: still a typed
          outcome, not a violation — unless the code is untyped. *)
-      Mutex.protect tally.lock (fun () ->
-          if String.length d.code >= 3 && String.sub d.code 0 3 = "DP-" then begin
-            tally.typed_errors <- tally.typed_errors + 1;
-            count_code tally d.code
-          end
-          else begin
-            tally.violations <- tally.violations + 1;
-            count_code tally "untyped-error"
-          end));
+      Mutex.protect tally.lock (fun () -> count_failure tally (Some d.code)));
     Mutex.protect tally.lock (fun () ->
         tally.latencies_ms <- ms :: tally.latencies_ms);
     tick ()
@@ -375,11 +395,11 @@ let int_at json path =
   in
   Option.value (go json path) ~default:0
 
-(* The single server: the soak's serve settings, in this process. *)
+(* The single server, in this process. *)
 let single config =
   let server =
     Server.start
-      (Exec.server_config config.serve ~socket_path:config.socket_path ~tech
+      (Exec.server_config (serve config) ~socket_path:config.socket_path ~tech
          ~log:config.log)
   in
   {
@@ -397,8 +417,8 @@ let sharded config faults =
   let pool =
     Shard_pool.start
       {
-        (Shard_pool.default_config ~shards:config.serve.shards
-           ~spawn:(Exec.shard_argv config.serve)
+        (Shard_pool.default_config ~shards:config.shards
+           ~spawn:(Exec.argv (serve config))
            ~socket_for:(fun i -> config.socket_path ^ "." ^ string_of_int i))
         with
         Shard_pool.health_period_s = 0.1;
@@ -435,12 +455,12 @@ let sharded config faults =
       {
         (Router.default_config ~socket_path:config.socket_path ~pool) with
         Router.forward_timeout_s = 20.0;
-        hedge = config.serve.hedge;
+        hedge = config.hedge;
         log = config.log;
       }
   in
   let signal chaos sg what =
-    let v = Chaos.pick chaos config.serve.shards in
+    let v = Chaos.pick chaos config.shards in
     let landed = Shard_pool.signal_shard pool v sg in
     if landed then config.log (Printf.sprintf "soak: %s shard %d" what v);
     landed
@@ -477,7 +497,7 @@ let sharded config faults =
    costs a blip, not the shards.  The incarnation runs dpsyn serve's own
    pool and router settings.  Shard faults are unavailable here (the
    pool lives in the router process); process, memory and network
-   faults still reach the shards through [serve.chaos]. *)
+   faults still reach the shards through [chaos]. *)
 
 let wait_router_up ~socket ~timeout_s =
   let deadline = deadline_in timeout_s in
@@ -497,7 +517,10 @@ let kill_and_reap pid =
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
 let journaled config faults dir =
-  let argv = Exec.argv config.serve ~socket_path:config.socket_path in
+  let argv =
+    Exec.argv ~socket_path:config.socket_path
+      { (serve config) with shards = config.shards; journal = Some dir; hedge = config.hedge }
+  in
   let state_file = Filename.concat dir "shards.json" in
   (* A clean pool shutdown removes the state file, so any shard it still
      records was left behind by a router that did not shut down. *)
@@ -507,19 +530,21 @@ let journaled config faults dir =
       (Shard_pool.read_state state_file);
     try Sys.remove state_file with Sys_error _ -> ()
   in
-  (* An incarnation that does not answer within its bound fails the
-     soak; it is not started again. *)
+  (* An incarnation that does not start, or does not answer within its
+     bound, fails the soak; it is not started again. *)
   let start ~timeout_s =
-    let pid = Exec.spawn argv in
-    if not (wait_router_up ~socket:config.socket_path ~timeout_s) then begin
-      kill_and_reap pid;
+    let down msg =
       kill_leftover_shards ();
       Diag.fail
-        (Diag.v ~code:"DP-SRV-SHARD-DOWN" ~subsystem:"server"
-           (Printf.sprintf "journaled soak: router pid %d did not answer within %.0f s"
-              pid timeout_s))
-    end;
-    pid
+        (Diag.v ~code:"DP-SRV-SHARD-DOWN" ~subsystem:"server" ("journaled soak: " ^ msg))
+    in
+    match Exec.spawn argv with
+    | exception Unix.Unix_error (e, _, _) ->
+      down ("router not started: " ^ Unix.error_message e)
+    | pid when wait_router_up ~socket:config.socket_path ~timeout_s -> pid
+    | pid ->
+      kill_and_reap pid;
+      down (Printf.sprintf "router pid %d did not answer within %.0f s" pid timeout_s)
   in
   let router_pid = ref (start ~timeout_s:30.0) in
   {
@@ -568,9 +593,9 @@ let journaled config faults dir =
 
 (* The topology's fault schedule, ticked by each client after each
    answer it gets; faults are delivered under one lock.  A delivery that
-   fails (a journaled router that did not come back) is left in the
-   returned ref, and from then on every tick raises [Exit], which stops
-   the clients. *)
+   raises (a journaled router that did not come back) leaves its
+   exception in the returned ref, and from then on every tick raises
+   [Exit], which stops the clients. *)
 let ticker topology =
   let lost = ref None in
   let tick =
@@ -580,10 +605,10 @@ let ticker topology =
       let chaos = Chaos.create cc and lock = Mutex.create () in
       fun () ->
         Mutex.protect lock @@ fun () ->
-        if !lost <> None then raise Exit;
+        if Option.is_some !lost then raise Exit;
         try Option.iter (topology.fault chaos) (Chaos.tick chaos ~site)
-        with Diag.E d ->
-          lost := Some d;
+        with e ->
+          lost := Some e;
           raise Exit
   in
   (tick, lost)
@@ -591,25 +616,21 @@ let ticker topology =
 (* A topology field that the chosen topology would silently ignore is a
    bad config, refused before anything starts.  (So is a chaos config
    that exec'd servers cannot run: {!Exec.argv} refuses it before the
-   first fork.) *)
+   first spawn.) *)
 let check_topology config =
   let refuse fmt = Printf.ksprintf invalid_arg ("Soak.run: " ^^ fmt) in
-  let s = config.serve in
-  let sharded = s.shards >= 2 in
-  if s.journal <> None && not sharded then
-    refuse "serve.journal needs serve.shards >= 2 (got %d)" s.shards;
-  if s.hedge && not sharded then
-    refuse "serve.hedge needs serve.shards >= 2 (got %d)" s.shards;
+  let sharded = config.shards >= 2 in
+  if config.journal_dir <> None && not sharded then
+    refuse "journal_dir needs shards >= 2 (got %d)" config.shards;
+  if config.hedge && not sharded then
+    refuse "hedge needs shards >= 2 (got %d)" config.shards;
   if config.shard_chaos <> None && not sharded then
-    refuse "shard_chaos needs serve.shards >= 2 (got %d)" s.shards;
-  if config.shard_chaos <> None && s.journal <> None then
-    refuse "shard_chaos is unavailable with serve.journal (the pool lives \
-            in the router process)";
-  if config.router_chaos <> None && s.journal = None then
-    refuse "router_chaos needs serve.journal";
-  if s.tech_file <> None then
-    refuse "serve.tech_file: expected records are computed under the default \
-            technology"
+    refuse "shard_chaos needs shards >= 2 (got %d)" config.shards;
+  if config.shard_chaos <> None && config.journal_dir <> None then
+    refuse "shard_chaos is unavailable with journal_dir (the pool lives in \
+            the router process)";
+  if config.router_chaos <> None && config.journal_dir = None then
+    refuse "router_chaos needs journal_dir"
 
 let run config =
   check_topology config;
@@ -625,20 +646,22 @@ let run config =
     }
   in
   let topology =
-    match config.serve.journal with
+    match config.journal_dir with
     | Some dir -> journaled config faults dir
-    | None ->
-      if config.serve.shards >= 2 then sharded config faults else single config
+    | None -> if config.shards >= 2 then sharded config faults else single config
   in
   let tick, lost = ticker topology in
   let tally, elapsed_s = drive config pool ~tick in
-  Option.iter Diag.fail !lost;
-  topology.settle ();
-  let stats = front_stats config.socket_path in
+  let stats =
+    if Option.is_some !lost then Json.Null
+    else (topology.settle (); front_stats config.socket_path)
+  in
   (* No retry: a lost acknowledgement still shuts the front down, and a
      second attempt would find no socket. *)
   ignore (call ~attempts:1 config.socket_path "soak-shutdown" Protocol.Shutdown);
   topology.reap ();
+  (* A lost schedule fails the run once the front is stopped and reaped. *)
+  Option.iter raise !lost;
   let sorted = Array.of_list tally.latencies_ms in
   Array.sort compare sorted;
   let requests = config.clients * config.requests_per_client in

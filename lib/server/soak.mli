@@ -33,35 +33,42 @@
 
 type config = {
   socket_path : string;
-  serve : Exec.serve;
-      (** the servers' settings, and with them the topology.
-          [shards >= 2] soaks a {!Router} on [socket_path] over that
-          many exec'd shards (sockets [socket_path.<i>], sharing
-          [cache_dir]) under a {!Shard_pool}; with [journal] as well,
-          the router itself is an exec'd [dpsyn serve --shards N
-          --journal DIR] with [dpsyn serve]'s own pool and router
-          settings, so {!Chaos.Kill_router} faults can SIGKILL it
-          mid-flight and the next incarnation replays + reattaches.
-          Otherwise one server runs in this process.  An exec'd server
-          runs only the [chaos] that {!Exec.argv} carries. *)
+  dpsyn : string;  (** path of the [dpsyn] binary every server process execs *)
   clients : int;
   requests_per_client : int;
   seed : int;
+  workers : int;
+  chaos : Chaos.config option;  (** [None] = plain soak (baseline) *)
+  cache_dir : string option;  (** disk store, needed for cache-corruption chaos *)
+  crash_dir : string option;
+  max_crashes : int;  (** each server's breaker bound ({!Supervisor.policy}) *)
   deadline_ms : float option;  (** attached to every 5th request *)
   crypto_mix : bool;
       (** add the {!Dp_designs.Crypto.light} catalog (wide limbs, signed
           wNAF operands, large coefficients) to the request pool, so the
           soak exercises crypto-scale requests — heavier per request
           than the base pool by design *)
+  shards : int;
+      (** >= 2 soaks a {!Router} on [socket_path] over that many exec'd
+          shards (sockets [socket_path.<i>], sharing [cache_dir]) under a
+          {!Shard_pool}; <= 1 is the single-process soak *)
   shard_chaos : Chaos.config option;
       (** seeded shard-fault schedule ({!Chaos.shard_faults}: SIGKILL /
           SIGSTOP a random shard), ticked after every answered request;
           sharded runs without a journal only *)
+  journal_dir : string option;
+      (** the {e journaled} topology: the router itself is an exec'd
+          [dpsyn serve --shards N --journal DIR], so {!Chaos.Kill_router}
+          faults can SIGKILL it mid-flight and the next incarnation
+          replays + reattaches.  Requires [shards >= 2] *)
   router_chaos : Chaos.config option;
       (** seeded router-fault schedule ({!Chaos.router_faults}: SIGKILL
           the router process, exec the next incarnation, measure
           recovery), ticked after every answered request; journaled runs
           only *)
+  hedge : bool;
+      (** enable the router's hedged dispatch ({!Router.config}'s
+          [hedge]); sharded runs only *)
   log : string -> unit;
 }
 
@@ -109,19 +116,17 @@ val passed : report -> bool
 val report_json : report -> Json.t
 val pp_report : report Fmt.t
 
-(** Start the server (or, with [serve.shards >= 2], the shard pool and
-    router; with [serve.journal] also set, the exec'd journaled router),
+(** Start the server (or, with [shards >= 2], the shard pool and
+    router; with [journal_dir] also set, the exec'd journaled router),
     run the soak, read the front's [stats], stop it with [shutdown],
     join (and reap) every thread and process.
     @raise Invalid_argument, naming the field, before starting anything
-    when the topology would ignore a field: [serve.journal],
-    [serve.hedge] or [shard_chaos] with [serve.shards < 2],
-    [shard_chaos] with [serve.journal], [router_chaos] without
-    [serve.journal], or any [serve.tech_file] (expected records are
-    computed under the default technology); or when exec'd servers
-    cannot run [serve.chaos].
+    when the topology would ignore a field: [journal_dir], [hedge] or
+    [shard_chaos] with [shards < 2], [shard_chaos] with [journal_dir],
+    or [router_chaos] without [journal_dir]; or when exec'd servers
+    cannot run [chaos].
     @raise Dp_diag.Diag.E [DP-SRV-SHARD-DOWN] when the shards, or a
-    journaled router incarnation, do not answer within their bound
-    (30 s to start, 10 s after a router kill); nothing it started is
-    left running. *)
+    journaled router incarnation, do not start or answer within their
+    bound (30 s to start, 10 s after a router kill).  It, or any failure
+    to deliver a fault, is raised once the front is stopped and reaped. *)
 val run : config -> report

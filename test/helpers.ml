@@ -212,7 +212,7 @@ let dpsyn =
 (* A shard's argv: a one-worker server with a 32-entry LRU over
    [cache_dir], shared by its siblings. *)
 let shard_spawn ~cache_dir =
-  Dp_server.Exec.shard_argv
+  Dp_server.Exec.argv
     {
       (Dp_server.Exec.default ~dpsyn) with
       workers = 1;
@@ -220,11 +220,8 @@ let shard_spawn ~cache_dir =
       cache_capacity = 32;
     }
 
-(* A soak on a fresh socket whose servers run [serve] applied to the
-   soak's default settings. *)
-let soak_config serve =
-  let c = Dp_server.Soak.default_config ~dpsyn ~socket_path:(fresh_socket ()) in
-  { c with serve = serve c.serve }
+(* The default soak of this build's binary, on a fresh socket. *)
+let soak_config () = Dp_server.Soak.default_config ~dpsyn ~socket_path:(fresh_socket ())
 
 let rpc socket request =
   match Dp_server.Client.once ~socket request with

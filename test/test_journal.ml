@@ -328,22 +328,18 @@ let hedge_covers_hung_home_shard () =
 let soak_net_chaos_holds_invariants () =
   let config =
     {
-      (soak_config (fun s ->
-           {
-             s with
-             S.Exec.workers = 2;
-             chaos =
-               Some
-                 {
-                   S.Chaos.seed = 13;
-                   every = 3;
-                   slow_s = 0.02;
-                   faults = S.Chaos.process_faults @ S.Chaos.net_faults;
-                 };
-             cache_dir = Some (fresh_dir "net-cache");
-           }))
-      with
-      S.Soak.clients = 3;
+      (soak_config ()) with
+      S.Soak.workers = 2;
+      chaos =
+        Some
+          {
+            S.Chaos.seed = 13;
+            every = 3;
+            slow_s = 0.02;
+            faults = S.Chaos.process_faults @ S.Chaos.net_faults;
+          };
+      cache_dir = Some (fresh_dir "net-cache");
+      clients = 3;
       requests_per_client = 10;
       seed = 13;
     }
@@ -361,16 +357,12 @@ let soak_net_chaos_holds_invariants () =
 let soak_journaled_router_kill_recovers () =
   let config =
     {
-      (soak_config (fun s ->
-           {
-             s with
-             S.Exec.workers = 1;
-             shards = 2;
-             journal = Some (fresh_dir "soak-journal");
-             cache_dir = Some (fresh_dir "soak-journal-cache");
-           }))
-      with
-      S.Soak.clients = 4;
+      (soak_config ()) with
+      S.Soak.workers = 1;
+      shards = 2;
+      journal_dir = Some (fresh_dir "soak-journal");
+      cache_dir = Some (fresh_dir "soak-journal-cache");
+      clients = 4;
       requests_per_client = 10;
       seed = 17;
       router_chaos =

@@ -576,17 +576,13 @@ let server_sigterm_graceful () =
 let soak_chaos_holds_invariants () =
   let config =
     {
-      (soak_config (fun s ->
-           {
-             s with
-             S.Exec.workers = 2;
-             chaos =
-               Some { S.Chaos.default_config with seed = 7; every = 5; slow_s = 0.02 };
-             cache_dir = Some (fresh_dir "soak-cache");
-             crash_dir = Some (fresh_dir "soak-crash");
-           }))
-      with
-      S.Soak.clients = 3;
+      (soak_config ()) with
+      S.Soak.workers = 2;
+      chaos =
+        Some { S.Chaos.default_config with seed = 7; every = 5; slow_s = 0.02 };
+      cache_dir = Some (fresh_dir "soak-cache");
+      crash_dir = Some (fresh_dir "soak-crash");
+      clients = 3;
       requests_per_client = 12;
       seed = 7;
       deadline_ms = Some 4000.0;
@@ -940,47 +936,36 @@ let pool_health_kills_hung_shard () =
     (SP.wait_all_up ~timeout_s:20.0 pool)
 
 (* A restarted shard is spawned from the pool's monitor thread, which
-   blocks SIGTERM/SIGINT; the spawn clears the mask before the exec, so
-   no incarnation starts with either blocked.  A shell records the mask
-   each incarnation inherited, then execs the shard (the server blocks
-   them itself, for its signal thread).  It reads its own status with
-   builtins only: while a shell waits for a child, its mask is its
-   own. *)
-let pool_restart_does_not_block_sigterm () =
-  let masks = Filename.concat (fresh_dir "sigblk") "masks" in
-  let cache_dir = fresh_dir "sigblk-cache" in
+   blocks SIGTERM/SIGINT, and inherits that mask; the server claims both
+   with its own sigwait thread, so a SIGTERM still drains it and it
+   exits 0 (the monitor logs how each incarnation ended). *)
+let pool_restarted_shard_exits_0_on_sigterm () =
+  let cache_dir = fresh_dir "sigterm-cache" in
   let base = fresh_socket () in
-  let record_mask =
-    {|while read -r l; do case $l in SigBlk*) echo "$l" >> "$0";; esac; done < /proc/$$/status; exec "$@"|}
-  in
-  let spawn ~socket_path =
-    Array.append
-      [| "/bin/sh"; "-c"; record_mask; masks |]
-      (shard_spawn ~cache_dir ~socket_path)
-  in
+  let log_lock = Mutex.create () and logged = ref [] in
   let pool =
     SP.start
       {
-        (SP.default_config ~shards:1 ~socket_for:(fun _ -> base ^ ".0") ~spawn) with
+        (SP.default_config ~shards:1
+           ~socket_for:(fun _ -> base ^ ".0")
+           ~spawn:(shard_spawn ~cache_dir)) with
         SP.supervisor = quick_sup;
         poll_period_s = 0.02;
+        log = (fun m -> Mutex.protect log_lock (fun () -> logged := m :: !logged));
       }
   in
   Fun.protect ~finally:(fun () -> SP.shutdown pool) @@ fun () ->
+  let ended how =
+    Mutex.protect log_lock (fun () ->
+        List.exists (contains ~needle:("shard 0 " ^ how ^ ";")) !logged)
+  in
   checkb "pool came up" true (SP.wait_all_up ~timeout_s:20.0 pool);
   checkb "killed the shard" true (SP.signal_shard pool 0 Sys.sigkill);
   wait_for ~msg:"killed shard never restarted" (fun () ->
-      fst (SP.counters pool) >= 1 && SP.is_up pool 0);
+      ended "killed by SIGKILL" && SP.is_up pool 0);
   checkb "the restarted shard answers" true (SP.wait_all_up ~timeout_s:20.0 pool);
-  let lines = In_channel.with_open_text masks In_channel.input_lines in
-  checki "both incarnations recorded their mask" 2 (List.length lines);
-  List.iter
-    (fun line ->
-      let mask = Scanf.sscanf line "SigBlk: %Lx" Fun.id in
-      (* bit n-1 is signal n: SIGINT (2) and SIGTERM (15) *)
-      checkb (line ^ ": SIGTERM and SIGINT unblocked") true
-        (Int64.logand mask 0x4002L = 0L))
-    lines
+  checkb "SIGTERMed the restarted shard" true (SP.signal_shard pool 0 Sys.sigterm);
+  wait_for ~msg:"the restarted shard did not exit 0 on SIGTERM" (fun () -> ended "exited 0")
 
 let router_aggregates_stats () =
   with_sharded ~shards:3 @@ fun base _pool _rt ->
@@ -1098,32 +1083,28 @@ let router_sigterm_graceful () =
    anything starts: no socket is ever bound. *)
 let soak_refuses_ignored_topology_fields () =
   let chaos = Some S.Chaos.default_config in
-  let sharded ?chaos ?journal () s = { s with S.Exec.shards = 2; chaos; journal } in
   List.iter
-    (fun (label, serve, configure) ->
-      let config = configure (soak_config serve) in
+    (fun (label, configure) ->
+      let config = configure (soak_config ()) in
       (match S.Soak.run config with
       | _ -> Alcotest.failf "%s: accepted" label
       | exception Invalid_argument _ -> ());
       checkb (label ^ ": no socket") false (Sys.file_exists config.S.Soak.socket_path))
     [
-      ("hedge unsharded", (fun s -> { s with S.Exec.hedge = true }), Fun.id);
-      ("journal unsharded", (fun s -> { s with S.Exec.journal = Some "j" }), Fun.id);
-      ("tech file", (fun s -> { s with S.Exec.tech_file = Some "t" }), Fun.id);
-      ("shard_chaos unsharded", Fun.id, fun c -> { c with S.Soak.shard_chaos = chaos });
-      ( "router_chaos unjournaled",
-        sharded (),
-        fun c -> { c with S.Soak.router_chaos = chaos } );
-      ( "shard_chaos journaled",
-        sharded ~journal:"j" (),
-        fun c -> { c with S.Soak.shard_chaos = chaos } );
+      ("hedge unsharded", fun c -> { c with S.Soak.hedge = true });
+      ("shard_chaos unsharded", fun c -> { c with S.Soak.shard_chaos = chaos });
+      ("journal unsharded", fun c -> { c with S.Soak.journal_dir = Some "j" });
+      ("router_chaos unjournaled", fun c ->
+        { c with S.Soak.shards = 2; router_chaos = chaos });
+      ("shard_chaos journaled", fun c ->
+        { c with S.Soak.shards = 2; journal_dir = Some "j"; shard_chaos = chaos });
       (* exec'd shards run only Chaos.faults at the default stall *)
-      ( "sharded chaos with a stall argv cannot carry",
-        sharded ~chaos:{ S.Chaos.default_config with slow_s = 0.02 } (),
-        Fun.id );
-      ( "sharded chaos with faults argv cannot carry",
-        sharded ~chaos:{ S.Chaos.default_config with faults = [ S.Chaos.Mem_squeeze ] } (),
-        Fun.id );
+      ("sharded chaos with a stall argv cannot carry", fun c ->
+        { c with S.Soak.shards = 2; chaos = Some { S.Chaos.default_config with slow_s = 0.02 } });
+      ("sharded chaos with faults argv cannot carry", fun c ->
+        { c with
+          S.Soak.shards = 2;
+          chaos = Some { S.Chaos.default_config with faults = [ S.Chaos.Mem_squeeze ] } });
     ]
 
 (* A shard fault after every 8th answered request: 8 faults over 64
@@ -1131,15 +1112,11 @@ let soak_refuses_ignored_topology_fields () =
 let soak_sharded_kill_chaos_holds_invariants () =
   let config =
     {
-      (soak_config (fun s ->
-           {
-             s with
-             S.Exec.workers = 1;
-             shards = 3;
-             cache_dir = Some (fresh_dir "soak-shard-cache");
-           }))
-      with
-      S.Soak.clients = 4;
+      (soak_config ()) with
+      S.Soak.workers = 1;
+      shards = 3;
+      cache_dir = Some (fresh_dir "soak-shard-cache");
+      clients = 4;
       requests_per_client = 16;
       seed = 11;
       shard_chaos =
@@ -1171,16 +1148,12 @@ let soak_sharded_kill_chaos_holds_invariants () =
 let soak_hedged_hangs_hold_invariants () =
   let config =
     {
-      (soak_config (fun s ->
-           {
-             s with
-             S.Exec.workers = 1;
-             shards = 2;
-             hedge = true;
-             cache_dir = Some (fresh_dir "soak-hedge-cache");
-           }))
-      with
-      S.Soak.clients = 4;
+      (soak_config ()) with
+      S.Soak.workers = 1;
+      shards = 2;
+      hedge = true;
+      cache_dir = Some (fresh_dir "soak-hedge-cache");
+      clients = 4;
       requests_per_client = 50;
       seed = 19;
       shard_chaos =
@@ -1209,25 +1182,21 @@ let soak_hedged_hangs_hold_invariants () =
 let soak_sharded_mem_net_chaos_crosses_the_exec () =
   let config =
     {
-      (soak_config (fun s ->
-           {
-             s with
-             S.Exec.workers = 2;
-             shards = 2;
-             max_crashes = 1000;
-             chaos =
-               Some
-                 {
-                   S.Chaos.default_config with
-                   seed = 23;
-                   every = 1;
-                   faults = S.Chaos.faults ~mem:true ~net:true;
-                 };
-             cache_dir = Some (fresh_dir "soak-memnet-cache");
-             crash_dir = Some (fresh_dir "soak-memnet-crash");
-           }))
-      with
-      S.Soak.clients = 4;
+      (soak_config ()) with
+      S.Soak.workers = 2;
+      shards = 2;
+      max_crashes = 1000;
+      chaos =
+        Some
+          {
+            S.Chaos.default_config with
+            seed = 23;
+            every = 1;
+            faults = S.Chaos.faults ~mem:true ~net:true;
+          };
+      cache_dir = Some (fresh_dir "soak-memnet-cache");
+      crash_dir = Some (fresh_dir "soak-memnet-crash");
+      clients = 4;
       requests_per_client = 25;
       seed = 23;
     }
@@ -1374,8 +1343,8 @@ let suite =
       soak_refuses_ignored_topology_fields;
     case "soak: memory and network chaos cross the exec to shards"
       soak_sharded_mem_net_chaos_crosses_the_exec;
-    case "shards: a restarted shard does not block SIGTERM"
-      pool_restart_does_not_block_sigterm;
+    case "shards: a restarted shard exits 0 on SIGTERM"
+      pool_restarted_shard_exits_0_on_sigterm;
     case "server: admission rejects oversized requests"
       server_admission_rejects_oversized;
     case "server: memory watermark sheds new work"
