@@ -33,24 +33,26 @@ let verified ?adder ?lower_config strategy (d : Dp_designs.Design.t) =
    gates (partial products, CPA logic) pass levels through without adding
    any. *)
 let reduction_levels netlist =
-  let level = Array.make (max 1 (Dp_netlist.Netlist.net_count netlist)) 0 in
+  let open Dp_netlist in
+  let level = Array.make (max 1 (Netlist.net_count netlist)) 0 in
   let worst = ref 0 in
-  Dp_netlist.Netlist.iter_cells
-    (fun id (c : Dp_netlist.Netlist.cell) ->
-      let reduces =
-        match c.kind with
-        | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha -> true
-        | k -> Dp_tech.Cell_kind.is_counter k
-      in
-      let base =
-        Array.fold_left (fun acc n -> max acc level.(n)) 0 c.inputs
-      in
-      let l = if reduces then base + 1 else base in
-      worst := max !worst l;
-      Array.iter
-        (fun n -> level.(n) <- l)
-        (Dp_netlist.Netlist.cell_output_nets netlist id))
-    netlist;
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    let kind = Netlist.cell_kind netlist id in
+    let reduces =
+      match kind with
+      | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha -> true
+      | k -> Dp_tech.Cell_kind.is_counter k
+    in
+    let base = ref 0 in
+    for k = 0 to Netlist.pin_count netlist id - 1 do
+      base := max !base level.(Netlist.pin netlist id k)
+    done;
+    let l = if reduces then !base + 1 else !base in
+    worst := max !worst l;
+    for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
+      level.(Netlist.output_net netlist id ~port) <- l
+    done
+  done;
   !worst
 
 (* ------------------------------------------------------------------ *)

@@ -205,25 +205,26 @@ let check_annotations ~ctx netlist =
     | None ->
       let non_monotone = ref None in
       let tech = Netlist.tech netlist in
-      Netlist.iter_cells
-        (fun c (cell : Netlist.cell) ->
-          (* Monotonicity is per (pin, port) path: a port must not arrive
-             before any input that actually reaches it.  A 4:2
-             compressor's carry-out legitimately precedes its cin. *)
-          Array.iteri
-            (fun port out ->
-              let latest_in = ref 0.0 in
-              Array.iteri
-                (fun pin n ->
-                  match Dp_tech.Tech.pin_delay tech cell.kind ~pin ~port with
-                  | Some _ ->
-                    latest_in := Float.max !latest_in (Netlist.arrival netlist n)
-                  | None -> ())
-                cell.inputs;
-              if Netlist.arrival netlist out +. 1e-9 < !latest_in then
-                if !non_monotone = None then non_monotone := Some (c, out))
-            (Netlist.cell_output_nets netlist c))
-        netlist;
+      for c = 0 to Netlist.cell_count netlist - 1 do
+        (* Monotonicity is per (pin, port) path: a port must not arrive
+           before any input that actually reaches it.  A 4:2
+           compressor's carry-out legitimately precedes its cin. *)
+        let kind = Netlist.cell_kind netlist c in
+        for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
+          let out = Netlist.output_net netlist c ~port in
+          let latest_in = ref 0.0 in
+          for pin = 0 to Netlist.pin_count netlist c - 1 do
+            match Dp_tech.Tech.pin_delay tech kind ~pin ~port with
+            | Some _ ->
+              latest_in :=
+                Float.max !latest_in
+                  (Netlist.arrival netlist (Netlist.pin netlist c pin))
+            | None -> ()
+          done;
+          if Netlist.arrival netlist out +. 1e-9 < !latest_in then
+            if !non_monotone = None then non_monotone := Some (c, out)
+        done
+      done;
       (match !non_monotone with
       | Some (c, out) ->
         fail ~code:"DP-FUZZ002"

@@ -15,18 +15,18 @@ let emit ?(graph_name = "netlist") netlist =
       line "  net%d [shape=plaintext, label=\"%c\"];" net (if b then '1' else '0')
     | Netlist.From_cell _ -> ()
   done;
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      line "  cell%d [shape=box, label=\"%s\"];" id (Dp_tech.Cell_kind.name c.kind);
-      Array.iter
-        (fun input ->
-          match Netlist.driver netlist input with
-          | Netlist.From_cell { cell; port } ->
-            line "  cell%d -> cell%d [label=\"%s\"];" cell id (port_label port)
-          | Netlist.From_input _ | Netlist.From_const _ ->
-            line "  net%d -> cell%d;" input id)
-        c.inputs)
-    netlist;
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    line "  cell%d [shape=box, label=\"%s\"];" id
+      (Dp_tech.Cell_kind.name (Netlist.cell_kind netlist id));
+    for k = 0 to Netlist.pin_count netlist id - 1 do
+      let input = Netlist.pin netlist id k in
+      match Netlist.driver netlist input with
+      | Netlist.From_cell { cell; port } ->
+        line "  cell%d -> cell%d [label=\"%s\"];" cell id (port_label port)
+      | Netlist.From_input _ | Netlist.From_const _ ->
+        line "  net%d -> cell%d;" input id
+    done
+  done;
   List.iter
     (fun (name, nets) ->
       Array.iteri

@@ -715,18 +715,6 @@ let find_output t name =
   | Some nets -> nets
   | None -> invalid_arg (Printf.sprintf "Netlist.find_output: no output %s" name)
 
-let iter_cells f t =
-  for i = 0 to cell_count t - 1 do
-    f i (cell t i)
-  done
-
-let fold_cells f acc t =
-  let acc = ref acc in
-  for i = 0 to cell_count t - 1 do
-    acc := f !acc (cell t i)
-  done;
-  !acc
-
 (* Summed in cell order, as a left fold over the cells would, from a
    table of each kind's area. *)
 let area t =
@@ -748,11 +736,11 @@ module Mutate = struct
   let set_driver t n d = Ints.set t.net_codes n (push_side t d)
   let set_prob t n p = Floats.set t.prob n p
 
-  let set_cell t i c =
-    Ints.set t.kinds i (Dp_tech.Cell_kind.code c.kind);
+  let set_cell t i kind pins =
+    Ints.set t.kinds i (Dp_tech.Cell_kind.code kind);
     Ints.set t.first_pins i t.pins.len;
-    Ints.set t.pin_counts i (Array.length c.inputs);
-    Array.iter (Ints.push t.pins) c.inputs
+    Ints.set t.pin_counts i (Array.length pins);
+    Array.iter (Ints.push t.pins) pins
 
   let set_cell_input t ~cell ~pin net =
     if pin < 0 || pin >= pin_count t cell then

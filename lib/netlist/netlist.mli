@@ -23,9 +23,15 @@
     code ({!Dp_tech.Cell_kind.code}), a first pin and a pin count into one
     pin column, and a first output net.  The two- and three-input
     builders ({!and2}, {!or2}, {!xor2}, {!ha}, {!fa}) write a new cell's
-    annotations straight into those columns; readers take a cell's kind
-    and pins by index ({!cell_kind}, {!pin}) and never build a {!cell}
-    record. *)
+    annotations straight into those columns.
+
+    There is one way to read a cell: by index, as {!cell_kind},
+    {!pin_count}, {!pin} and {!output_net}.  Every pass in the library
+    reads cells so, from synthesis and serving to the analyses that
+    recompute timing, probability and switching from scratch.  What
+    drives a net is read by {!driving_cell} and {!driving_port}, or
+    decoded whole by {!driver} where an input, a constant or a
+    {!Mutate} override matters. *)
 
 type net = int
 
@@ -35,7 +41,8 @@ type driver =
   | From_cell of { cell : int; port : int }
 
 (** A cell decoded from the arena by {!cell}: its kind and its input
-    nets by pin. *)
+    nets by pin.  No library pass reads it; it is kept for
+    [perfbench/compose.ml] and leaves with it. *)
 type cell = { kind : Dp_tech.Cell_kind.t; inputs : net array }
 
 type t
@@ -103,17 +110,18 @@ val pin_count : t -> int -> int
     @raise Invalid_argument unless [0 <= k < pin_count t i]. *)
 val pin : t -> int -> int -> net
 
-(** Cell [i] as a freshly built record.  For cross-checks and tools off
-    the request path; the readers on it use {!cell_kind} and {!pin}. *)
+(** [output_net t cell ~port] is the net on output port [port] of
+    [cell]; [port] must be below the cell kind's output count. *)
+val output_net : t -> int -> port:int -> net
+
+(** Cell [i] as a freshly built record.  No library pass calls it, nor
+    {!cell_output_nets}: both are kept for [perfbench/compose.ml] (and
+    the test references) and leave with it. *)
 val cell : t -> int -> cell
 
-(** Output nets of a cell, indexed by port. *)
+(** Output nets of a cell, indexed by port: [output_net] of each of its
+    kind's ports. *)
 val cell_output_nets : t -> int -> net array
-
-(** [output_net t cell ~port] is [(cell_output_nets t cell).(port)]
-    without building the array; [port] must be below the cell kind's
-    output count. *)
-val output_net : t -> int -> port:int -> net
 
 (** Declare a primary input bus; returns its nets, LSB first.  Arrivals
     default to 0.0 and probabilities to 0.5.
@@ -182,24 +190,24 @@ val outputs : t -> (string * net array) list
 (** @raise Invalid_argument if absent. *)
 val find_output : t -> string -> net array
 
-(** Every cell in id order, each decoded as {!cell} decodes it. *)
-val iter_cells : (int -> cell -> unit) -> t -> unit
-
-val fold_cells : ('acc -> cell -> 'acc) -> 'acc -> t -> 'acc
-
 (** Raw, invariant-{e breaking} setters.  They bypass every builder
     invariant (driver/output consistency, topological net ordering,
     annotation correctness) and leave the structural-hashing caches stale.
     Their one intended client is [Dp_verify.Inject], which corrupts
     known-good netlists on purpose to prove the checkers detect the
-    corruption.  Never use them in synthesis code. *)
+    corruption.  Never use them in synthesis code.
+
+    A cell's outputs stay where they were: retyping a cell changes what
+    {!cell_kind} answers and so how many ports a reader expects, not
+    which nets the cell drives. *)
 module Mutate : sig
   val set_driver : t -> net -> driver -> unit
   val set_prob : t -> net -> float -> unit
 
-  (** Retype and rewire cell [i]; its new pins are appended to the pin
+  (** [set_cell t i kind pins] retypes cell [i] to [kind] and rewires it
+      to [pins], whatever their number; the pins are appended to the pin
       column. *)
-  val set_cell : t -> int -> cell -> unit
+  val set_cell : t -> int -> Dp_tech.Cell_kind.t -> net array -> unit
 
   (** Rewire one input pin of a cell.
       @raise Invalid_argument if the cell has no such pin. *)

@@ -59,10 +59,11 @@ let pp_cells ppf netlist =
   let pp_net ppf n = Fmt.string ppf (net_name netlist n) in
   let pp_out ppf n = Fmt.pf ppf "%a@%.2f" pp_net n (Netlist.arrival netlist n) in
   for id = 0 to Netlist.cell_count netlist - 1 do
-    Fmt.pf ppf "%a(%a) -> %a@." Dp_tech.Cell_kind.pp
-      (Netlist.cell_kind netlist id)
+    let kind = Netlist.cell_kind netlist id in
+    Fmt.pf ppf "%a(%a) -> %a@." Dp_tech.Cell_kind.pp kind
       Fmt.(list ~sep:(any ", ") pp_net)
       (List.init (Netlist.pin_count netlist id) (Netlist.pin netlist id))
-      Fmt.(array ~sep:(any ", ") pp_out)
-      (Netlist.cell_output_nets netlist id)
+      Fmt.(list ~sep:(any ", ") pp_out)
+      (List.init (Dp_tech.Cell_kind.output_count kind) (fun port ->
+           Netlist.output_net netlist id ~port))
   done

@@ -26,20 +26,24 @@ type plan = {
 
 let eps = 1e-9
 
+(* [acc] raised to the delay of [kind]'s slowest output port. *)
+let slowest_port tech kind acc =
+  let acc = ref acc in
+  for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
+    acc := Float.max !acc (Dp_tech.Tech.delay tech kind ~port)
+  done;
+  !acc
+
 (* The smallest feasible cycle time: every cell must fit inside one stage,
    and every primary input's intra-stage arrival is its arrival modulo the
    cycle — safe as long as no single cell is slower than the cycle. *)
 let min_cycle_time netlist =
   let tech = Netlist.tech netlist in
-  Netlist.fold_cells
-    (fun acc (c : Netlist.cell) ->
-      let ports = Dp_tech.Cell_kind.output_count c.kind in
-      let rec worst port acc =
-        if port >= ports then acc
-        else worst (port + 1) (Float.max acc (Dp_tech.Tech.delay tech c.kind ~port))
-      in
-      worst 0 acc)
-    0.0 netlist
+  let worst = ref 0.0 in
+  for cell = 0 to Netlist.cell_count netlist - 1 do
+    worst := slowest_port tech (Netlist.cell_kind netlist cell) !worst
+  done;
+  !worst
 
 let plan netlist ~cycle_time =
   if cycle_time <= 0.0 then invalid_arg "Pipeline.plan: cycle_time must be > 0";
@@ -65,26 +69,22 @@ let plan netlist ~cycle_time =
       stage.(net) <- 0;
       local.(net) <- 0.0
     | Netlist.From_cell { cell; port } ->
-      let c = Netlist.cell netlist cell in
-      let s_in =
-        Array.fold_left (fun acc input -> max acc stage.(input)) 0 c.inputs
-      in
-      let a_in =
-        Array.fold_left
-          (fun acc input ->
-            if stage.(input) = s_in then Float.max acc local.(input) else acc)
-          0.0 c.inputs
-      in
+      let kind = Netlist.cell_kind netlist cell in
+      let pins = Netlist.pin_count netlist cell in
+      let s_in = ref 0 in
+      for k = 0 to pins - 1 do
+        s_in := max !s_in stage.(Netlist.pin netlist cell k)
+      done;
+      let s_in = !s_in in
+      let a_in = ref 0.0 in
+      for k = 0 to pins - 1 do
+        let input = Netlist.pin netlist cell k in
+        if stage.(input) = s_in then a_in := Float.max !a_in local.(input)
+      done;
+      let a_in = !a_in in
       (* the whole cell computes in one stage: stage by its slowest port *)
-      let ports = Dp_tech.Cell_kind.output_count c.kind in
-      let max_d =
-        let rec go port acc =
-          if port >= ports then acc
-          else go (port + 1) (Float.max acc (Dp_tech.Tech.delay tech c.kind ~port))
-        in
-        go 0 0.0
-      in
-      let d = Dp_tech.Tech.delay tech c.kind ~port in
+      let max_d = slowest_port tech kind 0.0 in
+      let d = Dp_tech.Tech.delay tech kind ~port in
       if a_in +. max_d <= cycle_time +. eps then begin
         stage.(net) <- s_in;
         local.(net) <- a_in +. d
@@ -105,14 +105,17 @@ let plan netlist ~cycle_time =
      crosses s' - s boundaries.  Cells read their inputs in the stage of
      their outputs; declared outputs are read in the final stage. *)
   let last_use = Array.copy stage in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      let outs = Netlist.cell_output_nets netlist id in
-      let cell_stage = Array.fold_left (fun acc o -> max acc stage.(o)) 0 outs in
-      Array.iter
-        (fun input -> last_use.(input) <- max last_use.(input) cell_stage)
-        c.inputs)
-    netlist;
+  for cell = 0 to Netlist.cell_count netlist - 1 do
+    let ports = Dp_tech.Cell_kind.output_count (Netlist.cell_kind netlist cell) in
+    let cell_stage = ref 0 in
+    for port = 0 to ports - 1 do
+      cell_stage := max !cell_stage stage.(Netlist.output_net netlist cell ~port)
+    done;
+    for k = 0 to Netlist.pin_count netlist cell - 1 do
+      let input = Netlist.pin netlist cell k in
+      last_use.(input) <- max last_use.(input) !cell_stage
+    done
+  done;
   List.iter
     (fun (_, nets) ->
       Array.iter (fun net -> last_use.(net) <- latency - 1) nets)

@@ -16,8 +16,10 @@ let popcount_int v =
   done;
   !n
 
-let cell_output_prob (c : Netlist.cell) probs ~port =
-  let p i = probs.(c.inputs.(i)) in
+(* The 1-probability of output [port] of [cell], from its pins'
+   probabilities in [probs]. *)
+let output_prob netlist cell probs ~port =
+  let p i = probs.(Netlist.pin netlist cell i) in
   let qv i = p i -. 0.5 in
   (* Minterm enumeration over the 2^m pin assignments (m <= 7).
      Deliberately a different algorithm from the builder's count-
@@ -36,7 +38,7 @@ let cell_output_prob (c : Netlist.cell) probs ~port =
     done;
     !acc
   in
-  match c.kind, port with
+  match Netlist.cell_kind netlist cell, port with
   | Dp_tech.Cell_kind.Fa, 0 -> 0.5 +. fa_sum_q (qv 0) (qv 1) (qv 2)
   | Dp_tech.Cell_kind.Fa, 1 -> 0.5 +. fa_carry_q (qv 0) (qv 1) (qv 2)
   | Dp_tech.Cell_kind.Ha, 0 -> 0.5 +. ha_sum_q (qv 0) (qv 1)
@@ -62,8 +64,8 @@ let cell_output_prob (c : Netlist.cell) probs ~port =
     !acc
   | ( Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73 ),
     (0 | 1 | 2) ->
-    let m = Array.length c.inputs in
-    enumerate m (fun v -> (popcount_int v lsr port) land 1 = 1)
+    enumerate (Netlist.pin_count netlist cell) (fun v ->
+        (popcount_int v lsr port) land 1 = 1)
   | Dp_tech.Cell_kind.C42, (0 | 1 | 2) ->
     enumerate 5 (fun v ->
         let bit i = (v lsr i) land 1 = 1 in
@@ -79,7 +81,7 @@ let cell_output_prob (c : Netlist.cell) probs ~port =
     | Dp_tech.Cell_kind.And_n _ | Dp_tech.Cell_kind.Or_n _
     | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
     | Dp_tech.Cell_kind.Buf ), _ ->
-    invalid_arg "Prob.cell_output_prob: bad port"
+    invalid_arg "Prob.probabilities: bad port"
 
 let probabilities netlist =
   let n = Netlist.net_count netlist in
@@ -97,7 +99,7 @@ let probabilities netlist =
          few ulps outside [0,1] at extreme input probabilities. *)
       probs.(net) <-
         Float.max 0.0
-          (Float.min 1.0 (cell_output_prob (Netlist.cell netlist cell) probs ~port))
+          (Float.min 1.0 (output_prob netlist cell probs ~port))
   done;
   probs
 

@@ -14,10 +14,6 @@ val fa_carry_q : float -> float -> float -> float
 val ha_sum_q : float -> float -> float
 val ha_carry_q : float -> float -> float
 
-(** Probability of one cell output given its input probabilities (array
-    indexed by net id).  @raise Invalid_argument on a bad port. *)
-val cell_output_prob : Netlist.cell -> float array -> port:int -> float
-
 (** 1-probability of every net, indexed by net id. *)
 val probabilities : Netlist.t -> float array
 

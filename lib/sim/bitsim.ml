@@ -17,9 +17,9 @@ let popcount x =
   to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
 
 (* 64-lane FA/HA blocks, used to evaluate the counters through their
-   [Dp_tech.Recipe] bodies — deliberately NOT via popcount, so that
-   [Simulator]'s arithmetic semantics and this boolean evaluation
-   cross-check each other. *)
+   [Dp_tech.Recipe] bodies — deliberately NOT via popcount, so that this
+   boolean evaluation and the arithmetic semantics of the test suite's
+   scalar reference simulator cross-check each other. *)
 let fa64 a b c =
   let sum = Int64.logxor (Int64.logxor a b) c in
   let carry =
@@ -30,8 +30,6 @@ let fa64 a b c =
 
 let ha64 a b = (Int64.logxor a b, Int64.logand a b)
 
-(* Writes the packed word of each output port [p] of cell [id], of kind
-   [kind], to [out.(p)]. *)
 let eval_cell netlist id kind (values : int64 array) out =
   let v k = values.(Netlist.pin netlist id k) in
   match kind with
@@ -84,15 +82,16 @@ let run netlist ~assign =
   let n = Netlist.net_count netlist in
   let values = Array.make n 0L in
   let gov = Netlist.gov netlist in
-  (* Net ids are topologically ordered (see [Simulator.run]); one forward
-     pass evaluates all 64 lanes of every net.  A cell's outputs are
+  (* Net ids are topologically ordered: a cell's inputs precede its
+     outputs, so one forward pass evaluates all 64 lanes of every net.  A
+     cell's outputs are
      consecutive nets, so it is evaluated once, when the first of them
      comes up, into [ports]; its other outputs read the words kept there.
      The words are kept only when every input of the cell lies below the
      net being evaluated, as on a lint-clean netlist: those values are
      final.  A cell that reads its own or a later net (a [Netlist.Mutate]
-     corruption) is evaluated again for each net it drives, as
-     [Simulator.run] does. *)
+     corruption) is evaluated again for each net it drives, from the
+     values it reads at that net. *)
   let ports = Array.make 3 0L in
   let evaluated = ref (-1) and port_count = ref 0 in
   for net = 0 to n - 1 do

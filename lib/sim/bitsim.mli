@@ -1,28 +1,45 @@
-(** Bit-parallel (64-wide) logic simulation.
+(** Bit-parallel (64-wide) logic simulation: the library's one cell
+    evaluator.
 
     One [int64] word per net packs the net's value under up to 64 distinct
     input assignments ("lanes"): bit [k] of the word is the net's value in
     lane [k].  A single forward sweep of the netlist therefore simulates 64
-    vectors at the cost [Simulator.run] pays for one, because every gate
-    evaluates as one or two word-wide boolean operations.
+    vectors at the cost a scalar simulator pays for one, because every
+    gate evaluates as one or two word-wide boolean operations.
 
-    This is the fast path behind [Equiv]'s random/exhaustive checking,
-    [Monte_carlo]'s vector streams, and the fuzz oracle's differential
-    simulation; the scalar [Simulator] remains the reference the test
-    suite diffs lane-by-lane against. *)
+    Every pass that needs logic values evaluates cells here: [Equiv]'s
+    random/exhaustive checking, [Monte_carlo]'s vector streams,
+    [Testbench]'s expected outputs, [Event_sim]'s per-event evaluation
+    (through {!eval_cell}, on words that hold one value in every lane) and
+    the fuzz oracle's differential simulation.  Its reference is the test
+    suite's scalar [simulator_reference.ml], which evaluates the counters
+    by popcount rather than through their recipe bodies; the tests diff
+    the two lane by lane. *)
 
 open Dp_netlist
+
+(** [eval_cell netlist id kind values out] evaluates cell [id], of kind
+    [kind] (its {!Netlist.cell_kind}), on the packed words [values] of
+    its pins, and writes the word of each output port [p] to [out.(p)].
+    Counters are evaluated through their certified
+    {!Dp_tech.Recipe} bodies.  [out] must hold the kind's output count
+    (at most 3). *)
+val eval_cell :
+  Netlist.t -> int -> Dp_tech.Cell_kind.t -> int64 array -> int64 array ->
+  unit
 
 (** Packed value of every net, indexed by net id.  [assign var bit] is the
     packed word of input bit [bit] of variable [var]; lanes the caller
     never reads may hold anything.  Each cell is evaluated once per
     sweep, when its first output net comes up; on a corrupted netlist, a
     cell that reads its own or a later net is evaluated again for each
-    net it drives, so every net holds what [Simulator.run] computes. *)
+    net it drives, from the values it reads at that net, as a scalar
+    simulator that evaluates each net in turn would. *)
 val run : Netlist.t -> assign:(string -> int -> int64) -> int64 array
 
 (** Pack [lanes] scalar assignments (lane [k] assigns [assign k var] to
-    variable [var], LSB-first as in [Simulator]) and sweep once.
+    variable [var]; bit [i] of that integer is input bit [i]) and sweep
+    once.
     @raise Invalid_argument unless [1 <= lanes <= 64]. *)
 val run_lanes :
   Netlist.t -> lanes:int -> assign:(int -> string -> int) -> int64 array

@@ -14,22 +14,6 @@ let pp_mismatch ppf m =
 
 let no_signed (_ : string) = false
 
-let check_assignment ?(signed = no_signed) netlist expr ~output ~width alist =
-  let widths =
-    List.map (fun (name, nets) -> name, Array.length nets) (Netlist.inputs netlist)
-  in
-  let interpret x =
-    let raw = List.assoc x alist in
-    if signed x then
-      Dp_expr.Eval.signed_of_pattern ~width:(List.assoc x widths) raw
-    else raw
-  in
-  let expected = Dp_expr.Eval.eval_mod ~width interpret expr in
-  let actual =
-    Simulator.eval_output netlist ~assign:(fun x -> List.assoc x alist) output
-  in
-  if expected = actual then Ok () else Error { assignment = alist; expected; actual }
-
 let input_widths netlist =
   List.map (fun (name, nets) -> name, Array.length nets) (Netlist.inputs netlist)
 

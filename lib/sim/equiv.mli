@@ -12,16 +12,17 @@ type mismatch = {
 
 val pp_mismatch : mismatch Fmt.t
 
-(** Compare netlist output against [Dp_expr.Eval.eval_mod] for one
-    assignment (an association list of raw bit patterns covering every
-    input).  [signed] marks variables whose patterns must be interpreted in
-    two's complement when evaluating the expression (default: none). *)
-val check_assignment :
-  ?signed:(string -> bool) -> Netlist.t -> Dp_expr.Ast.t ->
-  output:string -> width:int ->
-  (string * int) list -> (unit, mismatch) result
+(** [random_assignment rng widths] draws one uniformly random raw bit
+    pattern for each [(name, width)], in order.  A width below 30 takes
+    one [Random.State.int] draw; a wider one (up to 62) stitches 24-bit
+    draws, low bits first. *)
+val random_assignment :
+  Random.State.t -> (string * int) list -> (string * int) list
 
-(** [trials] uniformly random assignments drawn from a seeded generator. *)
+(** [trials] uniformly random assignments drawn from a seeded generator
+    by {!random_assignment}.  [signed] marks variables whose patterns are
+    interpreted in two's complement when evaluating the expression
+    (default: none). *)
 val check_random :
   ?seed:int -> ?signed:(string -> bool) -> trials:int ->
   Netlist.t -> Dp_expr.Ast.t ->

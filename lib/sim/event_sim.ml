@@ -8,18 +8,20 @@ open Dp_netlist
    and the netlist is combinational, so activity always quiesces. *)
 
 let fanout_map netlist =
-  (* net -> cells it feeds *)
+  (* net -> cells it feeds, the latest cell first, once per pin *)
   let map = Array.make (Netlist.net_count netlist) [] in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      Array.iter (fun input -> map.(input) <- id :: map.(input)) c.inputs)
-    netlist;
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    for k = 0 to Netlist.pin_count netlist id - 1 do
+      let input = Netlist.pin netlist id k in
+      map.(input) <- id :: map.(input)
+    done
+  done;
   map
 
 type t = {
   netlist : Netlist.t;
   fanout : int list array;
-  values : bool array;
+  values : int64 array;
   transitions : int array;
 }
 
@@ -27,14 +29,19 @@ let create netlist =
   {
     netlist;
     fanout = fanout_map netlist;
-    values = Array.make (Netlist.net_count netlist) false;
+    values = Array.make (Netlist.net_count netlist) 0L;
     transitions = Array.make (Netlist.net_count netlist) 0;
   }
+
+(* A net's value as a [Bitsim] word: every lane holds the one bit. *)
+let word b = if b then Int64.minus_one else 0L
+
+let input_word assign var bit = word ((assign var lsr bit) land 1 = 1)
 
 (* Establish a consistent initial state with one functional evaluation;
    the first vector is not counted as switching activity. *)
 let initialize t ~assign =
-  let values = Simulator.run t.netlist ~assign in
+  let values = Bitsim.run t.netlist ~assign:(input_word assign) in
   Array.blit values 0 t.values 0 (Array.length values)
 
 (* Settle the netlist from the given input assignment, counting every net
@@ -49,31 +56,30 @@ let initialize t ~assign =
    value winning, so simultaneous input changes produce one transition. *)
 let apply_vector t ~assign =
   let tech = Netlist.tech t.netlist in
-  let queue = Heap.create ~dummy:(0, 0, false) in
+  let queue = Heap.create ~dummy:(0, 0, 0L) in
+  let outs = Array.make 3 0L in
   let seq = ref 0 in
   let set net value time =
-    if t.values.(net) <> value then begin
+    if not (Int64.equal t.values.(net) value) then begin
       t.values.(net) <- value;
       t.transitions.(net) <- t.transitions.(net) + 1;
       List.iter
-        (fun cell_id ->
-          let c = Netlist.cell t.netlist cell_id in
-          let outs = Simulator.cell_outputs c t.values in
-          Array.iteri
-            (fun port out_net ->
-              incr seq;
-              Heap.push queue
-                (time +. Dp_tech.Tech.delay tech c.kind ~port)
-                (!seq, out_net, outs.(port)))
-            (Netlist.cell_output_nets t.netlist cell_id))
+        (fun cell ->
+          let kind = Netlist.cell_kind t.netlist cell in
+          Bitsim.eval_cell t.netlist cell kind t.values outs;
+          for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
+            incr seq;
+            Heap.push queue
+              (time +. Dp_tech.Tech.delay tech kind ~port)
+              (!seq, Netlist.output_net t.netlist cell ~port, outs.(port))
+          done)
         t.fanout.(net)
     end
   in
   (* primary inputs switch at t = 0; constants were fixed at init *)
   for net = 0 to Netlist.net_count t.netlist - 1 do
     match Netlist.driver t.netlist net with
-    | Netlist.From_input { var; bit } ->
-      set net ((assign var lsr bit) land 1 = 1) 0.0
+    | Netlist.From_input { var; bit } -> set net (input_word assign var bit) 0.0
     | Netlist.From_const _ | Netlist.From_cell _ -> ()
   done;
   let pending = Hashtbl.create 16 in
@@ -132,25 +138,11 @@ let transition_rates ?(seed = 0x911c4) ~vectors netlist =
         t.transitions;
   }
 
-let switching_energy netlist rates =
-  let tech = Netlist.tech netlist in
-  let total = ref 0.0 in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      let outs = Netlist.cell_output_nets netlist id in
-      Array.iteri
-        (fun port net ->
-          let w = Dp_tech.Tech.energy tech c.kind ~port in
-          total := !total +. (w *. rates.(net) /. 2.0))
-        outs)
-    netlist;
-  !total
-
 let glitch_factor netlist ~vectors ~seed =
   (* ratio of timed transitions (with glitches) to zero-delay transitions;
      1.0 means glitch-free *)
   let timed = transition_rates ~seed ~vectors netlist in
   let zero = Monte_carlo.toggle_rates ~seed ~vectors netlist in
-  let timed_e = switching_energy netlist timed.transition_rate in
-  let zero_e = switching_energy netlist zero.toggle_rate in
+  let timed_e = Monte_carlo.switching_energy netlist timed.transition_rate in
+  let zero_e = Monte_carlo.switching_energy netlist zero.toggle_rate in
   if zero_e = 0.0 then 1.0 else timed_e /. zero_e

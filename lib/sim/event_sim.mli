@@ -5,14 +5,21 @@
     (Sec. 4.1).  This simulator propagates input changes through the real
     pin-to-pin delays and counts {e every} output change, making the
     glitch power visible.  The netlist must be combinational (always true
-    here) so activity quiesces after each vector. *)
+    here) so activity quiesces after each vector.
+
+    Cells are evaluated by {!Bitsim.eval_cell}, the library's one cell
+    evaluator, on words that hold one value in every lane; the test
+    suite's [simulator_reference.ml] is the reference it is diffed
+    against. *)
 
 open Dp_netlist
 
 type t = {
   netlist : Netlist.t;
   fanout : int list array;  (** net -> fed cells *)
-  values : bool array;  (** current settled value per net *)
+  values : int64 array;
+      (** current settled value per net, as a {!Bitsim} word: [0L] or
+          [-1L] *)
   transitions : int array;  (** cumulative transition count per net *)
 }
 
@@ -34,12 +41,6 @@ type rates = {
     @raise Invalid_argument when [vectors < 2]. *)
 val transition_rates : ?seed:int -> vectors:int -> Netlist.t -> rates
 
-(** Energy-weighted total of the measured transitions (per-vector, halved
-    to match the E = p(1-p) convention), comparable to
-    [Dp_power.Switching.total_switching] and to
-    [Monte_carlo.switching_energy]. *)
-val switching_energy : Netlist.t -> float array -> float
-
-(** Ratio of timed (glitchy) to zero-delay switching energy; 1.0 means
-    glitch-free. *)
+(** Ratio of timed (glitchy) to zero-delay switching energy, each
+    weighted by {!Monte_carlo.switching_energy}; 1.0 means glitch-free. *)
 val glitch_factor : Netlist.t -> vectors:int -> seed:int -> float

@@ -95,14 +95,14 @@ let switching_energy netlist rates =
   (* Under temporal independence the expected toggle rate of a net with
      1-probability p is 2 p (1-p); the paper's E(x) = p(1-p) is half that,
      so the measured equivalent of E_switching uses rate / 2. *)
+  let tech = Netlist.tech netlist in
   let total = ref 0.0 in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      let outs = Netlist.cell_output_nets netlist id in
-      Array.iteri
-        (fun port net ->
-          let w = Dp_tech.Tech.energy (Netlist.tech netlist) c.kind ~port in
-          total := !total +. (w *. rates.(net) /. 2.0))
-        outs)
-    netlist;
+  for cell = 0 to Netlist.cell_count netlist - 1 do
+    let kind = Netlist.cell_kind netlist cell in
+    for port = 0 to Dp_tech.Cell_kind.output_count kind - 1 do
+      let w = Dp_tech.Tech.energy tech kind ~port in
+      let net = Netlist.output_net netlist cell ~port in
+      total := !total +. (w *. rates.(net) /. 2.0)
+    done
+  done;
   !total

@@ -1,17 +1,34 @@
 (* Self-checking Verilog testbench generation: stimulus vectors plus the
-   expected outputs (computed by our own simulator) so the emitted netlist
-   can be validated in any external Verilog simulator — the last leg of
-   the flow the paper ran through Synopsys. *)
+   expected outputs so the emitted netlist can be validated in any
+   external Verilog simulator — the last leg of the flow the paper ran
+   through Synopsys.  The stimulus is drawn as [Equiv] draws its random
+   vectors, and the expected outputs are evaluated by [Bitsim], the
+   library's one cell evaluator, 64 vectors per sweep; its reference is
+   the scalar simulator in test/simulator_reference.ml. *)
 
 open Dp_netlist
 
-let random_assignments ~seed ~vectors netlist =
-  let rng = Random.State.make [| seed |] in
-  List.init vectors (fun _ ->
-      List.map
-        (fun (name, nets) ->
-          (name, Random.State.int rng (1 lsl Array.length nets)))
-        (Netlist.inputs netlist))
+(* The value of every output bus under each assignment. *)
+let expected_outputs netlist assignments =
+  let total = Array.length assignments in
+  let expected = Array.make total [] in
+  let start = ref 0 in
+  while !start < total do
+    let first = !start in
+    let lanes = min 64 (total - first) in
+    let values =
+      Bitsim.run_lanes netlist ~lanes ~assign:(fun k name ->
+          List.assoc name assignments.(first + k))
+    in
+    for k = 0 to lanes - 1 do
+      expected.(first + k) <-
+        List.map
+          (fun (_, nets) -> Bitsim.bus_value values nets ~lane:k)
+          (Netlist.outputs netlist)
+    done;
+    start := first + lanes
+  done;
+  expected
 
 let emit ?(module_name = "datapath") ?(seed = 0x7b) ?(vectors = 64) netlist =
   let buffer = Buffer.create 4096 in
@@ -31,29 +48,27 @@ let emit ?(module_name = "datapath") ?(seed = 0x7b) ?(vectors = 64) netlist =
   line "  integer errors;";
   line "  initial begin";
   line "    errors = 0;";
-  let assignments = random_assignments ~seed ~vectors netlist in
-  List.iteri
+  let rng = Random.State.make [| seed |] in
+  let widths = List.map (fun (name, nets) -> (name, Array.length nets)) ins in
+  let assignments =
+    Array.init vectors (fun _ -> Equiv.random_assignment rng widths)
+  in
+  let expected = expected_outputs netlist assignments in
+  Array.iteri
     (fun i alist ->
       List.iter
-        (fun (name, v) ->
-          line "    %s = %d'd%d;" name
-            (Array.length (List.assoc name ins))
-            v)
+        (fun (name, v) -> line "    %s = %d'd%d;" name (List.assoc name widths) v)
         alist;
       line "    #10;";
-      let values =
-        Simulator.run netlist ~assign:(fun name -> List.assoc name alist)
-      in
-      List.iter
-        (fun (name, nets) ->
-          let expected = Simulator.bus_value values nets in
+      List.iter2
+        (fun (name, nets) expected ->
           line "    if (%s !== %d'd%d) begin" name (Array.length nets) expected;
           line
             "      $display(\"FAIL vector %d: %s = %%d (expected %d)\", %s);"
             i name expected name;
           line "      errors = errors + 1;";
           line "    end")
-        outs)
+        outs expected.(i))
     assignments;
   line "    if (errors == 0) $display(\"PASS: %d vectors\");" vectors;
   line "    else $display(\"%%0d ERRORS\", errors);";

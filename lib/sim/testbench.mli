@@ -1,6 +1,7 @@
 (** Self-checking Verilog testbench generation: seeded random stimulus with
-    expected outputs pre-computed by the built-in simulator, so the emitted
-    netlist can be validated in any external Verilog simulator. *)
+    expected outputs pre-computed by {!Bitsim}, so the emitted netlist can
+    be validated in any external Verilog simulator.  Inputs of any width
+    up to 62 bits are drawn as {!Equiv.random_assignment} draws them. *)
 
 open Dp_netlist
 

@@ -14,19 +14,19 @@ let arrivals netlist =
     | Netlist.From_input _ | Netlist.From_const _ ->
       arrival.(net) <- Netlist.arrival netlist net
     | Netlist.From_cell { cell; port } ->
-      let c = Netlist.cell netlist cell in
+      let kind = Netlist.cell_kind netlist cell in
       (* Pin-resolved: worst over the pins with a path to this port.  For
          conventional cells every pin reaches every port with the port's
          one delay, so this equals max-input-arrival + delay; for the
          counters it prices each pin's path through the certified body
          (and skips e.g. the 4:2 carry-out's dead cin pin). *)
       let worst = ref neg_infinity in
-      Array.iteri
-        (fun pin input ->
-          match Dp_tech.Tech.pin_delay tech c.kind ~pin ~port with
-          | Some d -> worst := Float.max !worst (arrival.(input) +. d)
-          | None -> ())
-        c.inputs;
+      for pin = 0 to Netlist.pin_count netlist cell - 1 do
+        let input = Netlist.pin netlist cell pin in
+        match Dp_tech.Tech.pin_delay tech kind ~pin ~port with
+        | Some d -> worst := Float.max !worst (arrival.(input) +. d)
+        | None -> ()
+      done;
       arrival.(net) <- !worst
   done;
   arrival

@@ -52,12 +52,9 @@ let pick rng = function
 
 (* Cells with at least one input pin, the usual mutation sites. *)
 let wired_cells nl =
-  let acc = ref [] in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      if Array.length c.inputs > 0 then acc := id :: !acc)
-    nl;
-  List.rev !acc
+  List.filter
+    (fun c -> Netlist.pin_count nl c > 0)
+    (List.init (Netlist.cell_count nl) Fun.id)
 
 (* Nets driven by a cell port, keyed for swapping. *)
 let cell_driven_nets nl =
@@ -69,8 +66,8 @@ let cell_driven_nets nl =
   done;
   !acc
 
-let min_output nl cell =
-  Array.fold_left min max_int (Netlist.cell_output_nets nl cell)
+(* A cell's outputs are consecutive nets, port 0 first. *)
+let min_output nl cell = Netlist.output_net nl cell ~port:0
 
 let apply ?(seed = 0) nl mutation =
   let rng = Random.State.make [| seed; Hashtbl.hash (name mutation) |] in
@@ -80,14 +77,13 @@ let apply ?(seed = 0) nl mutation =
     let sites =
       List.filter_map
         (fun c ->
-          let inputs = (Netlist.cell nl c).inputs in
           let bound = min (min_output nl c) (Netlist.net_count nl) in
           let pins =
             List.filter
               (fun pin ->
                 (* at least one candidate net differs from the current one *)
-                bound > 1 || (bound = 1 && inputs.(pin) <> 0))
-              (List.init (Array.length inputs) Fun.id)
+                bound > 1 || (bound = 1 && Netlist.pin nl c pin <> 0))
+              (List.init (Netlist.pin_count nl c) Fun.id)
           in
           match pins with [] -> None | _ -> Some (c, pins, bound))
         (wired_cells nl)
@@ -95,7 +91,7 @@ let apply ?(seed = 0) nl mutation =
     Option.map
       (fun (c, pins, bound) ->
         let pin = Option.get (pick rng pins) in
-        let current = (Netlist.cell nl c).inputs.(pin) in
+        let current = Netlist.pin nl c pin in
         let rec fresh () =
           let n = Random.State.int rng bound in
           if n = current then fresh () else n
@@ -118,11 +114,11 @@ let apply ?(seed = 0) nl mutation =
   | Drop_gate ->
     Option.map
       (fun c ->
-        let cell = Netlist.cell nl c in
-        Netlist.Mutate.set_cell nl c { cell with inputs = [||] };
-        Printf.sprintf "dropped the %d inputs of cell %d (%s)"
-          (Array.length cell.inputs) c
-          (Dp_tech.Cell_kind.name cell.kind))
+        let kind = Netlist.cell_kind nl c in
+        let pins = Netlist.pin_count nl c in
+        Netlist.Mutate.set_cell nl c kind [||];
+        Printf.sprintf "dropped the %d inputs of cell %d (%s)" pins c
+          (Dp_tech.Cell_kind.name kind))
       (pick rng (wired_cells nl))
   | Flip_const ->
     let consts = ref [] in
@@ -143,8 +139,7 @@ let apply ?(seed = 0) nl mutation =
     in
     Option.map
       (fun c ->
-        let inputs = (Netlist.cell nl c).inputs in
-        let pin = Random.State.int rng (Array.length inputs) in
+        let pin = Random.State.int rng (Netlist.pin_count nl c) in
         let lo = min_output nl c in
         let target = lo + Random.State.int rng (Netlist.net_count nl - lo) in
         Netlist.Mutate.set_cell_input nl ~cell:c ~pin target;
@@ -161,8 +156,7 @@ let apply ?(seed = 0) nl mutation =
   | Dangling_input ->
     Option.map
       (fun c ->
-        let inputs = (Netlist.cell nl c).inputs in
-        let pin = Random.State.int rng (Array.length inputs) in
+        let pin = Random.State.int rng (Netlist.pin_count nl c) in
         let target = Netlist.net_count nl + 1 + Random.State.int rng 64 in
         Netlist.Mutate.set_cell_input nl ~cell:c ~pin target;
         Printf.sprintf "cell %d pin %d now references nonexistent net %d" c pin
@@ -175,22 +169,23 @@ let apply ?(seed = 0) nl mutation =
     let sites =
       List.filter
         (fun c ->
-          match (Netlist.cell nl c).kind with
+          match Netlist.cell_kind nl c with
           | Dp_tech.Cell_kind.C42 | Dp_tech.Cell_kind.C53 -> true
           | _ -> false)
         (wired_cells nl)
     in
     Option.map
       (fun c ->
-        let cell = Netlist.cell nl c in
+        let kind = Netlist.cell_kind nl c in
         let kind' =
-          match cell.kind with
+          match kind with
           | Dp_tech.Cell_kind.C42 -> Dp_tech.Cell_kind.C53
           | _ -> Dp_tech.Cell_kind.C42
         in
-        Netlist.Mutate.set_cell nl c { cell with kind = kind' };
+        Netlist.Mutate.set_cell nl c kind'
+          (Array.init (Netlist.pin_count nl c) (Netlist.pin nl c));
         Printf.sprintf "retyped counter cell %d from %s to %s" c
-          (Dp_tech.Cell_kind.name cell.kind)
+          (Dp_tech.Cell_kind.name kind)
           (Dp_tech.Cell_kind.name kind'))
       (pick rng sites)
   | Counter_chain ->
@@ -200,12 +195,11 @@ let apply ?(seed = 0) nl mutation =
     let sites =
       List.filter_map
         (fun c ->
-          let cell = Netlist.cell nl c in
-          if cell.kind <> Dp_tech.Cell_kind.C42 then None
+          if Netlist.cell_kind nl c <> Dp_tech.Cell_kind.C42 then None
           else
-            let cin = cell.inputs.(4) in
+            let cin = Netlist.pin nl c 4 in
             match
-              List.filter (fun p -> cell.inputs.(p) <> cin) [ 0; 1; 2; 3 ]
+              List.filter (fun p -> Netlist.pin nl c p <> cin) [ 0; 1; 2; 3 ]
             with
             | [] -> None
             | pins -> Some (c, cin, pins))
@@ -214,7 +208,7 @@ let apply ?(seed = 0) nl mutation =
     Option.map
       (fun (c, cin, pins) ->
         let pin = Option.get (pick rng pins) in
-        let src = (Netlist.cell nl c).inputs.(pin) in
+        let src = Netlist.pin nl c pin in
         Netlist.Mutate.set_cell_input nl ~cell:c ~pin:4 src;
         Printf.sprintf
           "corrupted counter cell %d carry chain: cin net %d replaced by its \

@@ -181,6 +181,19 @@ let assign_of alist name =
 (* ------------------------------------------------------------------ *)
 (* Serving: sockets, scratch directories, one-shot requests *)
 
+(* [f ~input ~output] for every cell edge: each input pin's net against
+   each of the cell's output nets. *)
+let iter_edges netlist f =
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    let ports = Dp_tech.Cell_kind.output_count (Netlist.cell_kind netlist id) in
+    for port = 0 to ports - 1 do
+      let output = Netlist.output_net netlist id ~port in
+      for k = 0 to Netlist.pin_count netlist id - 1 do
+        f ~input:(Netlist.pin netlist id k) ~output
+      done
+    done
+  done
+
 let socket_counter = ref 0
 
 let fresh_socket () =

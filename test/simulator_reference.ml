@@ -1,5 +1,15 @@
+(* The scalar two-valued logic simulator that [Dp_sim.Bitsim] replaced as
+   the library's one cell evaluator, kept as the reference the tests diff
+   [Bitsim] against lane by lane.  It evaluates the counters by their
+   arithmetic semantics (the binary digits of the popcount), where
+   [Bitsim] runs their certified recipe bodies, so each checks the other.
+   Variables are assigned unsigned integers: bit [i] of variable [x] is
+   [(assign x lsr i) land 1].  Not used outside the tests. *)
+
 open Dp_netlist
 
+(* Combinational function of one cell: output values (indexed by port)
+   from the current net valuation. *)
 let cell_outputs (c : Netlist.cell) values =
   let v i = values.(c.inputs.(i)) in
   match c.kind with
@@ -48,6 +58,8 @@ let cell_outputs (c : Netlist.cell) values =
   | Dp_tech.Cell_kind.Not -> [| not (v 0) |]
   | Dp_tech.Cell_kind.Buf -> [| v 0 |]
 
+(* Value of every net for the given input assignment, indexed by net
+   id. *)
 let run netlist ~assign =
   let n = Netlist.net_count netlist in
   let values = Array.make n false in
@@ -66,6 +78,7 @@ let run netlist ~assign =
   done;
   values
 
+(* Integer value of a bus, LSB-first. *)
 let bus_value values nets =
   let acc = ref 0 in
   Array.iteri (fun bit net -> if values.(net) then acc := !acc lor (1 lsl bit)) nets;
@@ -74,5 +87,25 @@ let bus_value values nets =
 let output_value netlist values name =
   bus_value values (Netlist.find_output netlist name)
 
+(* Simulate and read one output. *)
 let eval_output netlist ~assign name =
   output_value netlist (run netlist ~assign) name
+
+(* Compare the netlist's output against [Dp_expr.Eval.eval_mod] for one
+   assignment (raw bit patterns covering every input); [signed] marks the
+   variables whose patterns are read in two's complement. *)
+let check_assignment ?(signed = fun (_ : string) -> false) netlist expr ~output
+    ~width alist =
+  let widths =
+    List.map (fun (name, nets) -> name, Array.length nets) (Netlist.inputs netlist)
+  in
+  let interpret x =
+    let raw = List.assoc x alist in
+    if signed x then
+      Dp_expr.Eval.signed_of_pattern ~width:(List.assoc x widths) raw
+    else raw
+  in
+  let expected = Dp_expr.Eval.eval_mod ~width interpret expr in
+  let actual = eval_output netlist ~assign:(fun x -> List.assoc x alist) output in
+  if expected = actual then Ok ()
+  else Error { Dp_sim.Equiv.assignment = alist; expected; actual }

@@ -13,7 +13,7 @@ let exhaustive_add kind ~width ~cin_value () =
   for va = 0 to mask do
     for vb = 0 to mask do
       let assign name = if name = "a" then va else vb in
-      let got = Dp_sim.Simulator.eval_output n ~assign "out" in
+      let got = Simulator_reference.eval_output n ~assign "out" in
       let expected = (va + vb + Bool.to_int cin_value) land mask in
       if got <> expected then
         Alcotest.failf "%s: %d + %d + %d: expected %d got %d" (Adder.name kind)
@@ -36,7 +36,7 @@ let random_add kind ~width () =
     checki
       (Printf.sprintf "%s %d+%d" (Adder.name kind) va vb)
       ((va + vb) land mask)
-      (Dp_sim.Simulator.eval_output n ~assign "out")
+      (Simulator_reference.eval_output n ~assign "out")
   done
 
 let test_all_kinds_exhaustive_4bit () =
@@ -116,7 +116,7 @@ let test_build_rows_pads () =
   checki "width 4" 4 (Array.length sums);
   for v = 0 to 3 do
     let expected = ((v land 1) + ((v lsr 1) land 1)) land 15 in
-    checki "padded add" expected (Dp_sim.Simulator.eval_output n ~assign:(fun _ -> v) "out")
+    checki "padded add" expected (Simulator_reference.eval_output n ~assign:(fun _ -> v) "out")
   done
 
 let test_adder_names_roundtrip () =

@@ -253,7 +253,7 @@ let random_sequence seed () =
         let c =
           { Netlist.kind; inputs = pins (Int.max 0 (Dp_tech.Cell_kind.arity kind - int 2)) }
         in
-        ( (fun () -> Netlist.Mutate.set_cell n cell c; []),
+        ( (fun () -> Netlist.Mutate.set_cell n cell c.kind c.inputs; []),
           fun () -> Ref.Mutate.set_cell r cell c; [] )
       | _ ->
         let cell = int (Netlist.cell_count n + 1) and pin = int 4 and at = net () in

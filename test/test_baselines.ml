@@ -70,7 +70,7 @@ let test_csa_opt_functional () =
       List.fold_left (fun acc (_, v) -> acc + v) 0 alist land Eval.mask width
     in
     checki "sum" expected
-      (Dp_sim.Simulator.eval_output n ~assign:(assign_of alist) "out")
+      (Simulator_reference.eval_output n ~assign:(assign_of alist) "out")
   done
 
 let test_csa_word_level_structure () =

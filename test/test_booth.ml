@@ -17,7 +17,7 @@ let booth_denotes ?(negate = false) ?(shift = 0) ~wx ~wy ~width () =
   for vx = 0 to Eval.mask wx do
     for vy = 0 to Eval.mask wy do
       let assign name = if name = "x" then vx else vy in
-      let values = Dp_sim.Simulator.run n ~assign in
+      let values = Simulator_reference.run n ~assign in
       let got = (Matrix.value m values + correction) land mask in
       let sign = if negate then -1 else 1 in
       let expected = sign * vx * vy * (1 lsl shift) land mask in

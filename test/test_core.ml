@@ -264,18 +264,18 @@ let test_sc_lp_odd_column_allocates_ha_first () =
    allocations.  Brute-forced with the pure q-algebra model. *)
 let sc_lp_energy netlist ~ws ~wc =
   let total = ref 0.0 in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      match c.kind with
-      | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha ->
-        let outs = Netlist.cell_output_nets netlist id in
-        let act port = Dp_power.Switching.net_activity netlist outs.(port) in
-        total := !total +. (ws *. act 0) +. (wc *. act 1)
-      | Dp_tech.Cell_kind.C42 | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63
-      | Dp_tech.Cell_kind.C73 | Dp_tech.Cell_kind.And_n _
-      | Dp_tech.Cell_kind.Or_n _ | Dp_tech.Cell_kind.Xor_n _
-      | Dp_tech.Cell_kind.Not | Dp_tech.Cell_kind.Buf -> ())
-    netlist;
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    match Netlist.cell_kind netlist id with
+    | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha ->
+      let act port =
+        Dp_power.Switching.net_activity netlist (Netlist.output_net netlist id ~port)
+      in
+      total := !total +. (ws *. act 0) +. (wc *. act 1)
+    | Dp_tech.Cell_kind.C42 | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63
+    | Dp_tech.Cell_kind.C73 | Dp_tech.Cell_kind.And_n _
+    | Dp_tech.Cell_kind.Or_n _ | Dp_tech.Cell_kind.Xor_n _
+    | Dp_tech.Cell_kind.Not | Dp_tech.Cell_kind.Buf -> ()
+  done;
   !total
 
 let test_property2_wc_zero_optimality () =
@@ -392,7 +392,7 @@ let test_reduction_preserves_value () =
       done;
       allocate n m;
       for v = 0 to 63 do
-        let values = Dp_sim.Simulator.run n ~assign:(fun _ -> v) in
+        let values = Simulator_reference.run n ~assign:(fun _ -> v) in
         checki "sum preserved" (Matrix.value reference values) (Matrix.value m values)
       done)
     [ Fa_aot.allocate ?tie_break:None; Fa_alp.allocate ?tie_break:None;

@@ -98,11 +98,11 @@ let test_cell_matches_expanded_body () =
       Netlist.set_output nl "cell" [| s0; s1; s2 |];
       Netlist.set_output nl "body" [| b0; b1; b2 |];
       for v = 0 to (1 lsl m) - 1 do
-        let values = Dp_sim.Simulator.run nl ~assign:(fun _ -> v) in
+        let values = Simulator_reference.run nl ~assign:(fun _ -> v) in
         checki
           (Fmt.str "%s cell = body on %d" (kind_name k) v)
-          (Dp_sim.Simulator.output_value nl values "body")
-          (Dp_sim.Simulator.output_value nl values "cell")
+          (Simulator_reference.output_value nl values "body")
+          (Simulator_reference.output_value nl values "cell")
       done)
     Spec.kinds
 
@@ -214,12 +214,10 @@ let test_closed_forms_match_model () =
    same carries) *)
 
 let cell_trace nl =
-  let acc = ref [] in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      acc := (id, c.kind, Array.to_list c.inputs) :: !acc)
-    nl;
-  List.rev !acc
+  List.init (Netlist.cell_count nl) (fun id ->
+      ( id,
+        Netlist.cell_kind nl id,
+        List.init (Netlist.pin_count nl id) (Netlist.pin nl id) ))
 
 let run_column ?probs arrivals f =
   let nl = mk_netlist () in

@@ -58,10 +58,10 @@ let test_settles_to_functional () =
       for _ = 1 to 25 do
         let assign = draw () in
         Event_sim.apply_vector t ~assign;
-        let reference = Simulator.run r.netlist ~assign in
+        let reference = Simulator_reference.run r.netlist ~assign in
         Array.iteri
           (fun net expected ->
-            if t.values.(net) <> expected then
+            if t.values.(net) <> if expected then -1L else 0L then
               Alcotest.failf "%s: net %d settled wrong"
                 (Dp_flow.Strategy.name strategy) net)
           reference

@@ -77,7 +77,7 @@ let test_preserves_value () =
   done;
   Exhaustive.allocate n m;
   for v = 0 to 63 do
-    let values = Dp_sim.Simulator.run n ~assign:(fun _ -> v) in
+    let values = Simulator_reference.run n ~assign:(fun _ -> v) in
     checki "sum preserved" (Matrix.value reference values) (Matrix.value m values)
   done
 

@@ -78,7 +78,7 @@ let matrix_denotes ?config expr_s widths width () =
   let rng = Random.State.make [| 7 |] in
   for _ = 1 to trials do
     let alist = List.map (fun (v, w) -> (v, Random.State.int rng (1 lsl w))) widths in
-    let values = Dp_sim.Simulator.run n ~assign:(assign_of alist) in
+    let values = Simulator_reference.run n ~assign:(assign_of alist) in
     let expected = Eval.eval_mod ~width (assign_of alist) expr in
     let got = Matrix.value m values land Eval.mask width in
     if got <> expected then
@@ -116,6 +116,18 @@ let test_lower_binary_recoding =
 (* ------------------------------------------------------------------ *)
 (* Lowering structure *)
 
+let and_count n =
+  let count = ref 0 in
+  for id = 0 to Netlist.cell_count n - 1 do
+    match Netlist.cell_kind n id with
+    | Dp_tech.Cell_kind.And_n _ -> incr count
+    | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha | Dp_tech.Cell_kind.C42
+    | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73
+    | Dp_tech.Cell_kind.Or_n _ | Dp_tech.Cell_kind.Xor_n _
+    | Dp_tech.Cell_kind.Not | Dp_tech.Cell_kind.Buf -> ()
+  done;
+  !count
+
 let test_squarer_folding () =
   (* 3-bit x^2: supports {x0}, {x1}, {x2} (diagonal) and {x0x1}, {x0x2},
      {x1x2} (folded symmetric pairs) — exactly 6 addends, 3 AND gates. *)
@@ -123,19 +135,7 @@ let test_squarer_folding () =
   let n = mk_netlist () in
   let m = Lower.lower n env (Parse.expr "x^2") ~width:6 in
   checki "6 addends" 6 (Matrix.total_addends m);
-  let ands =
-    Netlist.fold_cells
-      (fun acc (c : Netlist.cell) ->
-        match c.kind with
-        | Dp_tech.Cell_kind.And_n _ -> acc + 1
-        | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha | Dp_tech.Cell_kind.C42
-        | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63
-        | Dp_tech.Cell_kind.C73 | Dp_tech.Cell_kind.Or_n _
-        | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
-        | Dp_tech.Cell_kind.Buf -> acc)
-      0 n
-  in
-  checki "3 AND gates" 3 ands
+  checki "3 AND gates" 3 (and_count n)
 
 let test_constant_presummation () =
   (* 3 + 7 + 6 = 16: a single constant addend in column 4 *)
@@ -171,19 +171,7 @@ let test_partial_products_shared () =
   let env = Env.of_widths [ ("x", 2); ("y", 2) ] in
   let n = mk_netlist () in
   ignore (Lower.lower n env (Parse.expr "x*y + 2*x*y") ~width:6);
-  let ands =
-    Netlist.fold_cells
-      (fun acc (c : Netlist.cell) ->
-        match c.kind with
-        | Dp_tech.Cell_kind.And_n _ -> acc + 1
-        | Dp_tech.Cell_kind.Fa | Dp_tech.Cell_kind.Ha | Dp_tech.Cell_kind.C42
-        | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63
-        | Dp_tech.Cell_kind.C73 | Dp_tech.Cell_kind.Or_n _
-        | Dp_tech.Cell_kind.Xor_n _ | Dp_tech.Cell_kind.Not
-        | Dp_tech.Cell_kind.Buf -> acc)
-      0 n
-  in
-  checki "4 AND gates (one per bit pair)" 4 ands
+  checki "4 AND gates (one per bit pair)" 4 (and_count n)
 
 let test_lower_bad_width () =
   let env = Env.of_widths [ ("x", 2) ] in

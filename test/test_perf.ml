@@ -219,12 +219,12 @@ let driver_identity () =
 
 (* ------------------------------------------------------------------ *)
 (* Bit-parallel simulation: every lane of [Bitsim.run_lanes] must equal a
-   scalar [Simulator.run] of the same assignment, net for net, and the
-   declared outputs must match the bignum reference evaluation.  FA_AOT
-   builds FA/HA trees; the three GPC strategies add C73/C63/C53/C42
-   cells, which [Bitsim] evaluates through their recipe bodies and
-   [Simulator] through their arithmetic, so the two cross-check each
-   other there.  Netlists corrupted by every [Inject] class are compared
+   scalar [Simulator_reference.run] of the same assignment, net for net,
+   and the declared outputs must match the bignum reference evaluation.
+   FA_AOT builds FA/HA trees; the three GPC strategies add
+   C73/C63/C53/C42 cells, which [Bitsim] evaluates through their recipe
+   bodies and [Simulator_reference] through their arithmetic, so the two
+   cross-check each other there.  Netlists corrupted by every [Inject] class are compared
    too: there a cell may read its own or a later net, or a dangling one. *)
 
 let unsigned_cases n =
@@ -263,7 +263,7 @@ let same_lanes ?lanes rng label netlist =
   for lane = 0 to lanes - 1 do
     let scalar =
       outcome (fun () ->
-          Dp_sim.Simulator.run netlist ~assign:(fun name ->
+          Simulator_reference.run netlist ~assign:(fun name ->
               List.assoc name alists.(lane)))
     in
     match (packed, scalar) with
@@ -295,11 +295,11 @@ let bitsim_matches_scalar () =
           (fun strategy ->
             let r = Dp_flow.Synth.run strategy env expr ~width in
             let netlist = r.netlist in
-            Netlist.iter_cells
-              (fun _ (c : Netlist.cell) ->
-                if Dp_tech.Cell_kind.is_counter c.kind then
-                  Hashtbl.replace counters c.kind ())
-              netlist;
+            for id = 0 to Netlist.cell_count netlist - 1 do
+              let kind = Netlist.cell_kind netlist id in
+              if Dp_tech.Cell_kind.is_counter kind then
+                Hashtbl.replace counters kind ()
+            done;
             match same_lanes rng (Dp_flow.Strategy.name strategy) netlist with
             | Error e, _ ->
               Alcotest.failf "%s: bitsim raises %s"
@@ -405,7 +405,7 @@ let equiv_batched_matches_scalar () =
               widths
           in
           match
-            Dp_sim.Equiv.check_assignment r.netlist expr ~output:r.output
+            Simulator_reference.check_assignment r.netlist expr ~output:r.output
               ~width alist
           with
           | Ok () -> ()
@@ -436,7 +436,7 @@ let scalar_toggle_rates ~seed ~vectors netlist =
         Hashtbl.replace values name !value)
       (Netlist.inputs netlist);
     let sim =
-      Dp_sim.Simulator.run netlist ~assign:(fun name -> Hashtbl.find values name)
+      Simulator_reference.run netlist ~assign:(fun name -> Hashtbl.find values name)
     in
     Array.iteri
       (fun net bit ->

@@ -46,19 +46,10 @@ let test_stage_monotone_along_edges () =
   let d = Dp_designs.Catalog.kalman in
   let r = Dp_flow.Synth.run Dp_flow.Strategy.Fa_aot d.env d.expr ~width:d.width in
   let p = plan r.netlist ~cycle_time:2.0 in
-  Netlist.iter_cells
-    (fun id (c : Netlist.cell) ->
-      let outs = Netlist.cell_output_nets r.netlist id in
-      Array.iter
-        (fun out ->
-          Array.iter
-            (fun input ->
-              if p.stage_of_net.(input) > p.stage_of_net.(out) then
-                Alcotest.failf "edge goes backwards in time (net %d -> %d)"
-                  input out)
-            c.inputs)
-        outs)
-    r.netlist
+  iter_edges r.netlist (fun ~input ~output ->
+      if p.stage_of_net.(input) > p.stage_of_net.(output) then
+        Alcotest.failf "edge goes backwards in time (net %d -> %d)" input
+          output)
 
 let test_latency_monotone_in_cycle_time () =
   let d = Dp_designs.Catalog.idct in

@@ -30,7 +30,7 @@ let exact_probs netlist =
             weight := !weight *. (if (v lsr bit) land 1 = 1 then p else 1.0 -. p))
           nets)
       inputs;
-    let values = Dp_sim.Simulator.run netlist ~assign:(assign_of alist) in
+    let values = Simulator_reference.run netlist ~assign:(assign_of alist) in
     for net = 0 to n - 1 do
       if values.(net) then acc.(net) <- acc.(net) +. !weight
     done

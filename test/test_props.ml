@@ -207,7 +207,7 @@ let prop_adders =
              let sums = Dp_adders.Adder.build ?cin:cin_net kind n ~a ~b in
              Dp_netlist.Netlist.set_output n "out" sums;
              let assign name = if name = "a" then va else vb in
-             Dp_sim.Simulator.eval_output n ~assign "out"
+             Simulator_reference.eval_output n ~assign "out"
              = (va + vb + Bool.to_int cin) land mask)
            Dp_adders.Adder.all))
 

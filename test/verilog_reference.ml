@@ -70,9 +70,16 @@ let gate_primitive (kind : Dp_tech.Cell_kind.t) =
   | Dp_tech.Cell_kind.C53 | Dp_tech.Cell_kind.C63 | Dp_tech.Cell_kind.C73 ->
     invalid_arg "Verilog.gate_primitive: FA/HA/counters are submodules"
 
+(* Every cell in id order, decoded as a record: the reader this emitter
+   was written against. *)
+let iter_cells f netlist =
+  for id = 0 to Netlist.cell_count netlist - 1 do
+    f id (Netlist.cell netlist id)
+  done
+
 let uses_const netlist b =
   let found = ref false in
-  Netlist.iter_cells
+  iter_cells
     (fun _ (c : Netlist.cell) ->
       Array.iter
         (fun input -> if Netlist.is_const netlist input b then found := true)
@@ -109,7 +116,7 @@ let emit ?(module_name = "datapath") netlist =
     line "  assign const1 = 1'b1;"
   end;
   (* one wire declaration per cell-driven net *)
-  Netlist.iter_cells
+  iter_cells
     (fun id _ ->
       Array.iter
         (fun net -> line "  wire n%d;" net)
@@ -125,7 +132,7 @@ let emit ?(module_name = "datapath") netlist =
     line "  %s u%d (%s, .s0(n%d), .s1(n%d), .s2(n%d));" name id
       (String.concat ", " ins) outputs.(0) outputs.(1) outputs.(2)
   in
-  Netlist.iter_cells
+  iter_cells
     (fun id (c : Netlist.cell) ->
       let outputs = Netlist.cell_output_nets netlist id in
       let in_refs = Array.to_list (Array.map (net_ref netlist) c.inputs) in
