@@ -139,7 +139,7 @@ let corrupt_cache_entry t store =
            Marshal decode) trips, exercising the corrupt-entry-as-miss
            path rather than a missing-file miss. *)
         (try
-           let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+           let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
            let size = (Unix.fstat fd).Unix.st_size in
            if size > 0 then begin

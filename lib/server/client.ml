@@ -29,7 +29,7 @@ let connect ?deadline socket_path =
   in
   let timed_out msg = transport ~context:[ ("socket", socket_path) ] msg in
   let rec attempt () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
     | () -> connected fd

@@ -27,11 +27,13 @@ let bind ~socket_path ~handle_signals ~log =
   (* A dead client mid-response must not kill the whole process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   if Sys.file_exists socket_path then Sys.remove socket_path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* Every descriptor here is close-on-exec, so a shard the front's pool
+     execs does not inherit the front's socket, pipe or connections. *)
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock listen_fd;
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
   Unix.listen listen_fd 16;
-  let wake_r, wake_w = Unix.pipe () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       socket_path;
@@ -198,7 +200,7 @@ let accept_loop t chaos handle =
           request_shutdown t
         end
         else (
-          match Unix.accept t.listen_fd with
+          match Unix.accept ~cloexec:true t.listen_fd with
           | fd, _ ->
             ignore
               (Thread.create (fun () -> handle_connection t chaos handle fd) ());

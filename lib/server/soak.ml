@@ -506,7 +506,8 @@ let wait_router_up ~socket ~timeout_s =
     then true
     else if Unix.gettimeofday () > deadline then false
     else begin
-      Thread.delay 0.05;
+      (* A short poll, so [recovery_ms] times the restart, not the poll. *)
+      Thread.delay 0.005;
       go ()
     end
   in

@@ -109,7 +109,8 @@ type report = {
   hedges_fired : int;  (** duplicate dispatches issued by hedging ([stats]) *)
   hedge_wins : int;  (** requests answered by the duplicate ([stats]) *)
   diverges : int;  (** cross-shard byte mismatches — must be 0 ([stats]) *)
-  recovery_ms : float;  (** mean SIGKILL → router-answers-again latency *)
+  recovery_ms : float;
+      (** mean SIGKILL → router-answers-again latency, polled every 5 ms *)
 }
 
 val passed : report -> bool

@@ -84,14 +84,13 @@ let run netlist ~assign =
   let gov = Netlist.gov netlist in
   (* Net ids are topologically ordered: a cell's inputs precede its
      outputs, so one forward pass evaluates all 64 lanes of every net.  A
-     cell's outputs are
-     consecutive nets, so it is evaluated once, when the first of them
-     comes up, into [ports]; its other outputs read the words kept there.
-     The words are kept only when every input of the cell lies below the
-     net being evaluated, as on a lint-clean netlist: those values are
-     final.  A cell that reads its own or a later net (a [Netlist.Mutate]
-     corruption) is evaluated again for each net it drives, from the
-     values it reads at that net. *)
+     cell's outputs are consecutive nets, so it is evaluated once, when
+     the first of them comes up, into [ports]; its other outputs read the
+     words kept there.  The words are kept only when every input of the
+     cell lies below the net being evaluated, as on a lint-clean netlist:
+     those values are final.  A cell that reads its own or a later net (a
+     [Netlist.Mutate] corruption) is evaluated again for each net it
+     drives, from the values it reads at that net. *)
   let ports = Array.make 3 0L in
   let evaluated = ref (-1) and port_count = ref 0 in
   for net = 0 to n - 1 do

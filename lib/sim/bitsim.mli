@@ -7,23 +7,17 @@
     vectors at the cost a scalar simulator pays for one, because every
     gate evaluates as one or two word-wide boolean operations.
 
-    Every pass that needs logic values evaluates cells here: [Equiv]'s
-    random/exhaustive checking, [Monte_carlo]'s vector streams,
-    [Testbench]'s expected outputs, [Event_sim]'s per-event evaluation
-    (through {!eval_cell}, on words that hold one value in every lane) and
-    the fuzz oracle's differential simulation.  Its reference is the test
-    suite's scalar [simulator_reference.ml], which evaluates the counters
-    by popcount rather than through their recipe bodies; the tests diff
-    the two lane by lane. *)
+    [Equiv], [Monte_carlo], [Testbench], [Event_sim] (through
+    {!eval_cell}) and the fuzz oracle all evaluate cells here.  The
+    reference is the test suite's scalar [simulator_reference.ml], which
+    evaluates counters by popcount, not through their recipe bodies; the
+    tests diff the two lane by lane. *)
 
 open Dp_netlist
 
-(** [eval_cell netlist id kind values out] evaluates cell [id], of kind
-    [kind] (its {!Netlist.cell_kind}), on the packed words [values] of
-    its pins, and writes the word of each output port [p] to [out.(p)].
-    Counters are evaluated through their certified
-    {!Dp_tech.Recipe} bodies.  [out] must hold the kind's output count
-    (at most 3). *)
+(** [eval_cell netlist id kind values out] evaluates cell [id] of kind
+    [kind] on the packed net words [values] and writes output port [p]'s
+    word to [out.(p)]; [out] holds at least the kind's output count. *)
 val eval_cell :
   Netlist.t -> int -> Dp_tech.Cell_kind.t -> int64 array -> int64 array ->
   unit
@@ -33,8 +27,7 @@ val eval_cell :
     never reads may hold anything.  Each cell is evaluated once per
     sweep, when its first output net comes up; on a corrupted netlist, a
     cell that reads its own or a later net is evaluated again for each
-    net it drives, from the values it reads at that net, as a scalar
-    simulator that evaluates each net in turn would. *)
+    net it drives. *)
 val run : Netlist.t -> assign:(string -> int -> int64) -> int64 array
 
 (** Pack [lanes] scalar assignments (lane [k] assigns [assign k var] to

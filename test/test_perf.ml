@@ -224,8 +224,9 @@ let driver_identity () =
    FA_AOT builds FA/HA trees; the three GPC strategies add
    C73/C63/C53/C42 cells, which [Bitsim] evaluates through their recipe
    bodies and [Simulator_reference] through their arithmetic, so the two
-   cross-check each other there.  Netlists corrupted by every [Inject] class are compared
-   too: there a cell may read its own or a later net, or a dangling one. *)
+   cross-check each other there.  Netlists corrupted by every [Inject]
+   class are compared too: there a cell may read its own or a later net,
+   or a dangling one. *)
 
 let unsigned_cases n =
   let config =

@@ -967,6 +967,40 @@ let pool_restarted_shard_exits_0_on_sigterm () =
   checkb "SIGTERMed the restarted shard" true (SP.signal_shard pool 0 Sys.sigterm);
   wait_for ~msg:"the restarted shard did not exit 0 on SIGTERM" (fun () -> ended "exited 0")
 
+(* Every descriptor the front opens is close-on-exec: a shard the pool
+   restarts while a router listens inherits neither the router's socket
+   nor its self-pipe, so it holds as many descriptors as the shard
+   started before the router.  A health ping holds a descriptor open
+   for a moment, so the counts are compared until they settle. *)
+let pool_restarted_shard_inherits_no_descriptors () =
+  with_sharded @@ fun base pool _rt ->
+  checkb "served through the front" true
+    (get_bool [ "ok" ] (rpc base (synth_json ())) = Some true);
+  checkb "killed shard 0" true (SP.signal_shard pool 0 Sys.sigkill);
+  wait_for ~msg:"killed shard never restarted" (fun () ->
+      fst (SP.counters pool) >= 1 && SP.is_up pool 0);
+  checkb "the restarted shard answers" true (SP.wait_all_up ~timeout_s:20.0 pool);
+  let fds shard =
+    let detail =
+      Option.get (Option.bind (get [ "detail" ] (SP.stats_json pool)) Json.to_list)
+    in
+    let pid = Option.get (get_int [ "pid" ] (List.nth detail shard)) in
+    Array.length (Sys.readdir (Printf.sprintf "/proc/%d/fd" pid))
+  in
+  let rec settle tries =
+    let restarted = fds 0 and first = fds 1 in
+    if restarted = first then ()
+    else if tries = 0 then
+      Alcotest.failf
+        "the restarted shard holds %d descriptors, the first-started one %d"
+        restarted first
+    else begin
+      Thread.delay 0.02;
+      settle (tries - 1)
+    end
+  in
+  settle 100
+
 let router_aggregates_stats () =
   with_sharded ~shards:3 @@ fun base _pool _rt ->
   let exprs = [ "x*y + z"; "x + y"; "x - z"; "y*z + x"; "x*z"; "y + z" ] in
@@ -1345,6 +1379,8 @@ let suite =
       soak_sharded_mem_net_chaos_crosses_the_exec;
     case "shards: a restarted shard exits 0 on SIGTERM"
       pool_restarted_shard_exits_0_on_sigterm;
+    case "shards: a shard restarted behind a router inherits no descriptors"
+      pool_restarted_shard_inherits_no_descriptors;
     case "server: admission rejects oversized requests"
       server_admission_rejects_oversized;
     case "server: memory watermark sheds new work"

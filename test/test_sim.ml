@@ -97,7 +97,34 @@ let test_testbench_expected_values_correct () =
       | None -> ());
       scan rest
   in
-  scan lines
+  scan lines;
+  (* 48-bit inputs, over two 64-vector sweeps: every expected constant is
+     the expression's value under the vector's own assignment, and the
+     stimulus reaches past 2^30 *)
+  let env = Dp_expr.Env.of_widths [ ("x", 48); ("y", 48) ] in
+  let expr = Dp_expr.Parse.expr "x + 3*y" in
+  let r = Dp_flow.Synth.run Dp_flow.Strategy.Fa_aot env expr ~width:50 in
+  let tb = Testbench.emit ~seed:5 ~vectors:70 r.netlist in
+  let alist = ref [] and checked = ref 0 and widest = ref 0 in
+  List.iter
+    (fun l ->
+      match Scanf.sscanf l " if (out !== %d'd%d) begin" (fun w e -> (w, e)) with
+      | w, e ->
+        checki "output width" 50 w;
+        checki
+          (Printf.sprintf "vector %d" !checked)
+          (Dp_expr.Eval.eval_mod ~width:50 (fun v -> List.assoc v !alist) expr)
+          e;
+        incr checked
+      | exception (Scanf.Scan_failure _ | End_of_file) -> (
+        match Scanf.sscanf l " %[xy] = 48'd%d;" (fun v x -> (v, x)) with
+        | v, x ->
+          alist := (v, x) :: List.remove_assoc v !alist;
+          widest := Int.max !widest x
+        | exception (Scanf.Scan_failure _ | End_of_file) -> ()))
+    (String.split_on_char '\n' tb);
+  checki "every vector checked" 70 !checked;
+  checkb "stimulus past 2^30" true (!widest >= 1 lsl 30)
 
 let test_testbench_with_dut_concatenates () =
   let d = Dp_designs.Catalog.x2 in
