@@ -41,8 +41,9 @@ type driver =
   | From_cell of { cell : int; port : int }
 
 (** A cell decoded from the arena by {!cell}: its kind and its input
-    nets by pin.  No library pass reads it; it is kept for
-    [perfbench/compose.ml] and leaves with it. *)
+    nets by pin.  No library pass reads it: like {!cell} and
+    {!cell_output_nets}, it is kept for [perfbench/compose.ml] and the
+    test references, and leaves the library with compose.ml. *)
 type cell = { kind : Dp_tech.Cell_kind.t; inputs : net array }
 
 type t
@@ -114,13 +115,13 @@ val pin : t -> int -> int -> net
     [cell]; [port] must be below the cell kind's output count. *)
 val output_net : t -> int -> port:int -> net
 
-(** Cell [i] as a freshly built record.  No library pass calls it, nor
-    {!cell_output_nets}: both are kept for [perfbench/compose.ml] (and
-    the test references) and leave with it. *)
+(** Cell [i] as a freshly built record, for [perfbench/compose.ml] and
+    the test references only (see {!type-cell}). *)
 val cell : t -> int -> cell
 
 (** Output nets of a cell, indexed by port: [output_net] of each of its
-    kind's ports. *)
+    kind's ports.  For [perfbench/compose.ml] and the test references
+    only. *)
 val cell_output_nets : t -> int -> net array
 
 (** Declare a primary input bus; returns its nets, LSB first.  Arrivals
