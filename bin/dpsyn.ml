@@ -99,23 +99,24 @@ let adder_arg =
     value & opt adder_conv Dp_adders.Adder.Cla
     & info [ "adder" ] ~docv:"A" ~doc:("Final adder: " ^ adder_names ^ "."))
 
-let recoding_arg =
+(* A lowering option: [Lower]'s values under their names, defaulting to
+   [Lower.default_config]'s. *)
+let lower_arg long ~doc name all default =
   Arg.(
     value
-    & opt (enum [ ("csd", Dp_bitmatrix.Lower.Csd); ("binary", Dp_bitmatrix.Lower.Binary) ])
-        Dp_bitmatrix.Lower.Csd
-    & info [ "recoding" ] ~doc:"Coefficient recoding: csd or binary.")
+    & opt (enum (List.map (fun x -> (name x, x)) all)) default
+    & info [ long ]
+        ~doc:(doc ^ ": " ^ String.concat " or " (List.map name all) ^ "."))
+
+let recoding_arg =
+  let open Dp_bitmatrix.Lower in
+  lower_arg "recoding" ~doc:"Coefficient recoding" recoding_name recodings
+    default_config.recoding
 
 let multiplier_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("and-array", Dp_bitmatrix.Lower.And_array);
-             ("booth", Dp_bitmatrix.Lower.Booth) ])
-        Dp_bitmatrix.Lower.And_array
-    & info [ "multiplier" ]
-        ~doc:"Partial products for eligible variable products: and-array or booth.")
+  let open Dp_bitmatrix.Lower in
+  lower_arg "multiplier" ~doc:"Partial products for eligible variable products"
+    multiplier_name multiplier_styles default_config.multiplier_style
 
 let verilog_arg =
   Arg.(
@@ -213,13 +214,6 @@ let var_specs_of_vars vars =
         ~arrival:(Array.make v.width v.arrival)
         ~prob:(Array.make v.width v.prob) v.name ~width:v.width)
     vars
-
-let var_specs_of_env env =
-  List.map
-    (fun (name, (v : Dp_expr.Env.var_info)) ->
-      Dp_server.Protocol.var_spec ~signed:v.signed ~arrival:v.arrival
-        ~prob:v.prob name ~width:v.width)
-    (Dp_expr.Env.bindings env)
 
 (* The --json path goes through the same cache-layer serving core as the
    server, so the record (digest included) matches what [dpsyn serve]
@@ -1117,24 +1111,18 @@ let batch_cmd =
              | Ok p -> p
              | Error d -> fail_diag_json d))
   in
-  let params_of_designs strategy adder =
-    List.map
-      (fun (d : Dp_designs.Design.t) ->
-        match
-          Dp_server.Protocol.synth_params ~vars:(var_specs_of_env d.env)
-            ~width:(Some d.width) ~strategy ~adder
-            (Dp_expr.Ast.to_string d.expr)
-        with
-        | Ok p -> p
-        | Error d -> fail_diag_json d)
-      Dp_designs.Catalog.all
-  in
   let action socket file designs summary strategy adder retries attempt_timeout
       retry_seed =
     let params =
       match (file, designs) with
       | Some path, false -> params_of_file path
-      | None, true -> params_of_designs strategy adder
+      | None, true ->
+        List.map
+          (fun d ->
+            match Dp_server.Protocol.params_of_design ~strategy ~adder d with
+            | Ok p -> p
+            | Error d -> fail_diag_json d)
+          Dp_designs.Catalog.all
       | _ ->
         Fmt.epr "error: give exactly one of FILE or --designs@.";
         exit 1

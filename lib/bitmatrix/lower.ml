@@ -3,7 +3,13 @@ open Dp_expr
 
 type recoding = Csd | Binary
 
+let recodings = [ Csd; Binary ]
+let recoding_name = function Csd -> "csd" | Binary -> "binary"
+
 type multiplier_style = And_array | Booth
+
+let multiplier_styles = [ And_array; Booth ]
+let multiplier_name = function And_array -> "and-array" | Booth -> "booth"
 
 type config = { recoding : recoding; multiplier_style : multiplier_style }
 

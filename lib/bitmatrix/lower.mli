@@ -17,9 +17,21 @@ open Dp_expr
 
 type recoding = Csd | Binary
 
+(** Every recoding, and the name the CLI, the wire protocol and the
+    cache key use for it ([csd], [binary]). *)
+val recodings : recoding list
+
+val recoding_name : recoding -> string
+
 type multiplier_style =
   | And_array  (** plain partial-product bits (the paper's setting) *)
   | Booth  (** radix-4 Booth rows for eligible products — see {!Booth} *)
+
+(** Every multiplier style, and its name in the same three places
+    ([and-array], [booth]). *)
+val multiplier_styles : multiplier_style list
+
+val multiplier_name : multiplier_style -> string
 
 type config = { recoding : recoding; multiplier_style : multiplier_style }
 

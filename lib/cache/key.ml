@@ -1,4 +1,5 @@
 open Dp_expr
+module Lower = Dp_bitmatrix.Lower
 
 type t = {
   expr : Ast.t;
@@ -20,14 +21,8 @@ let add_float buf f = Buffer.add_string buf (Printf.sprintf " %h" f)
 let add_tech buf (t : Dp_tech.Tech.t) =
   Buffer.add_string buf "tech ";
   Buffer.add_string buf t.name;
-  List.iter (add_float buf)
-    [
-      t.fa_sum_delay; t.fa_carry_delay; t.ha_sum_delay; t.ha_carry_delay;
-      t.and2_delay; t.or2_delay; t.xor2_delay; t.not_delay; t.buf_delay;
-      t.fa_area; t.ha_area; t.and2_area; t.or2_area; t.xor2_area;
-      t.not_area; t.buf_area; t.fa_sum_energy; t.fa_carry_energy;
-      t.ha_sum_energy; t.ha_carry_energy; t.gate_energy; t.counter_fusion;
-    ];
+  List.iter (fun (p : Dp_tech.Tech.param) -> add_float buf (p.read t))
+    Dp_tech.Tech.params;
   Buffer.add_char buf '\n'
 
 let text k =
@@ -41,14 +36,10 @@ let text k =
   Buffer.add_string buf (Printf.sprintf "width %d\n" k.width);
   Buffer.add_string buf ("strategy " ^ Dp_flow.Strategy.name k.strategy ^ "\n");
   Buffer.add_string buf ("adder " ^ Dp_adders.Adder.name k.adder ^ "\n");
+  let lc = k.lower_config in
+  Buffer.add_string buf ("recoding " ^ Lower.recoding_name lc.recoding ^ "\n");
   Buffer.add_string buf
-    (match k.lower_config.recoding with
-    | Dp_bitmatrix.Lower.Csd -> "recoding csd\n"
-    | Dp_bitmatrix.Lower.Binary -> "recoding binary\n");
-  Buffer.add_string buf
-    (match k.lower_config.multiplier_style with
-    | Dp_bitmatrix.Lower.And_array -> "multiplier and-array\n"
-    | Dp_bitmatrix.Lower.Booth -> "multiplier booth\n");
+    ("multiplier " ^ Lower.multiplier_name lc.multiplier_style ^ "\n");
   Buffer.add_string buf
     ("check " ^ Dp_verify.Lint.check_level_name k.check_level ^ "\n");
   add_tech buf k.tech;

@@ -156,6 +156,21 @@ let with_digest_lock dir digest f =
         try Unix.close fd with _ -> ())
       f
 
+(* Remove an entry and its lock file inside the digest's critical
+   section (unlinking a held lock file is fine), so that no write is
+   mid-publish and no stale lock is left; [true] when the entry file was
+   removed. *)
+let remove_entry dir digest =
+  with_digest_lock dir digest (fun () ->
+      let removed =
+        match Sys.remove (entry_path dir digest) with
+        | () -> true
+        | exception Sys_error _ -> false
+      in
+      (try Sys.remove (Filename.concat dir (digest ^ ".lock"))
+       with Sys_error _ -> ());
+      removed)
+
 let tmp_counter = Atomic.make 0
 
 let write_disk t digest entry =
@@ -202,50 +217,60 @@ let decode path =
     if not (String.equal sum (Digest.to_hex (Digest.string body))) then None
     else Some (Marshal.from_string body 0 : entry)
 
-let read_disk t digest ~fingerprint =
-  match t.dir with
-  | None -> None
-  | Some dir -> (
-    let path = entry_path dir digest in
-    if not (Sys.file_exists path) then None
-    else
-      let parsed =
-        match decode path with
-        | Some entry
-          when String.equal entry.fingerprint fingerprint
-               && lint_ok entry.result.netlist ->
-          Some entry
-        | _ | (exception _) -> None
-      in
-      match parsed with
-      | Some _ as ok -> ok
-      | None ->
-        (* Corrupt (or misfiled) entry: drop it so it cannot shadow a
-           future good write, and account for it. *)
-        t.corrupt <- t.corrupt + 1;
-        (try Sys.remove path with Sys_error _ -> ());
-        None)
+(* What the disk holds for a digest.  A corrupt (or misfiled) entry is
+   removed so that it cannot shadow a future good write, and reported as
+   [`Corrupt] only by the lookup that removed it, so that two lookups
+   racing on one bad file count it once. *)
+let read_disk dir digest ~fingerprint =
+  let path = entry_path dir digest in
+  if not (Sys.file_exists path) then `Absent
+  else
+    match decode path with
+    | Some entry
+      when String.equal entry.fingerprint fingerprint
+           && lint_ok entry.result.netlist ->
+      `Entry entry
+    | _ | (exception _) -> if remove_entry dir digest then `Corrupt else `Absent
 
 (* ------------------------------------------------------------------ *)
 
 let find t key =
   let digest = Key.digest key in
   let fingerprint = Key.fingerprint key in
-  Mutex.protect t.lock @@ fun () ->
-  match Hashtbl.find_opt t.table digest with
-  | Some n when String.equal n.entry.fingerprint fingerprint ->
-    touch t n;
-    t.hits <- t.hits + 1;
-    Some n.entry
-  | _ -> (
-    match read_disk t digest ~fingerprint with
-    | Some entry ->
+  (* [memory] and [settle] run under [t.lock]. *)
+  let memory () =
+    match Hashtbl.find_opt t.table digest with
+    | Some n when String.equal n.entry.fingerprint fingerprint ->
+      touch t n;
+      t.hits <- t.hits + 1;
+      Some n.entry
+    | _ -> None
+  in
+  let settle found =
+    (match found with `Corrupt -> t.corrupt <- t.corrupt + 1 | _ -> ());
+    (* Memory again: another thread may have inserted the entry while
+       this one read the disk. *)
+    match (memory (), found) with
+    | (Some _ as hit), _ -> hit
+    | None, `Entry entry ->
       t.disk_hits <- t.disk_hits + 1;
       insert t digest entry;
       Some entry
-    | None ->
+    | None, (`Corrupt | `Absent) ->
       t.misses <- t.misses + 1;
-      None)
+      None
+  in
+  match t.dir with
+  | None -> Mutex.protect t.lock (fun () -> settle `Absent)
+  | Some dir -> (
+    match Mutex.protect t.lock memory with
+    | Some _ as hit -> hit
+    | None ->
+      (* The file read, checksum, unmarshal and lint run outside the
+         lock: a large entry takes tens of milliseconds, and no lookup
+         in memory should wait for it. *)
+      let found = read_disk dir digest ~fingerprint in
+      Mutex.protect t.lock (fun () -> settle found))
 
 let add t key entry =
   let digest = Key.digest key in
@@ -318,15 +343,9 @@ let fsck ?(prune = false) ?(tmp_age_s = 60.0) ~dir () =
       | Some entry when lint_ok entry.result.netlist -> `Valid
       | _ | (exception _) -> `Corrupt
     in
-    (* Pruning an entry also drops its companion lock file (inside the
-       critical section — unlink-while-held is fine), or the prune
+    (* [remove_entry] also drops the companion lock file, or the prune
        itself would manufacture a stale lock. *)
-    let prune_entry () =
-      with_digest_lock dir digest (fun () ->
-          remove path;
-          try Sys.remove (Filename.concat dir (digest ^ ".lock"))
-          with Sys_error _ -> ())
-    in
+    let prune_entry () = if remove_entry dir digest then incr pruned in
     match verdict with
     | `Valid -> incr valid
     | `Corrupt ->

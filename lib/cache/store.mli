@@ -33,7 +33,9 @@ type t
     on-disk store.  @raise Invalid_argument on a capacity < 1. *)
 val create : ?capacity:int -> ?dir:string -> unit -> t
 
-(** Lookup; promotes disk hits into memory and updates LRU order. *)
+(** Lookup; promotes disk hits into memory and updates LRU order.  The
+    disk read and its checks run outside the store's lock, so a lookup
+    that hits memory never waits for another thread's disk read. *)
 val find : t -> Key.t -> entry option
 
 (** Insert (memory, and disk when enabled; disk write failures are

@@ -26,10 +26,11 @@ type serve = {
   hedge : bool;  (** sharded only *)
 }
 
-(** [dpsyn serve]'s own defaults, which are {!Server.default_config}'s:
-    2 workers, queue depth 64, a 30 s budget with
-    {!Dp_fuzz.Budget.default}'s cell and row bounds, a 256-entry LRU,
-    {!Supervisor.default_policy}'s breaker, and nothing else on. *)
+(** The one set of server defaults — [dpsyn serve]'s, and an in-process
+    server's through {!server_config}: 2 workers, queue depth 64, a 30 s
+    budget with {!Dp_fuzz.Budget.default}'s cell and row bounds, a
+    256-entry LRU, {!Supervisor.default_policy}'s breaker, and nothing
+    else on. *)
 val default : dpsyn:string -> serve
 
 (** [dpsyn serve --socket socket_path] with the settings' flags; a

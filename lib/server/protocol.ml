@@ -7,6 +7,7 @@
 
 open Dp_expr
 module Diag = Dp_diag.Diag
+module Lower = Dp_bitmatrix.Lower
 
 let proto_error ?(code = "DP-PROTO002") ?(context = []) fmt =
   Fmt.kstr
@@ -77,6 +78,17 @@ let synth_params ?(vars = []) ?(width = None)
         emit_verilog;
         deadline_ms;
       }
+
+let params_of_design ?strategy ?adder (d : Dp_designs.Design.t) =
+  let vars =
+    List.map
+      (fun (name, (v : Env.var_info)) ->
+        var_spec ~arrival:v.arrival ~prob:v.prob ~signed:v.signed name
+          ~width:v.width)
+      (Env.bindings d.env)
+  in
+  synth_params ~vars ~width:(Some d.width) ?strategy ?adder
+    (Ast.to_string d.expr)
 
 let env_of_params p =
   List.fold_left
@@ -156,23 +168,7 @@ let named_field v name of_name ~default ~what =
       | Some x -> Ok x
       | None -> field_err name "unknown %s %S" what s))
 
-let recoding_of_name = function
-  | "csd" -> Some Dp_bitmatrix.Lower.Csd
-  | "binary" -> Some Dp_bitmatrix.Lower.Binary
-  | _ -> None
-
-let recoding_name = function
-  | Dp_bitmatrix.Lower.Csd -> "csd"
-  | Dp_bitmatrix.Lower.Binary -> "binary"
-
-let multiplier_of_name = function
-  | "and-array" -> Some Dp_bitmatrix.Lower.And_array
-  | "booth" -> Some Dp_bitmatrix.Lower.Booth
-  | _ -> None
-
-let multiplier_name = function
-  | Dp_bitmatrix.Lower.And_array -> "and-array"
-  | Dp_bitmatrix.Lower.Booth -> "booth"
+let of_name name all s = List.find_opt (fun x -> String.equal (name x) s) all
 
 (* A per-bit attribute is either one number (uniform) or an array of
    [width] numbers. *)
@@ -252,11 +248,12 @@ let params_of_json j =
         ~default:Dp_adders.Adder.Cla ~what:"adder"
     in
     let* recoding =
-      named_field j "recoding" recoding_of_name
+      named_field j "recoding" (of_name Lower.recoding_name Lower.recodings)
         ~default:Dp_bitmatrix.Lower.default_config.recoding ~what:"recoding"
     in
     let* multiplier_style =
-      named_field j "multiplier" multiplier_of_name
+      named_field j "multiplier"
+        (of_name Lower.multiplier_name Lower.multiplier_styles)
         ~default:Dp_bitmatrix.Lower.default_config.multiplier_style
         ~what:"multiplier style"
     in
@@ -354,8 +351,9 @@ let params_fields p =
   @ [
       ("strategy", Json.Str (Dp_flow.Strategy.name p.strategy));
       ("adder", Json.Str (Dp_adders.Adder.name p.adder));
-      ("recoding", Json.Str (recoding_name p.lower_config.recoding));
-      ("multiplier", Json.Str (multiplier_name p.lower_config.multiplier_style));
+      ("recoding", Json.Str (Lower.recoding_name p.lower_config.recoding));
+      ( "multiplier",
+        Json.Str (Lower.multiplier_name p.lower_config.multiplier_style) );
       ("check_level", Json.Str (Dp_verify.Lint.check_level_name p.check_level));
     ]
   @ (if p.emit_verilog then [ ("emit_verilog", Json.Bool true) ] else [])

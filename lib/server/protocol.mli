@@ -59,6 +59,12 @@ val synth_params :
   ?deadline_ms:float option ->
   string -> (synth_params, Dp_diag.Diag.t) result
 
+(** A design as a request: its variables with their per-bit profiles,
+    its output width, and [dpsyn synth] defaults otherwise. *)
+val params_of_design :
+  ?strategy:Dp_flow.Strategy.t -> ?adder:Dp_adders.Adder.kind ->
+  Dp_designs.Design.t -> (synth_params, Dp_diag.Diag.t) result
+
 (** Build the input environment ([DP-ENV001/002] on bad attributes). *)
 val env_of_params : synth_params -> (Dp_expr.Env.t, Dp_diag.Diag.t) result
 

@@ -320,44 +320,23 @@ let get_int j name =
 let sum_field objs name =
   Json.Int (List.fold_left (fun acc j -> acc + get_int j name) 0 objs)
 
-let sum_obj objs name fields =
-  let subs =
+(* Every integer member of the shards' [name] objects, summed, in the
+   first one's order (the shards run one build); [Null] when no shard
+   has one (a fleet without a cache). *)
+let sum_obj objs name =
+  match
     List.filter_map
       (fun j ->
-        match Json.member name j with Some (Json.Obj _ as o) -> Some o | _ -> None)
+        match Json.member name j with Some (Json.Obj fs) -> Some fs | _ -> None)
       objs
-  in
-  if subs = [] then Json.Null
-  else Json.Obj (List.map (fun f -> (f, sum_field subs f)) fields)
-
-(* Buckets are positional and identical across shards (same build). *)
-let sum_latency objs =
-  let buckets =
-    List.filter_map
-      (fun j ->
-        match Json.member "latency_ms" j with
-        | Some (Json.List bs) -> Some bs
-        | _ -> None)
-      objs
-  in
-  match buckets with
-  | [] -> Json.List []
-  | first :: _ ->
-    let les =
-      Array.of_list
-        (List.map
-           (fun b -> Option.value (Json.member "le_ms" b) ~default:Json.Null)
-           first)
-    in
-    let counts = Array.make (Array.length les) 0 in
-    List.iter
-      (List.iteri (fun i b ->
-           if i < Array.length counts then
-             counts.(i) <- counts.(i) + get_int b "count"))
-      buckets;
-    Json.List
-      (List.init (Array.length counts) (fun i ->
-           Json.Obj [ ("le_ms", les.(i)); ("count", Json.Int counts.(i)) ]))
+  with
+  | [] -> Json.Null
+  | first :: _ as subs ->
+    let subs = List.map (fun fs -> Json.Obj fs) subs in
+    Json.Obj
+      (List.filter_map
+         (function k, Json.Int _ -> Some (k, sum_field subs k) | _ -> None)
+         first)
 
 (* The router's own counters: the [router] member of [stats] and of the
    drain line. *)
@@ -425,21 +404,16 @@ let stats_json t =
       ("connections", sum_field shard_stats "connections");
       ("workers", sum_field shard_stats "workers");
       ("queue_depth", sum_field shard_stats "queue_depth");
-      ( "cache",
-        sum_obj shard_stats "cache"
-          [ "hits"; "disk_hits"; "misses"; "evictions"; "corrupt"; "stores"; "entries" ]
-      );
-      ( "supervisor",
-        sum_obj shard_stats "supervisor"
-          [
-            "crashes";
-            "restarts";
-            "rejected";
-            "crash_dumps";
-            "deadline_expired";
-            "guard_rejects";
-          ] );
-      ("latency_ms", sum_latency shard_stats);
+      ("cache", sum_obj shard_stats "cache");
+      ("supervisor", sum_obj shard_stats "supervisor");
+      ( "latency_ms",
+        match
+          List.filter_map
+            (fun j -> Option.bind (Json.member "latency_ms" j) Histogram.of_json)
+            shard_stats
+        with
+        | [] -> Json.List []
+        | h :: hs -> Histogram.to_json (List.fold_left Histogram.add h hs) );
       ("router", router_json t ~shards_reporting:(List.length shard_stats));
       ("shard_pool", Shard_pool.stats_json pool);
     ]

@@ -81,37 +81,6 @@ module Bqueue = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Latency histogram (log-spaced milliseconds; last bucket = overflow) *)
-
-let latency_bounds_ms = [| 1; 2; 5; 10; 20; 50; 100; 200; 500; 1000; 2000; 5000 |]
-
-type histogram = { counts : int array }
-
-let histogram () = { counts = Array.make (Array.length latency_bounds_ms + 1) 0 }
-
-let observe h ms =
-  let n = Array.length latency_bounds_ms in
-  let rec bucket i =
-    if i >= n then n
-    else if ms <= float_of_int latency_bounds_ms.(i) then i
-    else bucket (i + 1)
-  in
-  let i = bucket 0 in
-  h.counts.(i) <- h.counts.(i) + 1
-
-let histogram_json h =
-  Json.List
-    (List.init
-       (Array.length h.counts)
-       (fun i ->
-         let le =
-           if i < Array.length latency_bounds_ms then
-             Json.Int latency_bounds_ms.(i)
-           else Json.Null
-         in
-         Json.Obj [ ("le_ms", le); ("count", Json.Int h.counts.(i)) ]))
-
-(* ------------------------------------------------------------------ *)
 
 type config = {
   socket_path : string;
@@ -128,23 +97,6 @@ type config = {
   guard_responses : bool;
   handle_signals : bool;
 }
-
-let default_config ~socket_path =
-  {
-    socket_path;
-    store = Some (Dp_cache.Store.create ());
-    workers = 2;
-    queue_depth = 64;
-    budget = { Dp_fuzz.Budget.default with timeout_s = 30.0 };
-    mem_watermark_words = None;
-    tech = Dp_tech.Tech.lcb_like;
-    log = ignore;
-    supervisor = Supervisor.default_policy;
-    crash_dir = None;
-    chaos = None;
-    guard_responses = false;
-    handle_signals = false;
-  }
 
 type job = {
   params : Protocol.synth_params;
@@ -173,7 +125,7 @@ type t = {
   mutable cancelled : int;  (** governor aborts (DP-CANCEL*, DP-BUDGET-MEM) *)
   mutable toobig_rejects : int;  (** admission: static row estimate too high *)
   mutable mem_sheds : int;  (** admission: over the memory watermark *)
-  latency : histogram;
+  latency : Histogram.t;
 }
 
 let locked t f = Mutex.protect t.state_lock f
@@ -240,7 +192,7 @@ let guard_outcome t (o : Dp_cache.Serve.outcome) =
 let deliver_and_count t job r =
   let ms = (Unix.gettimeofday () -. job.enqueued_at) *. 1000.0 in
   locked t (fun () ->
-      observe t.latency ms;
+      Histogram.observe t.latency ms;
       match r with
       | Ok _ -> t.served <- t.served + 1
       | Error (d : Diag.t) ->
@@ -508,7 +460,7 @@ let stats_json t =
           t.crash_dumps,
           t.guard_rejects,
           (t.cancelled, t.toobig_rejects, t.mem_sheds),
-          histogram_json t.latency ))
+          Histogram.to_json t.latency ))
   in
   let cache =
     match t.config.store with
@@ -615,7 +567,7 @@ let start config =
       cancelled = 0;
       toobig_rejects = 0;
       mem_sheds = 0;
-      latency = histogram ();
+      latency = Histogram.create ();
     }
   in
   t.worker_threads <-

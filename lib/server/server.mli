@@ -41,6 +41,7 @@
       graceful drain: stop accepting, finish queued jobs, log the final
       [stats] (latency histogram included), return from {!wait}. *)
 
+(** {!Exec.server_config} builds one from [dpsyn serve]'s settings. *)
 type config = {
   socket_path : string;
   store : Dp_cache.Store.t option;  (** [None] disables caching *)
@@ -63,11 +64,6 @@ type config = {
           on under chaos *)
   handle_signals : bool;  (** graceful drain on SIGTERM/SIGINT *)
 }
-
-(** In-memory cache, 2 workers, queue depth 64, 30 s/200k-cell budget,
-    no memory watermark, default supervision policy, no crash dir, no
-    chaos, no guard, no signal handling. *)
-val default_config : socket_path:string -> config
 
 type t
 

@@ -313,7 +313,9 @@ let health_step t =
   in
   List.iter
     (fun (s, pid) ->
-      let ok = ping_ok t s in
+      (* Skipped once shutting down (each ping can take
+         [health_timeout_s]); the scoring below skips it too. *)
+      let ok = locked t (fun () -> t.shutting_down) || ping_ok t s in
       locked t @@ fun () ->
       (* Only score the probe against the same incarnation we pinged. *)
       if (not t.shutting_down) && s.phase = Up && s.pid = Some pid then
@@ -342,11 +344,20 @@ let health_step t =
 
 let health_loop t =
   block_host_signals ();
+  let stopping () = locked t (fun () -> t.shutting_down) in
+  (* The period passes in slices of at most [poll_period_s], so that
+     [shutdown]'s join does not wait out a whole period. *)
+  let rec pause until =
+    let left = until -. Unix.gettimeofday () in
+    if left > 0.0 && not (stopping ()) then begin
+      Thread.delay (Float.min left t.config.poll_period_s);
+      pause until
+    end
+  in
   let rec go () =
-    if locked t (fun () -> t.shutting_down) then ()
-    else begin
+    if not (stopping ()) then begin
       health_step t;
-      Thread.delay t.config.health_period_s;
+      pause (Unix.gettimeofday () +. t.config.health_period_s);
       go ()
     end
   in

@@ -179,42 +179,19 @@ let pooled_of_params params =
   in
   { params; expected }
 
-(* The crypto catalog's light designs as wire requests: wide limbs,
-   signed wNAF operands, large constant coefficients — the crypto-scale
-   end of the workload, with expected records precomputed the same way
-   as the base pool's. *)
-let crypto_params () =
-  List.map
-    (fun (d : Dp_designs.Design.t) ->
-      let vars =
-        List.map
-          (fun (name, (vi : Dp_expr.Env.var_info)) ->
-            Protocol.var_spec ~arrival:vi.arrival ~prob:vi.prob
-              ~signed:vi.signed name ~width:vi.width)
-          (Dp_expr.Env.bindings d.env)
-      in
-      match
-        Protocol.synth_params ~vars ~width:(Some d.width)
-          (Dp_expr.Ast.to_string d.expr)
-      with
-      | Ok p -> p
-      | Error d -> Diag.fail d)
-    Dp_designs.Crypto.light
-
 let build_pool ?(crypto = false) () =
-  let base =
-    List.map
-      (fun (expr_text, vars) ->
-        let vars =
-          List.map (fun (n, w) -> Protocol.var_spec n ~width:w) vars
-        in
-        match Protocol.synth_params ~vars expr_text with
-        | Ok p -> pooled_of_params p
-        | Error d -> Diag.fail d)
-      pool_specs
-  in
-  if crypto then base @ List.map pooled_of_params (crypto_params ())
-  else base
+  let pooled = function Ok p -> pooled_of_params p | Error d -> Diag.fail d in
+  List.map
+    (fun (expr_text, vars) ->
+      let vars = List.map (fun (n, w) -> Protocol.var_spec n ~width:w) vars in
+      pooled (Protocol.synth_params ~vars expr_text))
+    pool_specs
+  (* The crypto catalog's light designs: wide limbs, signed wNAF
+     operands, large constant coefficients — the crypto-scale end of the
+     workload. *)
+  @ List.map
+      (fun d -> pooled (Protocol.params_of_design d))
+      (if crypto then Dp_designs.Crypto.light else [])
 
 (* ------------------------------------------------------------------ *)
 

@@ -86,6 +86,57 @@ let unit_delay = {
   counter_fusion = 1.0;
 }
 
+type param = { key : string; read : t -> float; update : t -> float -> t }
+
+let params =
+  let p key read update = { key; read; update } in
+  [
+    p "fa_sum_delay" (fun t -> t.fa_sum_delay)
+      (fun t v -> { t with fa_sum_delay = v });
+    p "fa_carry_delay" (fun t -> t.fa_carry_delay)
+      (fun t v -> { t with fa_carry_delay = v });
+    p "ha_sum_delay" (fun t -> t.ha_sum_delay)
+      (fun t v -> { t with ha_sum_delay = v });
+    p "ha_carry_delay" (fun t -> t.ha_carry_delay)
+      (fun t v -> { t with ha_carry_delay = v });
+    p "and2_delay" (fun t -> t.and2_delay)
+      (fun t v -> { t with and2_delay = v });
+    p "or2_delay" (fun t -> t.or2_delay)
+      (fun t v -> { t with or2_delay = v });
+    p "xor2_delay" (fun t -> t.xor2_delay)
+      (fun t v -> { t with xor2_delay = v });
+    p "not_delay" (fun t -> t.not_delay)
+      (fun t v -> { t with not_delay = v });
+    p "buf_delay" (fun t -> t.buf_delay)
+      (fun t v -> { t with buf_delay = v });
+    p "fa_area" (fun t -> t.fa_area)
+      (fun t v -> { t with fa_area = v });
+    p "ha_area" (fun t -> t.ha_area)
+      (fun t v -> { t with ha_area = v });
+    p "and2_area" (fun t -> t.and2_area)
+      (fun t v -> { t with and2_area = v });
+    p "or2_area" (fun t -> t.or2_area)
+      (fun t v -> { t with or2_area = v });
+    p "xor2_area" (fun t -> t.xor2_area)
+      (fun t v -> { t with xor2_area = v });
+    p "not_area" (fun t -> t.not_area)
+      (fun t v -> { t with not_area = v });
+    p "buf_area" (fun t -> t.buf_area)
+      (fun t v -> { t with buf_area = v });
+    p "fa_sum_energy" (fun t -> t.fa_sum_energy)
+      (fun t v -> { t with fa_sum_energy = v });
+    p "fa_carry_energy" (fun t -> t.fa_carry_energy)
+      (fun t v -> { t with fa_carry_energy = v });
+    p "ha_sum_energy" (fun t -> t.ha_sum_energy)
+      (fun t v -> { t with ha_sum_energy = v });
+    p "ha_carry_energy" (fun t -> t.ha_carry_energy)
+      (fun t v -> { t with ha_carry_energy = v });
+    p "gate_energy" (fun t -> t.gate_energy)
+      (fun t v -> { t with gate_energy = v });
+    p "counter_fusion" (fun t -> t.counter_fusion)
+      (fun t v -> { t with counter_fusion = v });
+  ]
+
 let tree_levels n =
   (* depth of a balanced binary tree with [n] leaves *)
   let rec go acc cap = if cap >= n then acc else go (acc + 1) (cap * 2) in

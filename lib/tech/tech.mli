@@ -43,6 +43,15 @@ type t = {
 val lcb_like : t
 val unit_delay : t
 
+(** One numeric parameter: its technology-file key (the field's name),
+    and how to read it from and update it in a technology. *)
+type param = { key : string; read : t -> float; update : t -> float -> t }
+
+(** Every numeric field of {!t}, in declaration order: the one list
+    through which {!Tech_file} parses, validates and prints a
+    technology and [Dp_cache.Key] hashes it. *)
+val params : param list
+
 (** [delay t kind ~port] is the pin-to-pin delay of output [port] of a cell
     of [kind].  Wide n-ary gates are priced as balanced trees of 2-input
     gates.  For the parallel counters this is the worst case over input

@@ -6,74 +6,36 @@
      fa_carry_delay 0.32
      ...
 
-   Unknown keys are rejected; omitted keys inherit from the base technology
-   (lcb_like unless another base is given).  Numbers use OCaml float
-   syntax. *)
+   The keys are [name] and the keys of [Tech.params]; unknown keys are
+   rejected, and omitted keys inherit from the base technology (lcb_like
+   unless another base is given).  Numbers use OCaml float syntax. *)
 
 exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
 let apply (t : Tech.t) key value =
-  let f () =
-    match float_of_string_opt value with
-    | Some v -> v
-    | None -> fail "%s: not a number: %s" key value
-  in
-  match key with
-  | "name" -> { t with name = value }
-  | "fa_sum_delay" -> { t with fa_sum_delay = f () }
-  | "fa_carry_delay" -> { t with fa_carry_delay = f () }
-  | "ha_sum_delay" -> { t with ha_sum_delay = f () }
-  | "ha_carry_delay" -> { t with ha_carry_delay = f () }
-  | "and2_delay" -> { t with and2_delay = f () }
-  | "or2_delay" -> { t with or2_delay = f () }
-  | "xor2_delay" -> { t with xor2_delay = f () }
-  | "not_delay" -> { t with not_delay = f () }
-  | "buf_delay" -> { t with buf_delay = f () }
-  | "fa_area" -> { t with fa_area = f () }
-  | "ha_area" -> { t with ha_area = f () }
-  | "and2_area" -> { t with and2_area = f () }
-  | "or2_area" -> { t with or2_area = f () }
-  | "xor2_area" -> { t with xor2_area = f () }
-  | "not_area" -> { t with not_area = f () }
-  | "buf_area" -> { t with buf_area = f () }
-  | "fa_sum_energy" -> { t with fa_sum_energy = f () }
-  | "fa_carry_energy" -> { t with fa_carry_energy = f () }
-  | "ha_sum_energy" -> { t with ha_sum_energy = f () }
-  | "ha_carry_energy" -> { t with ha_carry_energy = f () }
-  | "gate_energy" -> { t with gate_energy = f () }
-  | "counter_fusion" -> { t with counter_fusion = f () }
-  | _ -> fail "unknown key: %s" key
+  if key = "name" then { t with name = value }
+  else
+    match List.find_opt (fun (p : Tech.param) -> p.key = key) Tech.params with
+    | None -> fail "unknown key: %s" key
+    | Some p -> (
+      match float_of_string_opt value with
+      | Some v -> p.update t v
+      | None -> fail "%s: not a number: %s" key value)
 
 let validate (t : Tech.t) =
-  let nonneg name v =
-    if not (Float.is_finite v && v >= 0.0) then
-      fail "%s must be finite and >= 0 (got %g)" name v
-  in
-  nonneg "fa_sum_delay" t.fa_sum_delay;
-  nonneg "fa_carry_delay" t.fa_carry_delay;
-  nonneg "ha_sum_delay" t.ha_sum_delay;
-  nonneg "ha_carry_delay" t.ha_carry_delay;
-  nonneg "and2_delay" t.and2_delay;
-  nonneg "or2_delay" t.or2_delay;
-  nonneg "xor2_delay" t.xor2_delay;
-  nonneg "not_delay" t.not_delay;
-  nonneg "buf_delay" t.buf_delay;
-  nonneg "fa_area" t.fa_area;
-  nonneg "ha_area" t.ha_area;
-  nonneg "and2_area" t.and2_area;
-  nonneg "or2_area" t.or2_area;
-  nonneg "xor2_area" t.xor2_area;
-  nonneg "not_area" t.not_area;
-  nonneg "buf_area" t.buf_area;
-  nonneg "fa_sum_energy" t.fa_sum_energy;
-  nonneg "fa_carry_energy" t.fa_carry_energy;
-  nonneg "ha_sum_energy" t.ha_sum_energy;
-  nonneg "ha_carry_energy" t.ha_carry_energy;
-  nonneg "gate_energy" t.gate_energy;
-  if not (t.counter_fusion > 0.0 && t.counter_fusion <= 1.0) then
-    fail "counter_fusion must be in (0, 1] (got %g)" t.counter_fusion;
+  List.iter
+    (fun (p : Tech.param) ->
+      let v = p.read t in
+      match p.key with
+      | "counter_fusion" ->
+        if not (v > 0.0 && v <= 1.0) then
+          fail "counter_fusion must be in (0, 1] (got %g)" v
+      | key ->
+        if not (Float.is_finite v && v >= 0.0) then
+          fail "%s must be finite and >= 0 (got %g)" key v)
+    Tech.params;
   t
 
 let of_string ?(base = Tech.lcb_like) s =
@@ -124,29 +86,8 @@ let of_file_res ?base path =
 
 let to_string (t : Tech.t) =
   String.concat "\n"
-    [
-      Printf.sprintf "name %s" t.name;
-      Printf.sprintf "fa_sum_delay %.17g" t.fa_sum_delay;
-      Printf.sprintf "fa_carry_delay %.17g" t.fa_carry_delay;
-      Printf.sprintf "ha_sum_delay %.17g" t.ha_sum_delay;
-      Printf.sprintf "ha_carry_delay %.17g" t.ha_carry_delay;
-      Printf.sprintf "and2_delay %.17g" t.and2_delay;
-      Printf.sprintf "or2_delay %.17g" t.or2_delay;
-      Printf.sprintf "xor2_delay %.17g" t.xor2_delay;
-      Printf.sprintf "not_delay %.17g" t.not_delay;
-      Printf.sprintf "buf_delay %.17g" t.buf_delay;
-      Printf.sprintf "fa_area %.17g" t.fa_area;
-      Printf.sprintf "ha_area %.17g" t.ha_area;
-      Printf.sprintf "and2_area %.17g" t.and2_area;
-      Printf.sprintf "or2_area %.17g" t.or2_area;
-      Printf.sprintf "xor2_area %.17g" t.xor2_area;
-      Printf.sprintf "not_area %.17g" t.not_area;
-      Printf.sprintf "buf_area %.17g" t.buf_area;
-      Printf.sprintf "fa_sum_energy %.17g" t.fa_sum_energy;
-      Printf.sprintf "fa_carry_energy %.17g" t.fa_carry_energy;
-      Printf.sprintf "ha_sum_energy %.17g" t.ha_sum_energy;
-      Printf.sprintf "ha_carry_energy %.17g" t.ha_carry_energy;
-      Printf.sprintf "gate_energy %.17g" t.gate_energy;
-      Printf.sprintf "counter_fusion %.17g" t.counter_fusion;
-    ]
+    (Printf.sprintf "name %s" t.name
+    :: List.map
+         (fun (p : Tech.param) -> Printf.sprintf "%s %.17g" p.key (p.read t))
+         Tech.params)
   ^ "\n"

@@ -7,7 +7,8 @@
     fa_carry_delay 0.32
     v}
 
-    Omitted keys inherit from [base] (default {!Tech.lcb_like}). *)
+    The keys are [name] and the [key]s of {!Tech.params}.  Omitted keys
+    inherit from [base] (default {!Tech.lcb_like}). *)
 
 exception Parse_error of string
 
@@ -26,5 +27,6 @@ val of_string_res : ?base:Tech.t -> string -> (Tech.t, Dp_diag.Diag.t) result
 (** Like {!of_file}; I/O failures become [DP-TECH002] diagnostics. *)
 val of_file_res : ?base:Tech.t -> string -> (Tech.t, Dp_diag.Diag.t) result
 
-(** Round-trippable rendering of a technology. *)
+(** Round-trippable rendering of a technology: [name], then every
+    {!Tech.params} entry in order. *)
 val to_string : Tech.t -> string

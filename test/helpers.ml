@@ -233,6 +233,11 @@ let shard_spawn ~cache_dir =
       cache_capacity = 32;
     }
 
+(* [dpsyn serve]'s defaults, as a server in this process. *)
+let server_config ~socket_path =
+  Dp_server.Exec.server_config (Dp_server.Exec.default ~dpsyn) ~socket_path
+    ~tech:Dp_tech.Tech.lcb_like ~log:ignore
+
 (* The default soak of this build's binary, on a fresh socket. *)
 let soak_config () = Dp_server.Soak.default_config ~dpsyn ~socket_path:(fresh_socket ())
 

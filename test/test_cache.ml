@@ -283,6 +283,51 @@ let lint_rejects_corrupt_netlist () =
   checkb "lint-rejected entry resynthesizes" false served.cached;
   checki "counted as corrupt" 1 (C.Store.stats store).corrupt
 
+(* A disk read runs outside the store's lock.  While one thread is stuck
+   opening key B's entry (a FIFO that no one writes yet), a lookup of key
+   A, which is in memory, answers at once.  Opening the FIFO for writing
+   then lets the stuck read finish, on an empty and so corrupt entry. *)
+let disk_read_leaves_memory_hits_free () =
+  with_tmpdir @@ fun dir ->
+  let store = C.Store.create ~dir () in
+  let a = outcome ~store "x + y" in
+  let fifo = Filename.concat dir (C.Key.digest (key "x*y + z") ^ ".dpc") in
+  Unix.mkfifo fifo 0o600;
+  let reader = Thread.create (fun () -> C.Store.find store (key "x*y + z")) () in
+  Thread.delay 0.1;
+  let t0 = Unix.gettimeofday () in
+  let hit = Atomic.make None in
+  let hitter =
+    Thread.create
+      (fun () ->
+        let found = C.Store.find store (key "x + y") in
+        Atomic.set hit (Some (found, Unix.gettimeofday () -. t0)))
+      ()
+  in
+  while Atomic.get hit = None && Unix.gettimeofday () -. t0 < 1.0 do
+    Thread.delay 0.01
+  done;
+  (* Release the reader: a non-blocking open succeeds once it waits on
+     the FIFO. *)
+  let rec release () =
+    match Unix.openfile fifo [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+    | fd -> Unix.close fd
+    | exception Unix.Unix_error (Unix.ENXIO, _, _)
+      when Unix.gettimeofday () -. t0 < 10.0 ->
+      Thread.delay 0.01;
+      release ()
+  in
+  release ();
+  Thread.join hitter;
+  Thread.join reader;
+  (match Atomic.get hit with
+  | Some (Some entry, s) ->
+    checkb "the memory hit did not wait for the disk read" true (s < 1.0);
+    check Alcotest.string "A's entry" a.verilog entry.C.Store.verilog
+  | _ -> Alcotest.fail "A missed");
+  checki "the released read counts one corrupt entry" 1 (C.Store.stats store).corrupt;
+  checkb "and removes it" false (Sys.file_exists fifo)
+
 (* ------------------------------------------------------------------ *)
 (* Serving: cached == fresh, byte for byte *)
 
@@ -350,4 +395,6 @@ let suite =
     case "serve: canonical class shares one entry" canonical_class_shares_entry;
     case "store: older format version degrades to miss"
       old_format_version_is_corrupt;
+    case "store: a disk read leaves memory hits free"
+      disk_read_leaves_memory_hits_free;
   ]

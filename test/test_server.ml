@@ -125,7 +125,7 @@ let proto_request_round_trips () =
 
 let with_server ?(configure = fun c -> c) f =
   let socket = fresh_socket () in
-  let config = configure (S.Server.default_config ~socket_path:socket) in
+  let config = configure (server_config ~socket_path:socket) in
   let t = S.Server.start config in
   Fun.protect
     ~finally:(fun () ->
@@ -309,7 +309,7 @@ let server_enforces_cell_budget () =
 
 let server_shutdown_op () =
   let socket = fresh_socket () in
-  let t = S.Server.start (S.Server.default_config ~socket_path:socket) in
+  let t = S.Server.start (server_config ~socket_path:socket) in
   let r = rpc socket (Json.Obj [ ("id", Json.Int 1); ("op", Json.Str "shutdown") ]) in
   checkb "ok" true (get_bool [ "ok" ] r = Some true);
   (* wait must return: the accept loop and the workers all exit *)
@@ -551,7 +551,7 @@ let server_sigterm_graceful () =
   in
   let socket = fresh_socket () in
   let t =
-    S.Server.start (configure (S.Server.default_config ~socket_path:socket))
+    S.Server.start (configure (server_config ~socket_path:socket))
   in
   let r = rpc socket (synth_json ()) in
   checkb "served before the signal" true (get_bool [ "ok" ] r = Some true);
@@ -967,6 +967,95 @@ let pool_restarted_shard_exits_0_on_sigterm () =
   checkb "SIGTERMed the restarted shard" true (SP.signal_shard pool 0 Sys.sigterm);
   wait_for ~msg:"the restarted shard did not exit 0 on SIGTERM" (fun () -> ended "exited 0")
 
+(* The health thread waits out its period in poll-period slices, so a
+   pool shut down right after it comes up (its health thread has pinged
+   once and is waiting) does not wait for a 30 s health period to end. *)
+let pool_shutdown_does_not_wait_a_health_period () =
+  let base = fresh_socket () in
+  let pool =
+    SP.start
+      {
+        (SP.default_config ~shards:1
+           ~socket_for:(fun _ -> base ^ ".0")
+           ~spawn:(shard_spawn ~cache_dir:(fresh_dir "quick-stop-cache"))) with
+        SP.health_period_s = 30.0;
+      }
+  in
+  let up = SP.wait_all_up ~timeout_s:20.0 pool in
+  let t0 = Unix.gettimeofday () in
+  SP.shutdown pool;
+  let s = Unix.gettimeofday () -. t0 in
+  checkb "pool came up" true up;
+  checkb (Printf.sprintf "shut down within 2 s (took %.2f s)" s) true (s < 2.0)
+
+(* [Exec.argv] writes the flags that [bin/dpsyn.ml] parses, and the two
+   cannot share code.  One exec'd [dpsyn serve] with every server setting
+   off its default shows that they arrive: in its [stats], and in a
+   record equal to a local [Serve.run] under the same tech file. *)
+let exec_serve_flags_arrive () =
+  let dir = fresh_dir "exec-flags" in
+  let tech_file = Filename.concat dir "three.tech" in
+  Out_channel.with_open_text tech_file (fun oc ->
+      output_string oc "fa_sum_delay 0.6\nha_carry_delay 0.25\ncounter_fusion 0.9\n");
+  let defaults = S.Exec.default ~dpsyn in
+  let serve =
+    {
+      defaults with
+      workers = 3;
+      queue_depth = 17;
+      budget = { Dp_fuzz.Budget.timeout_s = 20.0; max_cells = 150_000; max_rows = 3000 };
+      mem_watermark_mb = Some 4096;
+      cache_dir = Some (Filename.concat dir "cache");
+      cache_capacity = 8;
+      tech_file = Some tech_file;
+      crash_dir = Some (Filename.concat dir "crash");
+      max_crashes = 7;
+      breaker_cooldown_s = 2.5;
+      guard_responses = true;
+      chaos = Some { S.Chaos.default_config with seed = 5; every = 1000 };
+    }
+  in
+  let stats_of serve =
+    let socket = fresh_socket () in
+    let pid = S.Exec.spawn (S.Exec.argv serve ~socket_path:socket) in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid))
+    @@ fun () ->
+    wait_for ~msg:"the exec'd server never answered" (fun () ->
+        S.Client.ping ~deadline:(Unix.gettimeofday () +. 1.0) ~id:Json.Null socket);
+    let p =
+      match
+        P.synth_params
+          ~vars:[ P.var_spec "x" ~width:8; P.var_spec "y" ~width:8; P.var_spec "z" ~width:16 ]
+          "x*y + z"
+      with
+      | Ok p -> p
+      | Error d -> faild d
+    in
+    let served = rpc socket (P.request_to_json { P.id = Json.Int 1; req = P.Synth p }) in
+    let stats = rpc socket (Json.Obj [ ("id", Json.Int 2); ("op", Json.Str "stats") ]) in
+    (p, served, stats)
+  in
+  let p, served, stats = stats_of serve in
+  checki "workers" 3 (Option.get (get_int [ "stats"; "workers" ] stats));
+  checki "queue_depth" 17 (Option.get (get_int [ "stats"; "queue_depth" ] stats));
+  checki "mem_watermark_words" (4096 * 1024 * 1024 / (Sys.word_size / 8))
+    (Option.get (get_int [ "stats"; "governance"; "mem_watermark_words" ] stats));
+  checkb "chaos" true
+    (match get [ "stats"; "chaos" ] stats with Some (Json.Obj _) -> true | _ -> false);
+  let local =
+    let tech = Dp_tech.Tech_file.of_file tech_file in
+    match Result.bind (P.serve_request ~tech p) Dp_cache.Serve.run with
+    | Ok o -> Json.to_string (P.result_record p o)
+    | Error d -> faild d
+  in
+  check Alcotest.string "record under the tech file, digest included" local
+    (Json.to_string (Option.get (get [ "result" ] served)));
+  let _, _, stats = stats_of { defaults with no_cache = true } in
+  checkb "no cache" true (get [ "stats"; "cache" ] stats = Some Json.Null)
+
 (* Every descriptor the front opens is close-on-exec: a shard the pool
    restarts while a router listens inherits neither the router's socket
    nor its self-pipe, so it holds as many descriptors as the shard
@@ -1379,6 +1468,10 @@ let suite =
       soak_sharded_mem_net_chaos_crosses_the_exec;
     case "shards: a restarted shard exits 0 on SIGTERM"
       pool_restarted_shard_exits_0_on_sigterm;
+    case "shards: shutdown does not wait out a health period"
+      pool_shutdown_does_not_wait_a_health_period;
+    case "exec: every dpsyn serve flag of Exec.argv arrives"
+      exec_serve_flags_arrive;
     case "shards: a shard restarted behind a router inherits no descriptors"
       pool_restarted_shard_inherits_no_descriptors;
     case "server: admission rejects oversized requests"

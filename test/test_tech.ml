@@ -56,10 +56,20 @@ let test_energy_weights () =
   checkb "2 sqrt Ws >= sqrt Wc" true
     (2.0 *. sqrt t.fa_sum_energy >= sqrt t.fa_carry_energy)
 
+(* The fuzzed techs also show that [Tech.params] covers every field of
+   [Tech.t]: [Gen.tech] is a record literal, so the compiler holds it to
+   [Tech.t], and every field is random.  A field missing from the table
+   would print nowhere and parse back as [unit_delay]'s value. *)
 let test_tech_file_roundtrip () =
   let t = Tech.lcb_like in
   let t' = Tech_file.of_string (Tech_file.to_string t) in
-  checkb "roundtrip" true (t = t')
+  checkb "roundtrip" true (t = t');
+  let rng = Random.State.make [| 28 |] in
+  for _ = 1 to 50 do
+    let t = Dp_fuzz.Gen.tech rng in
+    checkb "fuzzed tech round-trips over unit_delay" true
+      (Tech_file.of_string ~base:Tech.unit_delay (Tech_file.to_string t) = t)
+  done
 
 let test_tech_file_overrides () =
   let t = Tech_file.of_string "fa_sum_delay 9.5\nname custom\n" in
@@ -95,6 +105,37 @@ let test_tech_file_custom_base () =
   checkf "base Ds" 2.0 t.fa_sum_delay;
   checkf "override" 7.0 t.fa_area
 
+(* Each entry reads and updates its own field, feeds the cache key, and
+   names itself in the validator's errors. *)
+let test_params_entries () =
+  let env = Dp_expr.Env.(empty |> add_uniform "x" ~width:4 |> add_uniform "y" ~width:4) in
+  let expr = Dp_expr.Parse.expr "x*y" in
+  let digest tech =
+    Dp_cache.Key.digest (Dp_cache.Key.make ~tech Dp_flow.Strategy.Fa_aot env expr)
+  in
+  let base = Tech.lcb_like in
+  let keys = List.map (fun (p : Tech.param) -> p.key) Tech.params in
+  checki "distinct keys" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  List.iter
+    (fun (p : Tech.param) ->
+      let v = 0.5 *. (p.read base +. 0.37) in
+      let t = p.update base v in
+      checkf (p.key ^ ": update sets its read") v (p.read t);
+      List.iter
+        (fun (q : Tech.param) ->
+          if q.key <> p.key then
+            checkf (p.key ^ " leaves " ^ q.key) (q.read base) (q.read t))
+        Tech.params;
+      checkb (p.key ^ ": name untouched") true (String.equal t.name base.name);
+      checkb (p.key ^ ": moves the key digest") false (digest t = digest base);
+      match Tech_file.of_string_res (p.key ^ " nan") with
+      | Ok _ -> Alcotest.failf "%s nan accepted" p.key
+      | Error { code; message; _ } ->
+        check Alcotest.string (p.key ^ ": code") "DP-TECH001" code;
+        checkb (p.key ^ ": named") true (contains ~needle:p.key message))
+    Tech.params
+
 let suite =
   [
     case "cell arity" test_cell_arity;
@@ -111,4 +152,6 @@ let suite =
     case "tech file: comments and blanks" test_tech_file_comments_and_blanks;
     case "tech file: malformed inputs rejected" test_tech_file_errors;
     case "tech file: custom base" test_tech_file_custom_base;
+    case "params: each entry reads, updates, keys and validates its own"
+      test_params_entries;
   ]
